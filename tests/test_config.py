@@ -1,0 +1,59 @@
+import string
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oamsim.config import SCHEMA, ConfigError, build_config, parse_config_text
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# '#' starts a comment and line breaks end the entry, so the format cannot
+# carry them; surrounding blanks are stripped on parse.
+plain_text = st.text(alphabet=string.ascii_letters + string.digits + "_-./= ",
+                     min_size=1).map(str.strip).filter(bool)
+
+
+def value_for(key):
+    parser, default = SCHEMA[key]
+    if isinstance(default, tuple):
+        return st.lists(st.integers(-50, 50), max_size=6).map(tuple)
+    if parser is int:
+        return st.integers(-10**6, 10**6)
+    if parser is float:
+        return finite
+    return plain_text
+
+
+any_values = st.fixed_dictionaries({key: value_for(key) for key in SCHEMA})
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_values)
+def test_canonical_lines_round_trip(values):
+    config = build_config(overrides=values)
+    text = "\n".join(config.canonical_lines())
+    again = build_config(parse_config_text(text))
+    assert again.values == config.values
+    assert again.hash() == config.hash()
+
+
+@settings(max_examples=60, deadline=None)
+@given(plain_text.filter(lambda k: k not in SCHEMA and "=" not in k), plain_text)
+def test_rejects_keys_outside_schema(key, value):
+    with pytest.raises(ConfigError):
+        parse_config_text(f"{key} = {value}")
+    with pytest.raises(ConfigError):
+        build_config(overrides={key: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SCHEMA)), st.data())
+def test_rejects_duplicate_keys(key, data):
+    first, second = (str(data.draw(value_for(key))) for _ in range(2))
+    others = data.draw(st.lists(st.sampled_from(sorted(set(SCHEMA) - {key})), unique=True))
+    lines = [f"{other} = {SCHEMA[other][1]}" for other in others]
+    lines.insert(data.draw(st.integers(0, len(lines))), f"{key} = {first}")
+    lines.append(f"{key} = {second}")
+    with pytest.raises(ConfigError, match="duplicate"):
+        parse_config_text("\n".join(lines))
+
