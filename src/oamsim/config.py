@@ -211,8 +211,9 @@ def validate(config: ScenarioConfig) -> list[str]:
 
     if not 0 <= v["source.ell_max"] <= 20:
         problems.append(f"source.ell_max must lie in [0, 20] (got {v['source.ell_max']})")
-    if not 1 <= v["experiment.epr_ell_max"] <= 20:
-        problems.append(f"experiment.epr_ell_max must lie in [1, 20] (got {v['experiment.epr_ell_max']})")
+    # 2 epr_ell_max + 1 OAM bins must leave the Gaussian fit at least four points
+    if not 2 <= v["experiment.epr_ell_max"] <= 20:
+        problems.append(f"experiment.epr_ell_max must lie in [2, 20] (got {v['experiment.epr_ell_max']})")
     if v["source.grid_points_radial"] < 16 or v["source.grid_points_azimuthal"] < 16:
         problems.append("source.grid_points_radial and source.grid_points_azimuthal must be at least 16")
     if not 0.0 < v["detector.efficiency"] <= 1.0:

@@ -132,3 +132,14 @@ def test_validate_accepts_defaults(capsys):
     assert main(["validate"]) == 0
     assert capsys.readouterr().out == ""
 
+
+@pytest.mark.parametrize("ell_max, code", [(1, 1), (2, 0), (20, 0), (21, 1)])
+def test_validate_epr_ell_max_bound(capsys, ell_max, code):
+    # 2 ell_max + 1 bins must leave at least four points for the Gaussian fit
+    assert main(["validate", "--set", f"experiment.epr_ell_max={ell_max}"]) == code
+    out = capsys.readouterr().out
+    assert ("experiment.epr_ell_max" in out) == bool(code)
+
+
+def test_smallest_accepted_epr_ell_max_runs(tmp_path):
+    assert main(["epr-reid", "--set", "experiment.epr_ell_max=2", "--out", str(tmp_path)]) == 0
