@@ -2,9 +2,10 @@
 
 Every run writes its tables plus a manifest into the configured output
 directory.  All tables carry the config hash and seed on their first line;
-rerunning with the same config and seed reproduces them byte for byte.  The
-manifest additionally records versions and wall-clock timings, so it is the
-one file excluded from the byte-identity guarantee.
+rerunning with the same config and seed reproduces them byte for byte, which
+``tests/test_cli.py`` checks for every subcommand.  The manifest additionally
+records versions and wall-clock timings, so it is the one file excluded from
+the byte-identity guarantee.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .experiments import (
     tomography_settings,
     angular_scan,
 )
-from .spdc import PumpSpec, build_state, sinc_ring_profile, transverse_mode_count
-from .numerics import PolarGrid
+from .modes import default_grid
+from .spdc import build_state, sinc_ring_profile, transverse_mode_count
 from .tomography import (
     DensityMatrix,
     concurrence,
@@ -43,6 +44,7 @@ from .tomography import (
     linear_entropy,
     reconstruct,
     save_density_matrix,
+    threshold_fidelity,
 )
 
 
@@ -103,22 +105,16 @@ def _stage_seed(config: ScenarioConfig, stage: int) -> int:
     return int(np.random.SeedSequence([config.seed, stage]).generate_state(1)[0])
 
 
-def _grid(config: ScenarioConfig) -> PolarGrid:
-    pump_waist = config["source.pump_waist_mm"] * 1e-3
-    meas_waist = pump_waist / config["source.gamma"]
-    return PolarGrid(r_max=6.0 * max(pump_waist, meas_waist),
-                     n_r=config["source.grid_points_radial"],
-                     n_phi=config["source.grid_points_azimuthal"])
-
-
 def _state(config: ScenarioConfig, ell_max: int, with_offset: bool = True):
+    pump = config.pump()
+    meas_waist = pump.waist / config["source.gamma"]
     offset_waists = config["source.signal_offset_waists"] if with_offset else 0.0
-    meas_waist = config["source.pump_waist_mm"] * 1e-3 / config["source.gamma"]
     return build_state(
-        PumpSpec(waist=config["source.pump_waist_mm"] * 1e-3),
+        pump,
         gamma=config["source.gamma"],
         ell_max=ell_max,
-        grid=_grid(config),
+        grid=default_grid(pump.waist, meas_waist, n_r=config["source.grid_points_radial"],
+                          n_phi=config["source.grid_points_azimuthal"]),
         signal_offset=(offset_waists * meas_waist, 0.0),
     )
 
@@ -134,8 +130,9 @@ def run_spiral(config: ScenarioConfig, ctx: RunContext):
     ctx.write_table("spiral_matrix.csv",
                     ("ell_a", "ell_b", "ideal_rate", "count", "accidental"), scan.rows())
     s_ells, s_ideal, s_counts = spiral_spectrum(scan)
+    # this table has always written its counts as floats
     ctx.write_table("spiral_spectrum.csv", ("ell", "ideal_rate", "count"),
-                    zip(s_ells, s_ideal, s_counts))
+                    zip(s_ells, s_ideal, s_counts.astype(float)))
     fwhm = spectrum_fwhm(s_ells.astype(float), s_counts.astype(float))
     ctx.write_table("spiral_summary.csv", ("fwhm", "peak_count"),
                     [(fwhm, int(s_counts.max()))])
@@ -153,7 +150,7 @@ def run_angular(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("scan")
     ctx.write_table("angular_map.csv",
                     ("beta_a", "beta_b", "ideal_rate", "count", "accidental"), scan.rows())
-    xs, ps = conditional_profile(scan, fixed_value=0.0)
+    xs, ps = conditional_profile(scan)
     ctx.write_table("angular_conditional.csv", ("beta_a", "probability"), zip(xs, ps))
     ctx.mark("write")
 
@@ -171,8 +168,8 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
     angular = angular_scan(state, config["experiment.sector_width_rad"], betas,
                            np.array([0.0]), det, _stage_seed(config, 1), pair_rate=rate)
     ctx.mark("scan")
-    ell_profile = conditional_profile(spiral, fixed_value=0.0)
-    phi_profile = conditional_profile(angular, fixed_value=0.0)
+    ell_profile = conditional_profile(spiral)
+    phi_profile = conditional_profile(angular)
     result = epr_reid(ell_profile, phi_profile)
     rows = [("ell", x, p, result.ell_fit(x)) for x, p in zip(*ell_profile)]
     rows += [("phi", x, p, result.angle_fit(x)) for x, p in zip(*phi_profile)]
@@ -199,11 +196,8 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("scan")
     ctx.write_table("bell_curve.csv",
                     ("theta_b", "ideal_rate", "count", "accidental"), curve.rows())
-    count_rows = []
-    shift = settings.shift
-    for k, (ta, tb) in enumerate(settings.base_pairs()):
-        for c, (da, db) in enumerate(((0.0, 0.0), (shift, shift), (shift, 0.0), (0.0, shift))):
-            count_rows.append((k, c, ta + da, tb + db, rates[k, c], int(counts[k, c])))
+    count_rows = [(k, c, ta, tb, rates[k, c], int(counts[k, c]))
+                  for k, c, ta, tb in settings.orientations()]
     ctx.write_table("bell_counts.csv",
                     ("pair", "offset", "theta_a", "theta_b", "ideal_rate", "count"), count_rows)
     n_sigma = (s_value - 2.0) / sigma if sigma > 0 else float("inf")
@@ -236,7 +230,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     fid = fidelity(rho_true, report.rho)
     entropy = linear_entropy(report.rho)
     threshold_p = config.threshold_fraction()
-    threshold_fid = threshold_p + (1.0 - threshold_p) / d**2
+    threshold_fid = threshold_fidelity(threshold_p, d)
     columns = ["d", "chi_squared", "flux", "converged", "fidelity_vs_target",
                "linear_entropy", "threshold_p", "threshold_fidelity", "above_threshold"]
     values = [d, report.chi_squared, report.flux, report.converged, fid,

@@ -12,7 +12,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .modes import BeamGeometry, LGMode
 from .spdc import CrystalConfig, DetectorConfig, PumpSpec
 from .tomography import BELL_VIOLATION_THRESHOLDS
 
@@ -99,14 +98,6 @@ class ScenarioConfig:
     # --- conversions to simulation objects -------------------------------
     def pump(self) -> PumpSpec:
         return PumpSpec(waist=self.values["source.pump_waist_mm"] * 1e-3)
-
-    def measurement_geometry(self) -> BeamGeometry:
-        waist = self.values["source.pump_waist_mm"] * 1e-3 / self.values["source.gamma"]
-        return BeamGeometry(wavelength=2.0 * self.values["source.pump_wavelength_nm"] * 1e-9,
-                            waist=waist)
-
-    def measurement_mode(self, ell: int) -> LGMode:
-        return LGMode(ell=ell, geometry=self.measurement_geometry())
 
     def detector(self) -> DetectorConfig:
         return DetectorConfig(
@@ -251,20 +242,3 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("output_dir must not be empty")
     return problems
 
-
-def default_config_text() -> str:
-    """Commented template with every key at its default."""
-    config = build_config()
-    lines = [
-        "# oamsim scenario configuration",
-        "# All randomness derives from this seed; runs are reproducible.",
-    ]
-    for line in config.canonical_lines():
-        if line.startswith("tomo.threshold_p"):
-            lines.append("# Minimal pure fraction of the isotropic state that still violates the")
-            lines.append("# d-dimensional Bell inequality (2 / quantum value of the inequality for")
-            lines.append("# the maximally entangled state): d=2: 0.7071067811865476,")
-            lines.append("# d=3: 0.6961524227066314, d=4: 0.6905497394878110, d=5: 0.6871565744163153.")
-            lines.append("# Negative selects the built-in table entry for tomo.d.")
-        lines.append(line)
-    return "\n".join(lines) + "\n"

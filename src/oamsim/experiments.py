@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -45,7 +45,7 @@ class GaussianFit:
         return self.amplitude * np.exp(-((np.asarray(x) - self.mean) ** 2) / (2.0 * self.variance))
 
 
-def fit_gaussian(xs, ys, max_nfev: int = 20000) -> GaussianFit:
+def fit_gaussian(xs, ys) -> GaussianFit:
     """Least-squares Gaussian fit A exp(-(x-mu)^2 / (2 s^2)) to (xs, ys).
 
     Needs at least four points that are not all equal.  Raises FitError on
@@ -75,7 +75,7 @@ def fit_gaussian(xs, ys, max_nfev: int = 20000) -> GaussianFit:
         return a * np.exp(-((xs - mu) ** 2) / (2.0 * s * s)) - ys
 
     result = least_squares(residuals, [peak, mu0, s0], method="lm",
-                           ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=max_nfev)
+                           ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=20000)
     if not result.success:
         raise FitError(f"gaussian fit did not converge: {result.message}")
     a, mu, s = result.x
@@ -85,50 +85,44 @@ def fit_gaussian(xs, ys, max_nfev: int = 20000) -> GaussianFit:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid of coincidence records plus the axes that generated it."""
+    """Coincidence data over a grid of settings plus the axes that generated it.
+
+    ``ideal`` (float rates), ``counts`` (sampled integers) and ``accidental``
+    (float estimates) each have one entry per setting, shaped like the axes.
+    """
 
     axis_names: tuple[str, ...]
     axis_values: tuple[np.ndarray, ...]
-    records: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    ideal: np.ndarray
+    counts: np.ndarray
+    accidental: np.ndarray
 
     def __post_init__(self):
         shape = tuple(len(v) for v in self.axis_values)
-        if self.records.shape != shape:
-            raise ValueError(f"records shape {self.records.shape} does not match axes {shape}")
-
-    def _map(self, attr):
-        out = np.empty(self.records.shape, dtype=float)
-        for idx in np.ndindex(self.records.shape):
-            out[idx] = getattr(self.records[idx], attr)
-        return out
-
-    def ideal_rates(self) -> np.ndarray:
-        return self._map("ideal_rate")
-
-    def counts(self) -> np.ndarray:
-        return self._map("count")
-
-    def accidental_estimates(self) -> np.ndarray:
-        return self._map("accidental_estimate")
+        if any(a.shape != shape for a in (self.ideal, self.counts, self.accidental)):
+            raise ValueError(f"scan data shapes do not match axes {shape}")
 
     def rows(self):
-        """One (axis values..., ideal rate, count, accidental) tuple per setting."""
-        for idx in np.ndindex(self.records.shape):
-            rec = self.records[idx]
-            coords = tuple(self.axis_values[k][i] for k, i in enumerate(idx))
-            yield (*coords, rec.ideal_rate, rec.count, rec.accidental_estimate)
+        """One (axis values..., ideal rate, count, accidental) tuple per setting, in C order."""
+        coords = np.meshgrid(*self.axis_values, indexing="ij")
+        return zip(*(a.ravel().tolist() for a in (*coords, self.ideal, self.counts, self.accidental)))
 
 
-def _sample_grid(rates: np.ndarray, det: DetectorConfig, seed: int) -> np.ndarray:
-    records = np.empty(rates.shape, dtype=object)
-    for setting_id, idx in enumerate(np.ndindex(rates.shape)):
-        records[idx] = sample_counts(float(rates[idx]), det, seed, setting_id=setting_id)
-    return records
+def _sample_grid(rates: np.ndarray, det: DetectorConfig, seed: int) -> list[CoincidenceRecord]:
+    """One Poisson record per rate; the setting id is the flat C-order index."""
+    return [sample_counts(float(rate), det, seed, setting_id=setting_id)
+            for setting_id, rate in enumerate(rates.flat)]
+
+
+def _scan(axis_names, axis_values, rates: np.ndarray, det: DetectorConfig, seed: int) -> ScanResult:
+    records = _sample_grid(rates, det, seed)
+    counts = np.array([r.count for r in records]).reshape(rates.shape)
+    accidental = np.array([r.accidental_estimate for r in records]).reshape(rates.shape)
+    return ScanResult(axis_names, axis_values, rates, counts, accidental)
 
 
 def spiral_scan(state: TwoPhotonState, ells_a, ells_b, det: DetectorConfig,
-                seed: int, pair_rate: float = 1e4, metadata: dict | None = None) -> ScanResult:
+                seed: int, pair_rate: float = 1e4) -> ScanResult:
     """Coincidence matrix over projector pairs (ell_A, ell_B).
 
     Ideal rates are pair_rate times the joint OAM probabilities of the state;
@@ -140,16 +134,12 @@ def spiral_scan(state: TwoPhotonState, ells_a, ells_b, det: DetectorConfig,
     idx_a = [state.index_of(int(l)) for l in ells_a]
     idx_b = [state.index_of(int(l)) for l in ells_b]
     probs = np.abs(joint[np.ix_(idx_a, idx_b)]) ** 2
-    rates = pair_rate * probs
-    records = _sample_grid(rates, det, seed)
-    meta = {"seed": seed, "pair_rate": pair_rate}
-    meta.update(metadata or {})
-    return ScanResult(("ell_a", "ell_b"), (ells_a.astype(float), ells_b.astype(float)), records, meta)
+    return _scan(("ell_a", "ell_b"), (ells_a.astype(float), ells_b.astype(float)),
+                 pair_rate * probs, det, seed)
 
 
 def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientations_b,
-                 det: DetectorConfig, seed: int, pair_rate: float = 1e4,
-                 metadata: dict | None = None) -> ScanResult:
+                 det: DetectorConfig, seed: int, pair_rate: float = 1e4) -> ScanResult:
     """Coincidence map over sector-hologram orientations (beta_A, beta_B).
 
     Rates are computed in the OAM basis: the two sector projectors enter
@@ -172,17 +162,14 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
     cb = arm_coeffs(orientations_b)
     # amplitude(beta_a, beta_b) = sum_{ls, li} joint[ls, li] c_ls(beta_a) c_li(beta_b)
     amps = np.einsum("ij,ai,bj->ab", joint, ca, cb)
-    rates = pair_rate * np.abs(amps) ** 2
-    records = _sample_grid(rates, det, seed)
-    meta = {"seed": seed, "pair_rate": pair_rate, "width": width}
-    meta.update(metadata or {})
-    return ScanResult(("beta_a", "beta_b"), (orientations_a, orientations_b), records, meta)
+    return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b),
+                 pair_rate * np.abs(amps) ** 2, det, seed)
 
 
-def conditional_profile(scan: ScanResult, fixed_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Counts along axis 0 with axis 1 held at fixed_value, normalized to unit sum."""
-    col = int(np.argmin(np.abs(scan.axis_values[1] - fixed_value)))
-    counts = scan.counts()[:, col]
+def conditional_profile(scan: ScanResult) -> tuple[np.ndarray, np.ndarray]:
+    """Counts along axis 0 with axis 1 held at its value nearest zero, normalized to unit sum."""
+    col = int(np.argmin(np.abs(scan.axis_values[1])))
+    counts = scan.counts[:, col]
     total = counts.sum()
     if total <= 0:
         raise ValueError("conditional profile has no counts")
@@ -195,18 +182,15 @@ def spiral_spectrum(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Returns (ells, ideal rates, counts).
     """
     ells_a, ells_b = scan.axis_values
-    ideal = scan.ideal_rates()
-    counts = scan.counts()
-    out_i, out_c, kept = [], [], []
+    rows, cols = [], []
     for i, ell in enumerate(ells_a):
         j = np.nonzero(ells_b == -ell)[0]
         if len(j):
-            kept.append(ell)
-            out_i.append(ideal[i, int(j[0])])
-            out_c.append(counts[i, int(j[0])])
-    if not kept:
+            rows.append(i)
+            cols.append(int(j[0]))
+    if not rows:
         raise ValueError("scan has no (ell, -ell) pairs")
-    return np.asarray(kept), np.asarray(out_i), np.asarray(out_c)
+    return ells_a[rows], scan.ideal[rows, cols], scan.counts[rows, cols]
 
 
 def spectrum_fwhm(xs, ys) -> float:
@@ -249,13 +233,13 @@ class EprReidResult:
     discrete_phi_var: float
 
 
-def epr_reid(ell_profile, angle_profile, bound: float = 0.25) -> EprReidResult:
+def epr_reid(ell_profile, angle_profile) -> EprReidResult:
     """Conditional-variance product from fitted profile widths.
 
     Both profiles are (values, probabilities) pairs normalized to unit sum;
     the widths are the variances of fitted Gaussians, following the
     profile-fitting analysis of the measured spectra.  The correlations are
-    nonclassical when the product falls below ``bound``.  The raw discrete
+    nonclassical when the product falls below Reid's bound 1/4.  The raw discrete
     variances are reported alongside for comparison.
     """
     results = []
@@ -273,7 +257,7 @@ def epr_reid(ell_profile, angle_profile, bound: float = 0.25) -> EprReidResult:
         delta_ell_sq=ell_fit.variance,
         delta_phi_sq=angle_fit.variance,
         product=product,
-        violated=bool(product < bound),
+        violated=bool(product < 0.25),
         ell_fit=ell_fit,
         angle_fit=angle_fit,
         discrete_ell_var=ell_disc,
@@ -317,6 +301,14 @@ class BellSettings:
         return ((self.theta_a, self.theta_b), (self.theta_a, self.theta_b_prime),
                 (self.theta_a_prime, self.theta_b), (self.theta_a_prime, self.theta_b_prime))
 
+    def orientations(self):
+        """The 16 settings as (pair k, offset c, theta_a, theta_b): base pair k
+        shifted by offset c, one of (0, 0), (shift, shift), (shift, 0), (0, shift)."""
+        s = self.shift
+        for k, (ta, tb) in enumerate(self.base_pairs()):
+            for c, (da, db) in enumerate(((0.0, 0.0), (s, s), (s, 0.0), (0.0, s))):
+                yield k, c, ta + da, tb + db
+
 
 def analyzer_ket(ell: int, theta: float) -> np.ndarray:
     """Superposition-analyzer ket over the {|+ell>, |-ell>} basis.
@@ -337,33 +329,24 @@ def bell_probability(state: TwoPhotonState, ell: int, theta_a: float, theta_b: f
 
 
 def bell_curve(state: TwoPhotonState, ell: int, theta_a: float, thetas_b,
-               det: DetectorConfig, seed: int, pair_rate: float = 1e4,
-               metadata: dict | None = None) -> ScanResult:
+               det: DetectorConfig, seed: int, pair_rate: float = 1e4) -> ScanResult:
     """Coincidence fringe: analyzer A fixed at theta_a, analyzer B swept."""
     thetas_b = np.asarray(thetas_b, dtype=float)
     rates = pair_rate * np.array([bell_probability(state, ell, theta_a, tb) for tb in thetas_b])
-    records = _sample_grid(rates, det, seed)
-    meta = {"seed": seed, "pair_rate": pair_rate, "ell": ell, "theta_a": theta_a}
-    meta.update(metadata or {})
-    return ScanResult(("theta_b",), (thetas_b,), records, meta)
+    return _scan(("theta_b",), (thetas_b,), rates, det, seed)
 
 
 def bell_counts(state: TwoPhotonState, settings: BellSettings, det: DetectorConfig,
                 seed: int, pair_rate: float = 1e4) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the 16 coincidence counts of the four-orientation pattern.
 
-    Row k holds the counts for base pair k at orientation offsets
-    (0, 0), (shift, shift), (shift, 0), (0, shift).  Returns (counts, ideal
-    rates), both shaped (4, 4).
+    Entry (k, c) is setting (k, c) of :meth:`BellSettings.orientations`.
+    Returns (counts, ideal rates), both shaped (4, 4).
     """
-    shift = settings.shift
     rates = np.zeros((4, 4))
-    for k, (ta, tb) in enumerate(settings.base_pairs()):
-        for c, (da, db) in enumerate(((0.0, 0.0), (shift, shift), (shift, 0.0), (0.0, shift))):
-            rates[k, c] = pair_rate * bell_probability(state, settings.ell, ta + da, tb + db)
-    counts = np.zeros((4, 4))
-    for setting_id, idx in enumerate(np.ndindex(4, 4)):
-        counts[idx] = sample_counts(float(rates[idx]), det, seed, setting_id=setting_id).count
+    for k, c, ta, tb in settings.orientations():
+        rates[k, c] = pair_rate * bell_probability(state, settings.ell, ta, tb)
+    counts = np.array([r.count for r in _sample_grid(rates, det, seed)]).reshape(4, 4)
     return counts, rates
 
 
@@ -398,7 +381,6 @@ def bell_parameter(counts, settings: BellSettings) -> tuple[float, float]:
 class MeasurementSetting:
     """Joint projector: one analyzer ket per arm over the tomography basis."""
 
-    index: int
     ket_a: np.ndarray
     ket_b: np.ndarray
     label_a: str
@@ -443,14 +425,8 @@ def tomography_settings(d: int, ell_values) -> list[MeasurementSetting]:
     if not 2 <= d <= 5:
         raise ValueError("local dimension d must lie in [2, 5]")
     arm = arm_projectors(d, ell_values)
-    settings = []
-    index = 0
-    for ket_a, label_a in arm:
-        for ket_b, label_b in arm:
-            settings.append(MeasurementSetting(index=index, ket_a=ket_a, ket_b=ket_b,
-                                               label_a=label_a, label_b=label_b))
-            index += 1
-    return settings
+    return [MeasurementSetting(ket_a=ket_a, ket_b=ket_b, label_a=label_a, label_b=label_b)
+            for ket_a, label_a in arm for ket_b, label_b in arm]
 
 
 def run_tomography_experiment(rho, settings, det: DetectorConfig, seed: int,
@@ -459,12 +435,11 @@ def run_tomography_experiment(rho, settings, det: DetectorConfig, seed: int,
 
     Each setting's ideal rate is flux * <ab| rho |ab>; counts are Poisson
     samples including detector efficiency and accidentals, reproducible per
-    (seed, setting index).
+    (seed, position of the setting in ``settings``).
     """
     matrix = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    records = []
-    for setting in settings:
-        joint_ket = np.kron(setting.ket_a, setting.ket_b)
-        prob = float(np.real(np.conj(joint_ket) @ matrix @ joint_ket))
-        records.append(sample_counts(flux * max(prob, 0.0), det, seed, setting_id=setting.index))
-    return records
+    kets = [np.kron(s.ket_a, s.ket_b) for s in settings]
+    if any(len(ket) != len(matrix) for ket in kets):
+        raise ValueError("setting dimension does not match the density matrix")
+    rates = np.array([flux * max(float(np.real(np.conj(ket) @ matrix @ ket)), 0.0) for ket in kets])
+    return _sample_grid(rates, det, seed)

@@ -1,21 +1,19 @@
 """Transverse optical modes used for projective measurements.
 
-Laguerre-Gaussian and Bessel-Gauss vortex modes, Bloch-sphere superpositions
-of opposite-helicity modes, angular-sector ("slice") holograms and arbitrary
-user-supplied fields.  All modes evaluate a complex amplitude on the
-transverse plane and can carry a lateral offset that models a misaligned
-measurement hologram.
+Laguerre-Gaussian modes, which evaluate a complex amplitude on the transverse
+plane and can carry a lateral offset that models a misaligned measurement
+hologram, and the azimuthal Fourier coefficients of the angular-sector
+("slice") holograms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .numerics import PolarGrid, bessel_j, integrate_polar, laguerre
+from .numerics import PolarGrid, laguerre
 
 
 @dataclass(frozen=True)
@@ -116,103 +114,6 @@ class LGMode(TransverseMode):
         return out
 
 
-@dataclass(frozen=True)
-class BGMode(TransverseMode):
-    """Bessel-Gauss mode: J_ell(k_r r) e^{i ell phi} under a Gaussian envelope.
-
-    The Gaussian-apodized Bessel profile has no simple closed-form norm, so
-    normalization is computed numerically on a default quadrature grid.
-    """
-
-    ell: int
-    radial_wavenumber: float
-    geometry: BeamGeometry = BeamGeometry()
-    offset: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.radial_wavenumber <= 0:
-            raise ValueError("radial_wavenumber must be positive")
-
-    @cached_property
-    def _norm(self) -> float:
-        grid = default_grid(self.geometry.spot_size)
-        r, _ = grid.mesh()
-        profile = bessel_j(self.ell, self.radial_wavenumber * r) * np.exp(-(r**2) / self.geometry.spot_size**2)
-        power = integrate_polar(np.abs(profile) ** 2, grid).real
-        return 1.0 / math.sqrt(power)
-
-    def _centered_field(self, r, phi):
-        w = self.geometry.spot_size
-        radial = bessel_j(self.ell, self.radial_wavenumber * r) * np.exp(-(r**2) / w**2)
-        return self._norm * radial * np.exp(1j * self.ell * phi)
-
-
-@dataclass(frozen=True)
-class SuperpositionMode(TransverseMode):
-    """Bloch-sphere superposition of opposite-helicity LG modes (p = 0).
-
-    cos(theta/2) |+ell> + e^{i phase} sin(theta/2) |-ell>, with the north and
-    south poles mapping to |+ell> and |-ell>.  theta = pi/2 gives the
-    equal-weight petal modes used for the rotated analyzer holograms.
-    """
-
-    ell: int
-    theta: float = math.pi / 2.0
-    phase: float = 0.0
-    geometry: BeamGeometry = BeamGeometry()
-    offset: tuple[float, float] = (0.0, 0.0)
-
-    def _components(self):
-        plus = LGMode(ell=self.ell, p=0, geometry=self.geometry)
-        minus = LGMode(ell=-self.ell, p=0, geometry=self.geometry)
-        return plus, minus
-
-    def _centered_field(self, r, phi):
-        plus, minus = self._components()
-        c_plus = math.cos(self.theta / 2.0)
-        c_minus = math.sin(self.theta / 2.0) * np.exp(1j * self.phase)
-        return c_plus * plus._centered_field(r, phi) + c_minus * minus._centered_field(r, phi)
-
-
-@dataclass(frozen=True)
-class SectorMode(TransverseMode):
-    """Angular-sector ("slice") hologram used for angular-position projections.
-
-    Wedge of angular width ``width`` centered on orientation ``beta``, with a
-    Gaussian radial envelope matching the fiber-coupled fundamental mode.
-    Analytic normalization: the wedge carries width * w^2 / 4 of envelope
-    power.
-    """
-
-    beta: float
-    width: float
-    geometry: BeamGeometry = BeamGeometry()
-    offset: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.width <= 2.0 * math.pi:
-            raise ValueError("sector width must lie in (0, 2*pi]")
-
-    def _centered_field(self, r, phi):
-        w = self.geometry.spot_size
-        delta = np.mod(phi - self.beta + math.pi, 2.0 * math.pi) - math.pi
-        inside = np.abs(delta) <= self.width / 2.0
-        norm = 1.0 / math.sqrt(self.width * w**2 / 4.0)
-        return norm * np.exp(-(r**2) / w**2) * inside.astype(complex)
-
-
-@dataclass(frozen=True)
-class CustomMode(TransverseMode):
-    """Arbitrary user-supplied field, e.g. a structured pump."""
-
-    fn: object
-    geometry: BeamGeometry = BeamGeometry()
-    offset: tuple[float, float] = (0.0, 0.0)
-
-    def _centered_field(self, r, phi):
-        return np.asarray(self.fn(r, phi), dtype=complex)
-
-
 def sector_coefficients(beta: float, width: float, ells) -> np.ndarray:
     """Azimuthal Fourier coefficients of a sector hologram.
 
@@ -229,11 +130,3 @@ def sector_coefficients(beta: float, width: float, ells) -> np.ndarray:
     sinc[nz] = np.sin(x[nz]) / x[nz]
     return (width / (2.0 * math.pi)) * sinc * np.exp(-1j * ells * beta)
 
-
-def mode_overlap(a: TransverseMode, b: TransverseMode, grid: PolarGrid | None = None) -> complex:
-    """Inner product <a|b> over the transverse plane, including offsets."""
-    if abs(a.geometry.wavelength - b.geometry.wavelength) > 1e-15 * a.geometry.wavelength:
-        raise ValueError("modes must share a wavelength")
-    if grid is None:
-        grid = default_grid(a.geometry.spot_size, b.geometry.spot_size)
-    return integrate_polar(np.conj(a.sample(grid)) * b.sample(grid), grid)

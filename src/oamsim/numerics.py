@@ -1,19 +1,16 @@
-"""Special functions, polar-grid quadrature and complex Hermitian linear algebra.
+"""Laguerre polynomials, polar-grid quadrature and Hermitian matrix functions.
 
 Everything here is a pure function of its inputs; no shared mutable state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 MAX_LAGUERRE_ORDER = 64
-MAX_BESSEL_ORDER = 64
 
 
 def laguerre(p: int, alpha: float, x):
@@ -38,13 +35,6 @@ def laguerre(p: int, alpha: float, x):
     for k in range(1, p):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
     return cur if cur.ndim else float(cur)
-
-
-def bessel_j(ell: int, x):
-    """Bessel function of the first kind J_ell(x) for integer order |ell| <= 64."""
-    if abs(ell) > MAX_BESSEL_ORDER:
-        raise ValueError(f"bessel order ell={ell} outside supported range [-{MAX_BESSEL_ORDER}, {MAX_BESSEL_ORDER}]")
-    return special.jv(ell, x)
 
 
 @dataclass(frozen=True)
@@ -141,36 +131,3 @@ def psd_sqrt(m, clamp_tol: float = 1e-10, fail_tol: float = 1e-6):
     root = (v * np.sqrt(w)) @ v.conj().T
     return 0.5 * (root + root.conj().T)
 
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def su_basis(d: int) -> list[np.ndarray]:
-    """Hermitian operator basis for d-dimensional systems.
-
-    Element 0 is the identity; the remaining d^2 - 1 matrices are the
-    generalized Gell-Mann generators (symmetric, antisymmetric and diagonal
-    families), each traceless and normalized so Tr(t_m t_n) = 2 delta_mn.
-    For d = 2 they are exactly the Pauli matrices.
-    """
-    if not 2 <= d <= 8:
-        raise ValueError(f"dimension d={d} outside supported range [2, 8]")
-    basis = [np.eye(d, dtype=complex)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            basis.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1.0j
-            asym[k, j] = 1.0j
-            basis.append(asym)
-    for l in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        for j in range(l):
-            diag[j, j] = 1.0
-        diag[l, l] = -l
-        basis.append(math.sqrt(2.0 / (l * (l + 1))) * diag)
-    return basis

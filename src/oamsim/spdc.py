@@ -10,24 +10,25 @@ is Poissonian with seed-derived, per-setting random streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .modes import BeamGeometry, LGMode, TransverseMode, default_grid
-from .numerics import PolarGrid, integrate_polar
+from .numerics import PolarGrid
 
 
 @dataclass(frozen=True)
 class CrystalConfig:
-    """Nonlinear crystal and Fourier-lens geometry for the ring profile."""
+    """Nonlinear crystal and Fourier-lens geometry for the ring profile.
+
+    The pairs are degenerate: each photon has twice the pump wavelength.
+    """
 
     length: float = 3e-3
     refractive_index: float = 1.66
     phase_mismatch: float = 0.0
     pump_wavelength: float = 355e-9
-    signal_wavelength: float | None = None
-    idler_wavelength: float | None = None
     focal_length: float = 0.5
 
     def __post_init__(self):
@@ -37,20 +38,10 @@ class CrystalConfig:
             raise ValueError("pump wavelength must be positive")
 
     @property
-    def signal(self) -> float:
-        # degenerate by default: each daughter photon at twice the pump wavelength
-        return self.signal_wavelength or 2.0 * self.pump_wavelength
-
-    @property
-    def idler(self) -> float:
-        return self.idler_wavelength or 2.0 * self.pump_wavelength
-
-    @property
     def ring_coefficient(self) -> float:
         """(k_s + k_i) L / (4 n^2), the quadratic coefficient of the ring argument."""
-        k_s = 2.0 * math.pi / self.signal
-        k_i = 2.0 * math.pi / self.idler
-        return (k_s + k_i) * self.length / (4.0 * self.refractive_index**2)
+        k = 2.0 * math.pi / (2.0 * self.pump_wavelength)
+        return 2.0 * k * self.length / (4.0 * self.refractive_index**2)
 
 
 @dataclass(frozen=True)
@@ -154,9 +145,6 @@ class TwoPhotonState:
                 out[i, int(j[0])] = self.amplitudes[i]
         return out
 
-    def spiral_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def sector_ket(self, ell: int) -> np.ndarray:
         """Normalized two-dimensional ket over {|ell,-ell>, |-ell,ell>}."""
         if ell == 0:
@@ -191,41 +179,15 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
 
 
-def coincidence_amplitude(signal: TransverseMode, idler: TransverseMode,
-                          pump: PumpSpec | TransverseMode, grid: PolarGrid | None = None) -> complex:
-    """Normalized two-photon projection amplitude at the crystal plane.
-
-    The magnitude squared is the relative coincidence rate: the squared
-    overlap of the back-projected signal and idler modes with the pump,
-    normalized by the individual signal-pump and idler-pump overlaps.
-    """
-    pump_mode = pump.resolve() if isinstance(pump, PumpSpec) else pump
-    if grid is None:
-        grid = default_grid(signal.geometry.spot_size, idler.geometry.spot_size,
-                            pump_mode.geometry.spot_size)
-    u_s = signal.sample(grid)
-    u_i = idler.sample(grid)
-    u_p = pump_mode.sample(grid)
-    numerator = integrate_polar(np.conj(u_s) * np.conj(u_i) * u_p, grid)
-    d_s = integrate_polar(np.abs(u_s) ** 2 * np.abs(u_p) ** 2, grid).real
-    d_i = integrate_polar(np.abs(u_i) ** 2 * np.abs(u_p) ** 2, grid).real
-    if d_s <= 0 or d_i <= 0:
-        raise ValueError("degenerate mode choice: a signal/idler mode has no overlap with the pump")
-    return numerator / (d_s * d_i) ** 0.25
-
-
 def build_state(pump: PumpSpec, gamma: float, ell_max: int,
                 grid: PolarGrid | None = None,
-                signal_offset: tuple[float, float] = (0.0, 0.0),
-                idler_offset: tuple[float, float] = (0.0, 0.0),
-                full_matrix: bool = False) -> TwoPhotonState:
+                signal_offset: tuple[float, float] = (0.0, 0.0)) -> TwoPhotonState:
     """Two-photon OAM state for measurement modes with waist w_pump / gamma.
 
     Coefficients are projection amplitudes onto signal/idler LG (p = 0) mode
-    pairs, normalized to unit total probability.  With nonzero lateral
-    offsets (or ``full_matrix=True``) the full (ell_s, ell_i) coefficient
-    matrix is evaluated, which captures misalignment crosstalk into
-    conservation-forbidden pairs.
+    pairs, normalized to unit total probability.  With a nonzero lateral
+    signal offset the full (ell_s, ell_i) coefficient matrix is evaluated,
+    which captures misalignment crosstalk into conservation-forbidden pairs.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -240,22 +202,19 @@ def build_state(pump: PumpSpec, gamma: float, ell_max: int,
     weights = grid.weights
 
     def sampled(offset):
-        # per-ell field samples and signal(idler)-pump overlap denominators
+        # per-ell field samples and mode-pump overlap denominators
         fields, denoms = [], []
         for ell in ells:
             u = LGMode(ell=int(ell), geometry=geo, offset=offset).sample(grid)
             fields.append(u)
             denoms.append(float(np.sum(np.abs(u) ** 2 * np.abs(u_p) ** 2 * weights)))
+        if min(denoms) <= 0:
+            raise ValueError("degenerate mode choice: a measurement mode has no overlap with the pump")
         return fields, np.array(denoms)
 
     u_s, d_s = sampled(signal_offset)
-    if np.any(d_s <= 0):
-        raise ValueError("degenerate mode choice: a signal mode has no overlap with the pump")
-    need_matrix = full_matrix or signal_offset != (0.0, 0.0) or idler_offset != (0.0, 0.0)
-    if need_matrix:
-        u_i, d_i = sampled(idler_offset)
-        if np.any(d_i <= 0):
-            raise ValueError("degenerate mode choice: an idler mode has no overlap with the pump")
+    if signal_offset != (0.0, 0.0):
+        u_i, d_i = sampled((0.0, 0.0))
         joint = np.zeros((len(ells), len(ells)), dtype=complex)
         for i in range(len(ells)):
             base = np.conj(u_s[i]) * u_p * weights

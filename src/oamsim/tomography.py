@@ -9,20 +9,20 @@ analytically at every step, so only the state parameters are iterated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .numerics import hermitian_eigen, kron, psd_sqrt, su_basis
+from .numerics import hermitian_eigen, psd_sqrt
 from .spdc import CoincidenceRecord
 
 # Minimal pure-state fraction of an isotropic two-qudit state above which the
 # d-dimensional Bell inequality is violated.  Computed externally by
 # evaluating the inequality's quantum value I_d for the maximally entangled
-# state with the standard optimal Fourier-basis measurements (the same
-# computation is reproduced as a test oracle); the threshold is 2 / I_d.
+# state with the standard optimal Fourier-basis measurements (Collins et al.,
+# PRL 88, 040404, 2002; reproduced by the oracle bell_inequality_value in
+# tests/oracles.py); the threshold is 2 / I_d.
 # For d = 2 this is 1/sqrt(2), the familiar isotropic-qubit value.
 BELL_VIOLATION_THRESHOLDS = {
     2: 0.7071067811865476,
@@ -30,6 +30,12 @@ BELL_VIOLATION_THRESHOLDS = {
     4: 0.6905497394878110,
     5: 0.6871565744163153,
 }
+
+
+def threshold_fidelity(p: float, d: int) -> float:
+    """Fidelity p + (1 - p) / d^2 of the isotropic state p |psi><psi| + (1 - p) I / d^2
+    with its maximally entangled |psi>."""
+    return p + (1.0 - p) / d**2
 
 
 @dataclass(frozen=True)
@@ -69,23 +75,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.d * self.d
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """Dimension and minimal pure fraction of a Bell-threshold isotropic state."""
-
-    d: int
-    p_min: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_min <= 1.0:
-            raise ValueError("p_min must lie in [0, 1]")
-        if self.d < 2:
-            raise ValueError("d must be at least 2")
-
 
 @dataclass(frozen=True)
 class ReconstructionReport:
@@ -100,40 +89,10 @@ class ReconstructionReport:
             raise ValueError("chi-squared must be non-negative")
 
 
-def max_entangled_ket(d: int) -> np.ndarray:
-    """Maximally entangled two-qudit ket sum_i |i, i> / sqrt(d)."""
-    ket = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        ket[i * d + i] = 1.0
-    return ket / math.sqrt(d)
-
-
-def cross_entangled_ket(d: int) -> np.ndarray:
-    """Maximally entangled ket sum_i |i, d-1-i> / sqrt(d).
-
-    With a helicity basis listed as (+ell, ..., -ell) per arm this is the
-    opposite-helicity pair state produced by a zero-OAM pump.
-    """
-    ket = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        ket[i * d + (d - 1 - i)] = 1.0
-    return ket / math.sqrt(d)
-
-
 def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
     return np.asarray(rho, dtype=complex)
-
-
-def predicted_counts(rho, setting, flux: float) -> float:
-    """Expected coincidences flux * <ab| rho |ab> for one joint projector."""
-    matrix = _as_matrix(rho)
-    joint_ket = np.kron(setting.ket_a, setting.ket_b)
-    if matrix.shape != (len(joint_ket), len(joint_ket)):
-        raise ValueError("setting dimension does not match the density matrix")
-    value = float(np.real(np.conj(joint_ket) @ matrix @ joint_ket))
-    return flux * max(value, 0.0)
 
 
 def _params_to_factor(x: np.ndarray, dim: int) -> np.ndarray:
@@ -309,52 +268,12 @@ def concurrence(rho) -> float:
     if matrix.shape != (4, 4):
         raise ValueError("concurrence is defined for two qubits (4x4 matrices)")
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    flip = kron(sy, sy)
+    flip = np.kron(sy, sy)
     root = psd_sqrt(matrix)
     m = root @ flip @ matrix.conj() @ flip @ root
     w, _ = hermitian_eigen(0.5 * (m + m.conj().T))
     lam = np.sqrt(np.clip(w, 0.0, None))
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def su_expand(rho, d: int | None = None) -> np.ndarray:
-    """Coefficients b[m, n] of rho in the tensor operator basis.
-
-    rho = sum_{m,n} b[m, n] t_m (x) t_n over the basis from
-    :func:`oamsim.numerics.su_basis`; b[0, 0] = 1/d^2 for a unit-trace state.
-    """
-    matrix = _as_matrix(rho)
-    if d is None:
-        d = int(round(math.sqrt(matrix.shape[0])))
-    basis = su_basis(d)
-    norms = np.array([d] + [2.0] * (d * d - 1))
-    n_ops = len(basis)
-    coeffs = np.zeros((n_ops, n_ops), dtype=complex)
-    for m in range(n_ops):
-        for n in range(n_ops):
-            op = kron(basis[m], basis[n])
-            coeffs[m, n] = np.trace(matrix @ op) / (norms[m] * norms[n])
-    return coeffs
-
-
-def su_compose(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """Rebuild the matrix sum_{m,n} b[m, n] t_m (x) t_n from its coefficients."""
-    basis = su_basis(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(len(basis)):
-        for n in range(len(basis)):
-            if coeffs[m, n] != 0:
-                out += coeffs[m, n] * kron(basis[m], basis[n])
-    return out
-
-
-def threshold_state(spec: ThresholdSpec) -> DensityMatrix:
-    """Isotropic state p |psi><psi| + (1 - p) I / d^2 at the Bell threshold."""
-    ket = max_entangled_ket(spec.d)
-    pure = np.outer(ket, ket.conj())
-    dim = spec.d * spec.d
-    matrix = spec.p_min * pure + (1.0 - spec.p_min) * np.eye(dim) / dim
-    return DensityMatrix.from_matrix(spec.d, matrix)
 
 
 def save_density_matrix(path, dm: DensityMatrix) -> None:

@@ -7,6 +7,7 @@ rows, and every summary value must match the expectation checked in below.
 """
 
 import math
+import re
 
 import pytest
 
@@ -126,6 +127,23 @@ def test_summary_values(runs, name):
             assert row[column] == want, column
         else:
             assert math.isclose(float(row[column]), want, rel_tol=rel, abs_tol=0.0), column
+
+
+def test_count_column_forms(runs):
+    # spiral_spectrum.csv has always written its counts as floats ("232.0"),
+    # every other table as integers ("232")
+    checked = 0
+    for command, names in ROWS.items():
+        for name in names:
+            lines = (runs[command][0] / name).read_text().splitlines()
+            columns = lines[1].split(",")
+            if "count" not in columns:
+                continue
+            k = columns.index("count")
+            form = r"\d+\.0" if name == "spiral_spectrum.csv" else r"\d+"
+            assert all(re.fullmatch(form, line.split(",")[k]) for line in lines[2:]), name
+            checked += 1
+    assert checked == 6
 
 
 def test_validate_accepts_defaults(capsys):

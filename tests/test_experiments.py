@@ -8,7 +8,6 @@ from oamsim.experiments import (
     BellSettings,
     FitError,
     GaussianFit,
-    MeasurementSetting,
     analyzer_ket,
     angular_scan,
     arm_projectors,
@@ -88,14 +87,14 @@ class TestSpiralScan:
         state = geometric_state(3)
         ells = np.arange(-3, 4)
         scan = spiral_scan(state, ells, ells, QUIET_DET, seed=0)
-        ideal = scan.ideal_rates()
+        ideal = scan.ideal
         anti = np.fliplr(np.eye(7, dtype=bool))
         assert np.max(ideal[~anti]) <= 1e-10 * ideal[anti].max()
 
     def test_symmetry_under_joint_sign_flip(self):
         state = geometric_state(3)
         ells = np.arange(-3, 4)
-        ideal = spiral_scan(state, ells, ells, QUIET_DET, seed=0).ideal_rates()
+        ideal = spiral_scan(state, ells, ells, QUIET_DET, seed=0).ideal
         assert np.allclose(ideal, ideal[::-1, ::-1], rtol=1e-10)
 
     def test_spectrum_extraction_and_row_count(self):
@@ -136,20 +135,20 @@ class TestAngularScan:
         state = geometric_state(6, ratio=0.95)
         betas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         scan = angular_scan(state, math.pi / 8, betas, np.array([0.0]), QUIET_DET, seed=0)
-        ideal = scan.ideal_rates()[:, 0]
+        ideal = scan.ideal[:, 0]
         assert betas[np.argmax(ideal)] == pytest.approx(0.0, abs=1e-12)
 
     def test_depends_only_on_orientation_difference(self):
         state = geometric_state(4, ratio=0.9)
         beta = np.array([0.3])
-        r1 = angular_scan(state, math.pi / 6, beta + 0.5, np.array([0.5]), QUIET_DET, seed=0).ideal_rates()
-        r2 = angular_scan(state, math.pi / 6, beta + 1.7, np.array([1.7]), QUIET_DET, seed=0).ideal_rates()
+        r1 = angular_scan(state, math.pi / 6, beta + 0.5, np.array([0.5]), QUIET_DET, seed=0).ideal
+        r2 = angular_scan(state, math.pi / 6, beta + 1.7, np.array([1.7]), QUIET_DET, seed=0).ideal
         assert r1[0, 0] == pytest.approx(r2[0, 0], rel=1e-10)
 
     def test_full_aperture_is_flat(self):
         state = geometric_state(3)
         betas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
-        ideal = angular_scan(state, 2 * math.pi, betas, np.array([0.0]), QUIET_DET, seed=0).ideal_rates()
+        ideal = angular_scan(state, 2 * math.pi, betas, np.array([0.0]), QUIET_DET, seed=0).ideal
         assert np.ptp(ideal) < 1e-12 * ideal.max()
 
     def test_conditional_profile_normalized(self):
@@ -157,7 +156,7 @@ class TestAngularScan:
         betas = np.linspace(-math.pi, math.pi, 32, endpoint=False)
         scan = angular_scan(state, math.pi / 8, betas, np.array([0.0]), NOISY_DET,
                             seed=3, pair_rate=1e4)
-        xs, ps = conditional_profile(scan, fixed_value=0.0)
+        xs, ps = conditional_profile(scan)
         assert ps.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(xs) == 32
 
@@ -195,8 +194,8 @@ class TestEprReid:
         betas = np.linspace(-math.pi, math.pi, 128, endpoint=False)
         angular = angular_scan(state, math.pi / 8, betas, np.array([0.0]), NOISY_DET,
                                seed=12, pair_rate=1e4)
-        ell_profile = conditional_profile(spiral, fixed_value=0.0)
-        phi_profile = conditional_profile(angular, fixed_value=0.0)
+        ell_profile = conditional_profile(spiral)
+        phi_profile = conditional_profile(angular)
         result = epr_reid(ell_profile, phi_profile)
         assert result.violated
         assert result.product < 0.25
@@ -220,7 +219,7 @@ class TestBell:
         state = bell_pair_state(ell=ell)
         thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
         scan = bell_curve(state, ell, 0.0, thetas, QUIET_DET, seed=0, pair_rate=1.0)
-        ideal = scan.ideal_rates()
+        ideal = scan.ideal
 
         def model(p):
             amp, omega, phase = p
@@ -268,11 +267,8 @@ class TestBell:
         settings = BellSettings.canonical(ell)
         hidden = np.linspace(0.0, math.pi, 720, endpoint=False)
         counts = np.zeros((4, 4))
-        shift = settings.shift
-        for k, (ta, tb) in enumerate(settings.base_pairs()):
-            for c, (da, db) in enumerate(((0.0, 0.0), (shift, shift), (shift, 0.0), (0.0, shift))):
-                counts[k, c] = np.mean(np.cos(ell * (ta + da - hidden)) ** 2
-                                       * np.cos(ell * (tb + db - hidden)) ** 2)
+        for k, c, ta, tb in settings.orientations():
+            counts[k, c] = np.mean(np.cos(ell * (ta - hidden)) ** 2 * np.cos(ell * (tb - hidden)) ** 2)
         s_value, _ = bell_parameter(counts, settings)
         assert abs(s_value) <= 2.0 + 1e-9
 

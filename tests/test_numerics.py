@@ -1,18 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from oamsim.numerics import (
-    PolarGrid,
-    bessel_j,
-    hermitian_eigen,
-    integrate_polar,
-    kron,
-    laguerre,
-    psd_sqrt,
-    su_basis,
-)
+from oamsim.numerics import PolarGrid, hermitian_eigen, integrate_polar, laguerre, psd_sqrt
 
 
 # Explicit closed forms used as an independent oracle for the recurrence.
@@ -50,44 +39,6 @@ class TestLaguerre:
             laguerre(65, 0.0, 1.0)
         with pytest.raises(ValueError):
             laguerre(-1, 0.0, 1.0)
-
-
-def j0_series(x):
-    # reference power series, independent of the implementation under test
-    total, term, k = 0.0, 1.0, 0
-    while abs(term) > 1e-18:
-        total += term
-        k += 1
-        term *= -(x * x / 4.0) / (k * k)
-    return total
-
-
-class TestBessel:
-    def test_values_at_origin(self):
-        assert bessel_j(0, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert bessel_j(1, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert bessel_j(-3, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_first_root_of_j0(self):
-        # locate the first root of the reference series by bisection
-        lo, hi = 2.0, 3.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if j0_series(lo) * j0_series(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        root = 0.5 * (lo + hi)
-        assert root == pytest.approx(2.404825557, abs=1e-8)
-        assert bessel_j(0, root) == pytest.approx(0.0, abs=1e-8)
-
-    def test_agrees_with_series(self):
-        for x in (0.3, 1.0, 2.5, 4.0):
-            assert bessel_j(0, x) == pytest.approx(j0_series(x), abs=1e-10)
-
-    def test_rejects_large_order(self):
-        with pytest.raises(ValueError):
-            bessel_j(65, 1.0)
 
 
 class TestPolarGrid:
@@ -187,64 +138,3 @@ class TestPsdSqrt:
     def test_rejects_negative_matrix(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.diag([1.0, -0.1]))
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_dimension_law(self):
-        out = kron(np.ones((2, 2)), np.ones((3, 3)))
-        assert out.shape == (6, 6)
-
-    def test_pauli_x_pair_fixes_bell_vector(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        vec = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-        # direct 4-vector multiply: sx x sx is the anti-diagonal identity
-        assert np.allclose(kron(sx, sx) @ vec, vec)
-
-
-class TestSuBasis:
-    def test_d2_is_pauli(self):
-        basis = su_basis(2)
-        paulis = [
-            np.eye(2),
-            np.array([[0, 1], [1, 0]]),
-            np.array([[0, -1j], [1j, 0]]),
-            np.array([[1, 0], [0, -1]]),
-        ]
-        assert len(basis) == 4
-        for got, want in zip(basis, paulis):
-            assert np.allclose(got, want)
-
-    def test_d3_generator_count_and_tracelessness(self):
-        basis = su_basis(3)
-        assert len(basis) == 9
-        for m in basis[1:]:
-            assert abs(np.trace(m)) < 1e-14
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
-    def test_trace_orthogonality(self, d):
-        basis = su_basis(d)
-        for m_idx in range(1, len(basis)):
-            for n_idx in range(m_idx, len(basis)):
-                val = np.trace(basis[m_idx] @ basis[n_idx])
-                want = 2.0 if m_idx == n_idx else 0.0
-                assert abs(val - want) < 1e-12
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_spans_hermitian_matrices(self, d):
-        rng = np.random.default_rng(d)
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = a + a.conj().T
-        basis = su_basis(d)
-        norms = [d] + [2.0] * (d * d - 1)
-        coeffs = [np.trace(m @ t) / n for t, n in zip(basis, norms)]
-        recon = sum(c * t for c, t in zip(coeffs, basis))
-        assert np.max(np.abs(recon - m)) < 1e-10
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            su_basis(1)
-        with pytest.raises(ValueError):
-            su_basis(9)

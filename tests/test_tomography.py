@@ -3,26 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from oamsim.config import build_config, validate
 from oamsim.experiments import run_tomography_experiment, tomography_settings
 from oamsim.spdc import DetectorConfig
 from oamsim.tomography import (
     BELL_VIOLATION_THRESHOLDS,
     DensityMatrix,
     ReconstructionReport,
-    ThresholdSpec,
     concurrence,
-    cross_entangled_ket,
     fidelity,
     linear_entropy,
     load_density_matrix,
-    max_entangled_ket,
-    predicted_counts,
     reconstruct,
     save_density_matrix,
-    su_compose,
-    su_expand,
-    threshold_state,
+    threshold_fidelity,
 )
+from oracles import bell_inequality_value, cross_entangled_ket, isotropic_state, max_entangled_ket
 
 QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
 NOISY_DET = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9,
@@ -48,15 +44,19 @@ def bell_density(d=2):
 
 
 def werner(p):
-    ket = max_entangled_ket(2)
-    return p * np.outer(ket, ket.conj()) + (1.0 - p) * np.eye(4) / 4.0
+    return isotropic_state(2, p)
+
+
+def ideal_rates(rho, settings, flux):
+    """Noiseless counts: the ideal rate of every setting of a tomography run."""
+    return [r.ideal_rate for r in run_tomography_experiment(rho, settings, QUIET_DET, seed=0, flux=flux)]
 
 
 class TestDensityMatrix:
     def test_accepts_physical_matrix(self):
         dm = DensityMatrix.from_matrix(2, np.eye(4) / 4.0)
         assert dm.dim == 4
-        assert dm.purity() == pytest.approx(0.25)
+        assert linear_entropy(dm) == pytest.approx(1.0)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
@@ -82,24 +82,24 @@ class TestPredictedCounts:
     def test_bell_state_values(self):
         settings = tomography_settings(2, [1, -1])
         rho = bell_density()
+        rates = ideal_rates(rho, settings, 1.0)
         # settings 0..3 are the pure-pure combinations in row-major order
-        assert predicted_counts(rho, settings[0], 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert predicted_counts(rho, settings[1], 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert rates[0] == pytest.approx(0.0, abs=1e-12)
+        assert rates[1] == pytest.approx(0.5, rel=1e-12)
 
     def test_maximally_mixed_isotropy(self):
         settings = tomography_settings(2, [1, -1])
         mixed = DensityMatrix.from_matrix(2, np.eye(4) / 4.0)
-        values = {predicted_counts(mixed, s, 1.0) for s in settings}
-        assert all(abs(v - 0.25) < 1e-12 for v in values)
+        assert all(abs(v - 0.25) < 1e-12 for v in ideal_rates(mixed, settings, 1.0))
 
     def test_zero_flux(self):
         settings = tomography_settings(2, [1, -1])
-        assert predicted_counts(bell_density(), settings[5], 0.0) == 0.0
+        assert ideal_rates(bell_density(), settings, 0.0)[5] == 0.0
 
     def test_dimension_mismatch(self):
         settings = tomography_settings(3, [-1, 0, 1])
         with pytest.raises(ValueError):
-            predicted_counts(bell_density(), settings[0], 1.0)
+            ideal_rates(bell_density(), settings, 1.0)
 
 
 class TestReconstruct:
@@ -108,7 +108,7 @@ class TestReconstruct:
         rho_true = bell_density()
         records = run_tomography_experiment(rho_true, settings, QUIET_DET, seed=0, flux=1e4)
         # noiseless: replace sampled counts by exact means
-        counts = [predicted_counts(rho_true, s, 1e4) for s in settings]
+        counts = ideal_rates(rho_true, settings, 1e4)
         report = reconstruct(counts, settings, d=2)
         assert isinstance(report, ReconstructionReport)
         assert report.converged
@@ -155,7 +155,7 @@ class TestReconstruct:
     def test_qutrit_round_trip(self):
         settings = tomography_settings(3, [-1, 0, 1])
         rho_true = bell_density(3)
-        counts = [predicted_counts(rho_true, s, 1e4) for s in settings]
+        counts = ideal_rates(rho_true, settings, 1e4)
         report = reconstruct(counts, settings, d=3)
         assert fidelity(report.rho, rho_true) > 1.0 - 1e-6
 
@@ -248,82 +248,25 @@ class TestConcurrence:
             concurrence(np.eye(9) / 9.0)
 
 
-class TestSuExpand:
-    def test_maximally_mixed_has_only_identity_term(self):
-        coeffs = su_expand(np.eye(4) / 4.0, d=2)
-        assert coeffs[0, 0] == pytest.approx(0.25)
-        coeffs[0, 0] = 0.0
-        assert np.max(np.abs(coeffs)) < 1e-14
-
-    def test_coefficients_real_for_hermitian_input(self):
-        coeffs = su_expand(werner(0.63), d=2)
-        assert np.max(np.abs(coeffs.imag)) < 1e-12
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_round_trip(self, d):
-        rng = np.random.default_rng(d)
-        a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        coeffs = su_expand(rho, d=d)
-        recon = su_compose(coeffs, d)
-        assert np.max(np.abs(recon - rho)) < 1e-10
-        assert coeffs[0, 0] == pytest.approx(1.0 / d**2, abs=1e-12)
-
-
 class TestThresholdState:
+    """threshold_fidelity against the fidelity of the isotropic state itself."""
+
     def test_pure_limit(self):
-        dm = threshold_state(ThresholdSpec(d=3, p_min=1.0))
-        assert linear_entropy(dm) == pytest.approx(0.0, abs=1e-12)
+        assert threshold_fidelity(1.0, 3) == 1.0
 
     def test_mixed_limit(self):
-        dm = threshold_state(ThresholdSpec(d=2, p_min=0.0))
-        assert np.allclose(dm.matrix, np.eye(4) / 4.0)
+        assert threshold_fidelity(0.0, 2) == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_fidelity_closed_form(self, d, p):
-        dm = threshold_state(ThresholdSpec(d=d, p_min=p))
         ket = max_entangled_ket(d)
         target = np.outer(ket, ket.conj())
-        want = p + (1.0 - p) / d**2
-        assert fidelity(dm, target) == pytest.approx(want, abs=1e-10)
+        assert fidelity(isotropic_state(d, p), target) == pytest.approx(threshold_fidelity(p, d), abs=1e-10)
 
     def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            ThresholdSpec(d=2, p_min=1.5)
-
-
-def bell_inequality_value(d):
-    """Quantum value of the d-outcome two-setting Bell expression for the
-    maximally entangled state with the optimal Fourier-basis measurements.
-    Independent oracle for the frozen threshold table."""
-    psi = max_entangled_ket(d)
-
-    def alice_vec(a, k):
-        alpha = (0.0, 0.5)[a]
-        j = np.arange(d)
-        return np.exp(1j * 2 * np.pi * j * (k + alpha) / d) / math.sqrt(d)
-
-    def bob_vec(b, l):
-        beta = (0.25, -0.25)[b]
-        j = np.arange(d)
-        return np.exp(1j * 2 * np.pi * j * (-l + beta) / d) / math.sqrt(d)
-
-    def prob(a, b, k, l):
-        amp = np.vdot(np.kron(alice_vec(a, k), bob_vec(b, l)), psi)
-        return abs(amp) ** 2
-
-    def p_eq(a, b, k):
-        return sum(prob(a, b, (l + k) % d, l) for l in range(d))
-
-    total = 0.0
-    for k in range(d // 2):
-        w = 1.0 - 2.0 * k / (d - 1.0)
-        plus = p_eq(0, 0, k) + p_eq(1, 0, -(k + 1)) + p_eq(1, 1, k) + p_eq(0, 1, -k)
-        minus = p_eq(0, 0, -(k + 1)) + p_eq(1, 0, k) + p_eq(1, 1, -(k + 1)) + p_eq(0, 1, k + 1)
-        total += w * (plus - minus)
-    return total
+        problems = validate(build_config(overrides={"tomo.threshold_p": "1.5"}))
+        assert any(p.startswith("tomo.threshold_p") for p in problems)
 
 
 class TestBellThresholds:
@@ -344,7 +287,7 @@ class TestBellThresholds:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        dm = threshold_state(ThresholdSpec(d=2, p_min=0.8))
+        dm = DensityMatrix.from_matrix(2, isotropic_state(2, 0.8))
         path = tmp_path / "state.csv"
         save_density_matrix(path, dm)
         loaded = load_density_matrix(path)
@@ -352,7 +295,7 @@ class TestSerialization:
         assert np.max(np.abs(loaded.matrix - dm.matrix)) < 1e-15
 
     def test_rejects_tampered_trace(self, tmp_path):
-        dm = threshold_state(ThresholdSpec(d=2, p_min=0.5))
+        dm = DensityMatrix.from_matrix(2, isotropic_state(2, 0.5))
         path = tmp_path / "state.csv"
         save_density_matrix(path, dm)
         text = path.read_text().splitlines()
