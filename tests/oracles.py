@@ -163,3 +163,75 @@ def bell_inequality_value(d):
         minus = p_eq(0, 0, -(k + 1)) + p_eq(1, 0, k) + p_eq(1, 1, -(k + 1)) + p_eq(0, 1, k + 1)
         total += w * (plus - minus)
     return total
+
+
+def su_basis(d: int) -> list[np.ndarray]:
+    """Hermitian operator basis for d-dimensional systems.
+
+    Element 0 is the identity; the remaining d^2 - 1 matrices are the
+    generalized Gell-Mann generators (symmetric, antisymmetric and diagonal
+    families), each traceless and normalized so Tr(t_m t_n) = 2 delta_mn.
+    For d = 2 they are exactly the Pauli matrices.
+    """
+    if not 2 <= d <= 8:
+        raise ValueError(f"dimension d={d} outside supported range [2, 8]")
+    basis = [np.eye(d, dtype=complex)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            basis.append(sym)
+            asym = np.zeros((d, d), dtype=complex)
+            asym[j, k] = -1.0j
+            asym[k, j] = 1.0j
+            basis.append(asym)
+    for l in range(1, d):
+        diag = np.zeros((d, d), dtype=complex)
+        for j in range(l):
+            diag[j, j] = 1.0
+        diag[l, l] = -l
+        basis.append(math.sqrt(2.0 / (l * (l + 1))) * diag)
+    return basis
+
+
+def _su_norms(d: int) -> np.ndarray:
+    """Tr(t_m t_m) for the elements of :func:`su_basis`."""
+    return np.array([d] + [2.0] * (d * d - 1))
+
+
+def su_expand(rho, d: int | None = None) -> np.ndarray:
+    """Coefficients b[m, n] of rho in the tensor operator basis.
+
+    rho = sum_{m,n} b[m, n] t_m (x) t_n over :func:`su_basis`; b[0, 0] = 1/d^2
+    for a unit-trace state.  The Bloch form gives Tr rho^2 a second way, which
+    checks ``tomography.linear_entropy``.
+    """
+    matrix = np.asarray(rho, dtype=complex)
+    if d is None:
+        d = int(round(math.sqrt(matrix.shape[0])))
+    basis = su_basis(d)
+    norms = _su_norms(d)
+    n_ops = len(basis)
+    coeffs = np.zeros((n_ops, n_ops), dtype=complex)
+    for m in range(n_ops):
+        for n in range(n_ops):
+            op = np.kron(basis[m], basis[n])
+            coeffs[m, n] = np.trace(matrix @ op) / (norms[m] * norms[n])
+    return coeffs
+
+
+def su_compose(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Rebuild the matrix sum_{m,n} b[m, n] t_m (x) t_n from its coefficients."""
+    basis = su_basis(d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(len(basis)):
+        for n in range(len(basis)):
+            if coeffs[m, n] != 0:
+                out += coeffs[m, n] * np.kron(basis[m], basis[n])
+    return out
+
+
+def su_purity(coeffs: np.ndarray, d: int) -> float:
+    """Tr rho^2 = sum_{m,n} |b[m, n]|^2 Tr(t_m^2) Tr(t_n^2) from the Bloch form."""
+    norms = _su_norms(d)
+    return float(np.sum(np.abs(coeffs) ** 2 * np.outer(norms, norms)))

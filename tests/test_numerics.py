@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oamsim.numerics import PolarGrid, hermitian_eigen, integrate_polar, laguerre, psd_sqrt
+from oracles import su_basis
 
 
 # Explicit closed forms used as an independent oracle for the recurrence.
@@ -138,3 +139,49 @@ class TestPsdSqrt:
     def test_rejects_negative_matrix(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.diag([1.0, -0.1]))
+
+
+class TestSuBasis:
+    def test_d2_is_pauli(self):
+        basis = su_basis(2)
+        paulis = [
+            np.eye(2),
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]),
+            np.array([[1, 0], [0, -1]]),
+        ]
+        assert len(basis) == 4
+        for got, want in zip(basis, paulis):
+            assert np.allclose(got, want)
+
+    def test_d3_generator_count_and_tracelessness(self):
+        basis = su_basis(3)
+        assert len(basis) == 9
+        for m in basis[1:]:
+            assert abs(np.trace(m)) < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_trace_orthogonality(self, d):
+        basis = su_basis(d)
+        for m_idx in range(1, len(basis)):
+            for n_idx in range(m_idx, len(basis)):
+                val = np.trace(basis[m_idx] @ basis[n_idx])
+                want = 2.0 if m_idx == n_idx else 0.0
+                assert abs(val - want) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_spans_hermitian_matrices(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = a + a.conj().T
+        basis = su_basis(d)
+        norms = [d] + [2.0] * (d * d - 1)
+        coeffs = [np.trace(m @ t) / n for t, n in zip(basis, norms)]
+        recon = sum(c * t for c, t in zip(coeffs, basis))
+        assert np.max(np.abs(recon - m)) < 1e-10
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            su_basis(1)
+        with pytest.raises(ValueError):
+            su_basis(9)

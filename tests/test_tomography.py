@@ -18,7 +18,15 @@ from oamsim.tomography import (
     save_density_matrix,
     threshold_fidelity,
 )
-from oracles import bell_inequality_value, cross_entangled_ket, isotropic_state, max_entangled_ket
+from oracles import (
+    bell_inequality_value,
+    cross_entangled_ket,
+    isotropic_state,
+    max_entangled_ket,
+    su_compose,
+    su_expand,
+    su_purity,
+)
 
 QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
 NOISY_DET = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9,
@@ -246,6 +254,41 @@ class TestConcurrence:
     def test_rejects_non_qubit_dimension(self):
         with pytest.raises(ValueError):
             concurrence(np.eye(9) / 9.0)
+
+
+class TestSuExpand:
+    """The Bloch (generalized Gell-Mann) form of the oracle, and linear_entropy against it."""
+
+    def test_maximally_mixed_has_only_identity_term(self):
+        coeffs = su_expand(np.eye(4) / 4.0, d=2)
+        assert coeffs[0, 0] == pytest.approx(0.25)
+        coeffs[0, 0] = 0.0
+        assert np.max(np.abs(coeffs)) < 1e-14
+
+    def test_coefficients_real_for_hermitian_input(self):
+        coeffs = su_expand(werner(0.63), d=2)
+        assert np.max(np.abs(coeffs.imag)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_round_trip(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        coeffs = su_expand(rho, d=d)
+        recon = su_compose(coeffs, d)
+        assert np.max(np.abs(recon - rho)) < 1e-10
+        assert coeffs[0, 0] == pytest.approx(1.0 / d**2, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_linear_entropy_matches_bloch_purity(self, d):
+        rng = np.random.default_rng(10 + d)
+        a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        dim = d * d
+        want = dim / (dim - 1.0) * (1.0 - su_purity(su_expand(rho, d=d), d))
+        assert linear_entropy(rho) == pytest.approx(want, abs=1e-12)
 
 
 class TestThresholdState:
