@@ -219,7 +219,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
                                         _stage_seed(config, 0),
                                         flux=config["experiment.pair_rate"])
     ctx.mark("counts")
-    report = reconstruct(records, settings, d, seed=_stage_seed(config, 1))
+    report = reconstruct(records, settings, d)
     ctx.mark("reconstruct")
     ctx.write_table("tomo_counts.csv",
                     ("index", "arm_a", "arm_b", "ideal_rate", "count", "accidental"),

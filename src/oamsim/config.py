@@ -45,7 +45,6 @@ SCHEMA: dict[str, tuple] = {
     "detector.singles_1": (float, 2e4),
     "detector.singles_2": (float, 2e4),
     "detector.gate_ns": (float, 12.5),
-    "detector.dark_rate": (float, 200.0),
     "detector.efficiency": (float, 0.6),
     "detector.integration_s": (float, 1.0),
     "experiment.pair_rate": (float, 3e4),
@@ -104,7 +103,6 @@ class ScenarioConfig:
             singles_1=self.values["detector.singles_1"],
             singles_2=self.values["detector.singles_2"],
             gate_time=self.values["detector.gate_ns"] * 1e-9,
-            dark_rate=self.values["detector.dark_rate"],
             efficiency=self.values["detector.efficiency"],
             integration_time=self.values["detector.integration_s"],
         )
@@ -162,6 +160,9 @@ def build_config(raw: dict | None = None, overrides: dict | None = None) -> Scen
                 values[key] = parser(incoming) if isinstance(incoming, str) else incoming
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"key {key!r}: cannot parse {incoming!r}") from exc
+            # '#' starts a comment, so such a value would not read back from its own file
+            if parser is str and "#" in str(values[key]):
+                raise ConfigError(f"key {key!r}: value {incoming!r} must not contain '#'")
         else:
             values[key] = default
     return ScenarioConfig(values=values)
@@ -196,8 +197,8 @@ def validate(config: ScenarioConfig) -> list[str]:
                 "source.focal_length_mm", "detector.gate_ns", "experiment.pair_rate",
                 "ring.r_max_mm", "modes.area_mm2", "modes.solid_angle_sr"):
         positive(key)
-    for key in ("detector.singles_1", "detector.singles_2", "detector.dark_rate",
-                "detector.integration_s", "source.signal_offset_waists"):
+    for key in ("detector.singles_1", "detector.singles_2", "detector.integration_s",
+                "source.signal_offset_waists"):
         non_negative(key)
 
     if not 0 <= v["source.ell_max"] <= 20:
@@ -207,6 +208,13 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append(f"experiment.epr_ell_max must lie in [2, 20] (got {v['experiment.epr_ell_max']})")
     if v["source.grid_points_radial"] < 16 or v["source.grid_points_azimuthal"] < 16:
         problems.append("source.grid_points_radial and source.grid_points_azimuthal must be at least 16")
+    # with an offset signal the joint integrand reaches azimuthal order
+    # |ell_s + ell_i| = 2 ell_max, and n_phi uniform points alias orders above n_phi / 2
+    n_phi_min = 4 * max(v["source.ell_max"], v["experiment.epr_ell_max"])
+    if v["source.signal_offset_waists"] > 0 and v["source.grid_points_azimuthal"] <= n_phi_min:
+        problems.append(f"source.grid_points_azimuthal must exceed 4 * max(source.ell_max, experiment.epr_ell_max)"
+                        f" = {n_phi_min} when source.signal_offset_waists > 0"
+                        f" (got {v['source.grid_points_azimuthal']})")
     if not 0.0 < v["detector.efficiency"] <= 1.0:
         problems.append(f"detector.efficiency must lie in (0, 1] (got {v['detector.efficiency']})")
     if not 0.0 < v["experiment.sector_width_rad"] < 2.0 * math.pi:

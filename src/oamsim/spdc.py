@@ -68,12 +68,11 @@ class DetectorConfig:
     singles_1: float = 2e4
     singles_2: float = 2e4
     gate_time: float = 12.5e-9
-    dark_rate: float = 200.0
     efficiency: float = 0.6
     integration_time: float = 1.0
 
     def __post_init__(self):
-        if min(self.singles_1, self.singles_2, self.dark_rate) < 0:
+        if min(self.singles_1, self.singles_2) < 0:
             raise ValueError("count rates must be non-negative")
         if self.gate_time <= 0:
             raise ValueError("gate time must be positive")

@@ -1,10 +1,12 @@
 """Density-matrix reconstruction and entanglement metrics for two-qudit states.
 
 Reconstruction minimizes the count-weighted chi-square between measured and
-predicted coincidences over a Cholesky-style factorization of the density
-matrix, which keeps the estimate Hermitian, unit-trace and positive
-semidefinite by construction.  The overall photon flux is profiled out
-analytically at every step, so only the state parameters are iterated.
+predicted coincidences over the unnormalized state sigma = N rho (flux times
+density matrix).  In sigma the problem is convex: a quadratic on the cone of
+positive-semidefinite matrices, solved by accelerated projected gradient
+(FISTA with adaptive restart; Beck & Teboulle, SIAM J. Imaging Sci. 2, 183,
+2009) whose projection clips eigenvalues (Smolin, Gambetta & Smith, PRL 108,
+070502, 2012).  The flux and the unit-trace state are read off the optimum.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .numerics import hermitian_eigen, psd_sqrt
 from .spdc import CoincidenceRecord
+
+# reconstruct stops once a step lowers chi^2 by at most this relative amount,
+# or after MAX_ITERATIONS steps (then it reports converged = False)
+TOLERANCE = 1e-12
+MAX_ITERATIONS = 10000
 
 # Minimal pure-state fraction of an isotropic two-qudit state above which the
 # d-dimensional Bell inequality is violated.  Computed externally by
@@ -95,79 +101,20 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def _params_to_factor(x: np.ndarray, dim: int) -> np.ndarray:
-    t = np.zeros((dim, dim), dtype=complex)
-    idx = 0
-    for i in range(dim):
-        t[i, i] = x[idx]
-        idx += 1
-    for i in range(1, dim):
-        for j in range(i):
-            t[i, j] = x[idx] + 1j * x[idx + 1]
-            idx += 2
-    return t
-
-
-def _factor_to_params(t: np.ndarray) -> np.ndarray:
-    dim = t.shape[0]
-    x = np.empty(dim * dim)
-    idx = 0
-    for i in range(dim):
-        x[idx] = t[i, i].real
-        idx += 1
-    for i in range(1, dim):
-        for j in range(i):
-            x[idx] = t[i, j].real
-            x[idx + 1] = t[i, j].imag
-            idx += 2
-    return x
-
-
-def _params_to_rho(x: np.ndarray, dim: int) -> np.ndarray:
-    t = _params_to_factor(x, dim)
-    rho = t.conj().T @ t
-    return rho / np.trace(rho).real
-
-
-def _rho_to_params(rho: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor T with T^dagger T = rho (reverse Cholesky)."""
-    dim = rho.shape[0]
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 1e-12, None)
-    rho = (v * w) @ v.conj().T
-    rho = rho / np.trace(rho).real
-    flip = np.eye(dim)[::-1]
-    lower = np.linalg.cholesky(flip @ rho @ flip)
-    upper = flip @ lower @ flip
-    return _factor_to_params(upper.conj().T)
-
-
-def _linear_inversion(counts: np.ndarray, projectors: np.ndarray, dim: int) -> np.ndarray:
-    design = projectors.reshape(len(projectors), -1)
-    solution, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    rho = solution.reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = np.trace(rho).real
-    if trace <= 0:
-        return np.eye(dim, dtype=complex) / dim
-    return rho / trace
-
-
-def reconstruct(records, settings, d: int, seed: int = 0, restarts: int = 5,
-                warm_start: bool = True, max_nfev: int | None = None) -> ReconstructionReport:
+def reconstruct(records, settings, d: int) -> ReconstructionReport:
     """Reconstruct the two-qudit density matrix from coincidence counts.
 
-    Minimizes chi^2 = sum_i (C_i - N p_i(rho))^2 / (C_i + 1) where p_i is the
-    joint projection probability of setting i and the flux N is profiled out
-    analytically at its weighted-least-squares optimum.  The state is
-    parameterized as rho = T^dag T / Tr(T^dag T) with T lower triangular
-    (real diagonal), i.e. (d^2)^2 real parameters, so every iterate is
-    physical.
-
-    The first start is a physicality-projected linear-inversion estimate
-    (fast and usually within the convergence basin); the remaining restarts
-    jitter around the maximally mixed state with a seed-derived generator.
-    Restarting stops early once chi^2 falls below 1e-12 per setting.
+    Minimizes chi^2 = sum_i (C_i - <k_i|sigma|k_i>)^2 / (C_i + 1) over the
+    unnormalized state sigma = N rho, where |k_i> is the joint ket of setting
+    i and N the photon flux.  In sigma this is a convex quadratic on the cone
+    of positive-semidefinite matrices, solved by FISTA with adaptive restart
+    and the fixed step 1/L, L = 2 ||diag(1/sqrt(C + 1)) A||_2^2 for the
+    setting-by-vec(sigma) design matrix A.  Each step is projected onto the
+    cone by clipping eigenvalues.  The start is the least-squares linear
+    inversion, clipped to the cone and scaled by its best flux.  The solve
+    stops when a step lowers chi^2 by at most a relative TOLERANCE
+    (converged) or after MAX_ITERATIONS steps; then N = Tr sigma and
+    rho = sigma / N (maximally mixed when N = 0).
     """
     records = list(records)
     settings = list(settings)
@@ -178,59 +125,59 @@ def reconstruct(records, settings, d: int, seed: int = 0, restarts: int = 5,
                        for r in records])
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    projectors = np.empty((len(settings), dim, dim), dtype=complex)
+    design = np.empty((len(settings), dim * dim), dtype=complex)
     for i, setting in enumerate(settings):
         joint_ket = np.kron(setting.ket_a, setting.ket_b)
         if len(joint_ket) != dim:
             raise ValueError("setting dimension does not match d")
-        projectors[i] = np.outer(joint_ket, joint_ket.conj())
-    rank = np.linalg.matrix_rank(projectors.reshape(len(settings), -1), tol=1e-10)
+        design[i] = np.outer(joint_ket, joint_ket.conj()).ravel()
+    rank = np.linalg.matrix_rank(design, tol=1e-10)
     if rank < dim * dim:
         raise ValueError(f"settings span rank {rank} < {dim * dim}; not informationally complete")
 
-    weights = 1.0 / np.sqrt(counts + 1.0)
+    w2 = 1.0 / (counts + 1.0)
+    step = 0.5 / np.linalg.norm(np.sqrt(w2)[:, None] * design, 2) ** 2
+    design_conj = design.conj()
 
-    def probabilities(x):
-        rho = _params_to_rho(x, dim)
-        return np.maximum(np.real(np.einsum("sij,ji->s", projectors, rho)), 0.0)
+    def probabilities(sigma):
+        return np.real(design_conj @ sigma.ravel())
 
-    def best_flux(p):
-        denom = np.sum((weights * p) ** 2)
-        if denom <= 0:
-            return 0.0
-        return float(np.sum(weights**2 * counts * p) / denom)
+    def chi_squared(sigma):
+        return float(np.sum(w2 * (counts - probabilities(sigma)) ** 2))
 
-    def residuals(x):
-        p = probabilities(x)
-        return weights * (counts - best_flux(p) * p)
+    def gradient(sigma):
+        return -2.0 * ((w2 * (counts - probabilities(sigma))) @ design).reshape(dim, dim)
 
-    rng = np.random.default_rng(seed)
-    starts = []
-    if warm_start:
-        starts.append(_rho_to_params(_linear_inversion(counts, projectors, dim)))
-    while len(starts) < max(restarts, 1):
-        mixed = np.eye(dim, dtype=complex) / dim
-        jitter = 0.05 * rng.normal(size=dim * dim)
-        starts.append(_rho_to_params(mixed) + jitter)
+    def project(sigma):
+        w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+        return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
-    cap = max_nfev or 200 * dim * dim
-    best = None
-    total_nfev = 0
-    for x0 in starts:
-        result = least_squares(residuals, x0, method="trf",
-                               ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=cap)
-        total_nfev += result.nfev
-        chi2 = float(np.sum(result.fun**2))
-        if best is None or chi2 < best[0]:
-            best = (chi2, result)
-        if best[0] < 1e-12 * len(records):
-            break
+    x = project(np.linalg.lstsq(design, counts, rcond=None)[0].reshape(dim, dim))
+    p = probabilities(x)
+    denom = np.sum(w2 * p**2)
+    x = x * (np.sum(w2 * counts * p) / denom if denom > 0 else 0.0)
+    chi2 = chi_squared(x)
+    y, t = x, 1.0
+    converged = False
+    iterations = 0
+    while iterations < MAX_ITERATIONS and not converged:
+        iterations += 1
+        x_next = project(y - step * gradient(y))
+        chi2_next = chi_squared(x_next)
+        if chi2_next > chi2 and t > 1.0:
+            # momentum overshot: restart from the last iterate
+            y, t = x, 1.0
+            continue
+        converged = chi2 - chi2_next <= TOLERANCE * chi2
+        if chi2_next <= chi2:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            x, chi2, t = x_next, chi2_next, t_next
 
-    chi2, result = best
-    p = probabilities(result.x)
-    rho = DensityMatrix.from_matrix(d, _params_to_rho(result.x, dim))
-    return ReconstructionReport(rho=rho, chi_squared=chi2, iterations=total_nfev,
-                                flux=best_flux(p), converged=bool(result.success))
+    flux = float(np.trace(x).real)
+    rho = x / flux if flux > 0 else np.eye(dim, dtype=complex) / dim
+    return ReconstructionReport(rho=DensityMatrix.from_matrix(d, rho), chi_squared=chi2,
+                                iterations=iterations, flux=flux, converged=converged)
 
 
 def fidelity(rho, sigma) -> float:

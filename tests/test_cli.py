@@ -159,5 +159,15 @@ def test_validate_epr_ell_max_bound(capsys, ell_max, code):
     assert ("experiment.epr_ell_max" in out) == bool(code)
 
 
+@pytest.mark.parametrize("n_phi, offset, code", [(16, 0.001, 1), (80, 0.001, 1), (81, 0.001, 0), (16, 0.0, 0)])
+def test_validate_offset_azimuthal_grid_bound(capsys, n_phi, offset, code):
+    # the offset joint integrand reaches azimuthal order 2 * ell_max = 40 at the
+    # default config, which n_phi <= 80 aliases onto allowed pairs
+    assert main(["validate", "--set", f"source.grid_points_azimuthal={n_phi}",
+                 "--set", f"source.signal_offset_waists={offset}"]) == code
+    out = capsys.readouterr().out
+    assert ("source.grid_points_azimuthal" in out) == bool(code)
+
+
 def test_smallest_accepted_epr_ell_max_runs(tmp_path):
     assert main(["epr-reid", "--set", "experiment.epr_ell_max=2", "--out", str(tmp_path)]) == 0

@@ -57,3 +57,8 @@ def test_rejects_duplicate_keys(key, data):
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("\n".join(lines))
 
+
+def test_rejects_comment_sign_in_string_value():
+    # parse_config_text would cut "runs#1" to "runs", so the value could not round-trip
+    with pytest.raises(ConfigError, match="#"):
+        build_config(overrides={"output_dir": "runs#1"})

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
+from oamsim.cli import main
 from oamsim.config import build_config, validate
 from oamsim.experiments import run_tomography_experiment, tomography_settings
 from oamsim.spdc import DetectorConfig
@@ -133,22 +136,23 @@ class TestReconstruct:
         assert fidelity(report.rho, rho_true) > 0.99
         assert linear_entropy(report.rho) < 0.02
 
-    def test_parameter_count_matches_dimension(self):
-        from oamsim.tomography import _params_to_rho
-        rho = _params_to_rho(np.arange(1.0, 17.0), 4)
-        assert rho.shape == (4, 4)
-        assert np.trace(rho).real == pytest.approx(1.0)
-        with pytest.raises(Exception):
-            _params_to_rho(np.arange(1.0, 16.0), 4)
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=36, max_size=36))
+    def test_output_always_physical(self, counts):
+        report = reconstruct(counts, tomography_settings(2, [1, -1]), d=2)
+        matrix = report.rho.matrix
+        assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-12
+        assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(matrix)[0] >= -1e-10
+        assert report.flux >= 0.0
+        assert report.chi_squared >= 0.0
 
-    def test_output_always_physical(self):
-        settings = tomography_settings(2, [1, -1])
-        rng = np.random.default_rng(0)
-        counts = rng.integers(0, 500, size=36).astype(float)
-        report = reconstruct(counts, settings, d=2)
-        eigs = np.linalg.eigvalsh(report.rho.matrix)
-        assert eigs[0] > -1e-8
-        assert np.trace(report.rho.matrix).real == pytest.approx(1.0, abs=1e-10)
+    def test_all_zero_counts_give_maximally_mixed_state(self):
+        report = reconstruct([0] * 36, tomography_settings(2, [1, -1]), d=2)
+        assert np.max(np.abs(report.rho.matrix - np.eye(4) / 4.0)) < 1e-15
+        assert report.flux == 0.0
+        assert report.chi_squared == 0.0
+        assert report.converged
 
     def test_rejects_incomplete_settings(self):
         settings = tomography_settings(2, [1, -1])[:10]
@@ -160,12 +164,32 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct([-1.0] * 36, settings, d=2)
 
-    def test_qutrit_round_trip(self):
-        settings = tomography_settings(3, [-1, 0, 1])
-        rho_true = bell_density(3)
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_qutrit_round_trip(self, d):
+        settings = tomography_settings(d, {3: [-1, 0, 1], 4: [-2, -1, 1, 2]}[d])
+        rho_true = bell_density(d)
         counts = ideal_rates(rho_true, settings, 1e4)
-        report = reconstruct(counts, settings, d=3)
+        report = reconstruct(counts, settings, d=d)
         assert fidelity(report.rho, rho_true) > 1.0 - 1e-6
+
+    # chi^2 that the Cholesky-factor least-squares solver (five restarts)
+    # reached on seeded `oamsim tomo` runs; the convex solver must not do worse
+    @pytest.mark.parametrize("overrides, chi2", [
+        pytest.param(["seed=1"], 26.618607399831838, id="d2-seed1"),
+        pytest.param(["seed=2"], 22.667346678696248, id="d2-seed2"),
+        pytest.param(["seed=3"], 17.642626059456536, id="d2-seed3"),
+        pytest.param(["seed=7"], 18.18489247209426, id="d2-seed7"),
+        pytest.param(["seed=2024"], 24.11701771817748, id="d2-seed2024"),
+        pytest.param(["seed=2024", "tomo.d=3", "tomo.ell_values=2,-2,0"], 171.71808010421083,
+                     id="d3-seed2024"),
+    ])
+    def test_chi_squared_no_worse_than_cholesky_solver(self, tmp_path, overrides, chi2):
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["tomo", *args, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert row["converged"] == "true"
+        assert float(row["chi_squared"]) <= chi2 * (1.0 + 1e-6)
 
 
 class TestFidelity:
