@@ -160,9 +160,11 @@ def build_config(raw: dict | None = None, overrides: dict | None = None) -> Scen
                 values[key] = parser(incoming) if isinstance(incoming, str) else incoming
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"key {key!r}: cannot parse {incoming!r}") from exc
-            # '#' starts a comment, so such a value would not read back from its own file
-            if parser is str and "#" in str(values[key]):
-                raise ConfigError(f"key {key!r}: value {incoming!r} must not contain '#'")
+            # '#' starts a comment and a line break (any that splitlines() splits
+            # on) ends the entry, so such a value would not read back from its file
+            text = str(values[key])
+            if parser is str and ("#" in text or "".join(text.splitlines()) != text):
+                raise ConfigError(f"key {key!r}: value {incoming!r} must not contain '#' or a line break")
         else:
             values[key] = default
     return ScenarioConfig(values=values)

@@ -130,10 +130,7 @@ def spiral_scan(state: TwoPhotonState, ells_a, ells_b, det: DetectorConfig,
     """
     ells_a = np.asarray(ells_a, dtype=int)
     ells_b = np.asarray(ells_b, dtype=int)
-    joint = state.joint_matrix()
-    idx_a = [state.index_of(int(l)) for l in ells_a]
-    idx_b = [state.index_of(int(l)) for l in ells_b]
-    probs = np.abs(joint[np.ix_(idx_a, idx_b)]) ** 2
+    probs = np.abs(state.joint[np.ix_(state.index_of(ells_a), state.index_of(ells_b))]) ** 2
     return _scan(("ell_a", "ell_b"), (ells_a.astype(float), ells_b.astype(float)),
                  pair_rate * probs, det, seed)
 
@@ -150,7 +147,6 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
         raise ValueError("sector width must lie in (0, 2*pi]")
     orientations_a = np.asarray(orientations_a, dtype=float)
     orientations_b = np.asarray(orientations_b, dtype=float)
-    joint = state.joint_matrix()
     ells = state.ells
 
     def arm_coeffs(betas):
@@ -161,7 +157,7 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
     ca = arm_coeffs(orientations_a)
     cb = arm_coeffs(orientations_b)
     # amplitude(beta_a, beta_b) = sum_{ls, li} joint[ls, li] c_ls(beta_a) c_li(beta_b)
-    amps = np.einsum("ij,ai,bj->ab", joint, ca, cb)
+    amps = np.einsum("ij,ai,bj->ab", state.joint, ca, cb)
     return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b),
                  pair_rate * np.abs(amps) ** 2, det, seed)
 

@@ -1,10 +1,12 @@
 """Down-conversion source model: two-photon state, phase matching and counting.
 
-The two-photon state over the orbital-angular-momentum basis is built from
-overlap integrals of back-projected measurement modes with the pump at the
-crystal plane (thin-crystal approximation).  Crystal length and phase
-mismatch enter only through the far-field ring profile.  Count synthesis
-is Poissonian with seed-derived, per-setting random streams.
+The two-photon state over the orbital-angular-momentum basis pairs a Gaussian
+pump with p = 0 Laguerre-Gaussian measurement modes at the crystal plane
+(thin-crystal approximation).  Aligned, the amplitudes are known in closed
+form; a lateral signal offset needs the overlap integrals of the
+back-projected modes with the pump, taken by quadrature.  Crystal length and
+phase mismatch enter only through the far-field ring profile.  Count
+synthesis is Poissonian with seed-derived, per-setting random streams.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import BeamGeometry, LGMode, TransverseMode, default_grid
+from .modes import BeamGeometry, LGMode, default_grid
 from .numerics import PolarGrid
 
 
@@ -46,19 +48,13 @@ class CrystalConfig:
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump beam: waist plus an optional structured mode (default Gaussian)."""
+    """Gaussian pump beam at the crystal plane."""
 
     waist: float = 1.0
-    mode: TransverseMode | None = None
 
     def __post_init__(self):
         if self.waist <= 0:
             raise ValueError("pump waist must be positive")
-
-    def resolve(self) -> TransverseMode:
-        if self.mode is not None:
-            return self.mode
-        return LGMode(ell=0, p=0, geometry=BeamGeometry(waist=self.waist))
 
 
 @dataclass(frozen=True)
@@ -98,12 +94,13 @@ class CoincidenceRecord:
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """Joint OAM state of the photon pair over ells in [-ell_max, ell_max].
+    """Joint OAM state of the photon pair over ells = -ell_max, ..., ell_max.
 
-    ``amplitudes[i]`` is the coefficient of |ells[i]>|-ells[i]>; when lateral
-    misalignment relaxes OAM conservation, ``joint[i, j]`` holds the full
-    coefficient of |ells[i]>|ells[j]> and the pair amplitudes are its
-    conservation-allowed slice.
+    ``amplitudes[i]`` is the coefficient of |ells[i]>|-ells[i]>.  ``joint[i, j]``
+    is the coefficient of |ells[i]>|ells[j]>; it defaults to the anti-diagonal
+    matrix of the amplitudes.  When lateral misalignment relaxes OAM
+    conservation it also holds the conservation-forbidden pairs, and the
+    amplitudes are its anti-diagonal.
     """
 
     ells: np.ndarray
@@ -113,36 +110,31 @@ class TwoPhotonState:
     def __post_init__(self):
         ells = np.asarray(self.ells, dtype=int)
         amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "ells", ells)
-        object.__setattr__(self, "amplitudes", amps)
-        if self.joint is not None:
-            object.__setattr__(self, "joint", np.asarray(self.joint, dtype=complex))
+        m = len(ells) // 2
+        if not np.array_equal(ells, np.arange(-m, m + 1)):
+            raise ValueError("ells must run from -ell_max to ell_max in steps of one")
         if ells.shape != amps.shape:
             raise ValueError("ells and amplitudes must have matching shapes")
-        total = np.sum(np.abs(self.joint) ** 2) if self.joint is not None else np.sum(np.abs(amps) ** 2)
+        joint = np.fliplr(np.diag(amps)) if self.joint is None else np.asarray(self.joint, dtype=complex)
+        if joint.shape != (len(ells), len(ells)):
+            raise ValueError("joint must be square over ells")
+        total = np.sum(np.abs(joint) ** 2)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"state norm {total} is not 1")
+        object.__setattr__(self, "ells", ells)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "joint", joint)
 
-    def index_of(self, ell: int) -> int:
-        hits = np.nonzero(self.ells == ell)[0]
-        if len(hits) != 1:
+    def index_of(self, ell):
+        """Position of ell in ``ells``; elementwise for an array of ells."""
+        ell = np.asarray(ell)
+        m = len(self.ells) // 2
+        if np.any(np.abs(ell) > m):
             raise ValueError(f"ell={ell} not in state support")
-        return int(hits[0])
+        return ell + m
 
     def amplitude(self, ell: int) -> complex:
         return complex(self.amplitudes[self.index_of(ell)])
-
-    def joint_matrix(self) -> np.ndarray:
-        """Full (ell_s, ell_i) coefficient matrix; anti-diagonal when aligned."""
-        if self.joint is not None:
-            return self.joint
-        n = len(self.ells)
-        out = np.zeros((n, n), dtype=complex)
-        for i, ell in enumerate(self.ells):
-            j = np.nonzero(self.ells == -ell)[0]
-            if len(j):
-                out[i, int(j[0])] = self.amplitudes[i]
-        return out
 
     def sector_ket(self, ell: int) -> np.ndarray:
         """Normalized two-dimensional ket over {|ell,-ell>, |-ell,ell>}."""
@@ -160,13 +152,8 @@ class TwoPhotonState:
         Index order matches kron: entry i*d + j is |ell_values[i]>_signal
         |ell_values[j]>_idler.  Normalized over the subspace.
         """
-        ell_values = list(ell_values)
-        d = len(ell_values)
-        joint = self.joint_matrix()
-        ket = np.zeros(d * d, dtype=complex)
-        for i, ls in enumerate(ell_values):
-            for j, li in enumerate(ell_values):
-                ket[i * d + j] = joint[self.index_of(ls), self.index_of(li)]
+        idx = self.index_of(list(ell_values))
+        ket = self.joint[np.ix_(idx, idx)].ravel()
         norm = np.linalg.norm(ket)
         if norm == 0:
             raise ValueError("state has no support on the requested subspace")
@@ -181,55 +168,52 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
 def build_state(pump: PumpSpec, gamma: float, ell_max: int,
                 grid: PolarGrid | None = None,
                 signal_offset: tuple[float, float] = (0.0, 0.0)) -> TwoPhotonState:
-    """Two-photon OAM state for measurement modes with waist w_pump / gamma.
+    """Two-photon OAM state for p = 0 measurement modes with waist w_pump / gamma.
 
-    Coefficients are projection amplitudes onto signal/idler LG (p = 0) mode
-    pairs, normalized to unit total probability.  With a nonzero lateral
-    signal offset the full (ell_s, ell_i) coefficient matrix is evaluated,
-    which captures misalignment crosstalk into conservation-forbidden pairs.
+    Aligned, the pair amplitudes are the closed form q^|ell| with
+    q = sqrt(g (g + 2)) / (g + 1) and g = 2 gamma^2 (Torres et al., PRA 68,
+    050301, 2003; Miatto, Yao & Barnett, PRA 83, 033816, 2011), normalized to
+    unit total probability; ``grid`` is not used.  With a nonzero lateral
+    signal offset the full (ell_s, ell_i) coefficient matrix is the overlap of
+    the back-projected signal and idler modes with the pump, each pair
+    normalized by its signal-pump and idler-pump overlaps, evaluated on
+    ``grid`` as one matrix product.  It captures misalignment crosstalk into
+    conservation-forbidden pairs.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not 0 <= ell_max <= 20:
         raise ValueError("ell_max must lie in [0, 20]")
+    ells = np.arange(-ell_max, ell_max + 1)
+    if signal_offset == (0.0, 0.0):
+        g = 2.0 * gamma * gamma
+        amps = (math.sqrt(g * (g + 2.0)) / (g + 1.0)) ** np.abs(ells)
+        return TwoPhotonState(ells=ells, amplitudes=amps / np.linalg.norm(amps))
     w_meas = pump.waist / gamma
     geo = BeamGeometry(waist=w_meas)
     if grid is None:
         grid = default_grid(pump.waist, w_meas)
-    ells = np.arange(-ell_max, ell_max + 1)
-    u_p = pump.resolve().sample(grid)
-    weights = grid.weights
+    u_p = LGMode(ell=0, geometry=BeamGeometry(waist=pump.waist)).sample(grid)
+    pump_weight = np.abs(u_p) ** 2 * grid.weights
 
-    def sampled(offset):
-        # per-ell field samples and mode-pump overlap denominators
-        fields, denoms = [], []
-        for ell in ells:
-            u = LGMode(ell=int(ell), geometry=geo, offset=offset).sample(grid)
-            fields.append(u)
-            denoms.append(float(np.sum(np.abs(u) ** 2 * np.abs(u_p) ** 2 * weights)))
-        if min(denoms) <= 0:
+    def conj_sampled(offset):
+        # conjugated field samples, one row per ell, and the mode-pump overlap denominators
+        rows = np.empty((len(ells),) + grid.weights.shape, dtype=complex)
+        denoms = np.empty(len(ells))
+        for k, ell in enumerate(ells):
+            rows[k] = LGMode(ell=int(ell), geometry=geo, offset=offset).sample(grid)
+            denoms[k] = np.sum(np.abs(rows[k]) ** 2 * pump_weight)
+        if denoms.min() <= 0:
             raise ValueError("degenerate mode choice: a measurement mode has no overlap with the pump")
-        return fields, np.array(denoms)
+        np.conjugate(rows, out=rows)
+        return rows.reshape(len(ells), -1), denoms
 
-    u_s, d_s = sampled(signal_offset)
-    if signal_offset != (0.0, 0.0):
-        u_i, d_i = sampled((0.0, 0.0))
-        joint = np.zeros((len(ells), len(ells)), dtype=complex)
-        for i in range(len(ells)):
-            base = np.conj(u_s[i]) * u_p * weights
-            for j in range(len(ells)):
-                numerator = np.sum(base * np.conj(u_i[j]))
-                joint[i, j] = numerator / (d_s[i] * d_i[j]) ** 0.25
-        joint /= math.sqrt(np.sum(np.abs(joint) ** 2))
-        amps = np.array([joint[i, len(ells) - 1 - i] for i in range(len(ells))])
-        return TwoPhotonState(ells=ells, amplitudes=amps, joint=joint)
-    amps = np.zeros(len(ells), dtype=complex)
-    for i in range(len(ells)):
-        j = len(ells) - 1 - i  # the opposite-helicity partner of ells[i]
-        numerator = np.sum(np.conj(u_s[i]) * np.conj(u_s[j]) * u_p * weights)
-        amps[i] = numerator / (d_s[i] * d_s[j]) ** 0.25
-    amps /= math.sqrt(np.sum(np.abs(amps) ** 2))
-    return TwoPhotonState(ells=ells, amplitudes=amps)
+    u_s, d_s = conj_sampled(signal_offset)
+    u_s *= (u_p * grid.weights).ravel()
+    u_i, d_i = conj_sampled((0.0, 0.0))
+    joint = (u_s @ u_i.T) / np.outer(d_s, d_i) ** 0.25
+    joint /= np.linalg.norm(joint)
+    return TwoPhotonState(ells=ells, amplitudes=np.fliplr(joint).diagonal(), joint=joint)
 
 
 def sinc_ring_profile(r, config: CrystalConfig):

@@ -131,12 +131,13 @@ def reconstruct(records, settings, d: int) -> ReconstructionReport:
         if len(joint_ket) != dim:
             raise ValueError("setting dimension does not match d")
         design[i] = np.outer(joint_ket, joint_ket.conj()).ravel()
-    rank = np.linalg.matrix_rank(design, tol=1e-10)
+    w2 = 1.0 / (counts + 1.0)
+    # the positive row weights keep the rank; numpy's matrix_rank tolerance is relative
+    s = np.linalg.svd(np.sqrt(w2)[:, None] * design, compute_uv=False)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(design.shape) * np.finfo(float).eps))
     if rank < dim * dim:
         raise ValueError(f"settings span rank {rank} < {dim * dim}; not informationally complete")
-
-    w2 = 1.0 / (counts + 1.0)
-    step = 0.5 / np.linalg.norm(np.sqrt(w2)[:, None] * design, 2) ** 2
+    step = 0.5 / s[0] ** 2
     design_conj = design.conj()
 
     def probabilities(sigma):

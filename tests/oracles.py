@@ -88,16 +88,19 @@ def coincidence_amplitude(signal: TransverseMode, idler: TransverseMode,
 
     The magnitude squared is the relative coincidence rate: the squared
     overlap of the back-projected signal and idler modes with the pump,
-    normalized by the individual signal-pump and idler-pump overlaps.
-    One mode pair at a time, so it checks ``spdc.build_state``.
+    normalized by the individual signal-pump and idler-pump overlaps.  A
+    ``PumpSpec`` stands for its Gaussian mode; any other pump mode is used
+    as given.  One mode pair at a time, so it checks both paths of
+    ``spdc.build_state``: the closed form and the offset matrix product.
     """
-    pump_mode = pump.resolve() if isinstance(pump, PumpSpec) else pump
+    if isinstance(pump, PumpSpec):
+        pump = LGMode(ell=0, geometry=BeamGeometry(waist=pump.waist))
     if grid is None:
         grid = default_grid(signal.geometry.spot_size, idler.geometry.spot_size,
-                            pump_mode.geometry.spot_size)
+                            pump.geometry.spot_size)
     u_s = signal.sample(grid)
     u_i = idler.sample(grid)
-    u_p = pump_mode.sample(grid)
+    u_p = pump.sample(grid)
     numerator = integrate_polar(np.conj(u_s) * np.conj(u_i) * u_p, grid)
     d_s = integrate_polar(np.abs(u_s) ** 2 * np.abs(u_p) ** 2, grid).real
     d_i = integrate_polar(np.abs(u_i) ** 2 * np.abs(u_p) ** 2, grid).real

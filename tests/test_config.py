@@ -58,7 +58,10 @@ def test_rejects_duplicate_keys(key, data):
         parse_config_text("\n".join(lines))
 
 
-def test_rejects_comment_sign_in_string_value():
-    # parse_config_text would cut "runs#1" to "runs", so the value could not round-trip
-    with pytest.raises(ConfigError, match="#"):
-        build_config(overrides={"output_dir": "runs#1"})
+@pytest.mark.parametrize("value", ["runs#1", "runs\nseed = 5", "runs\rx"],
+                         ids=["comment", "line-feed", "carriage-return"])
+def test_rejects_comment_sign_in_string_value(value):
+    # parse_config_text would cut "runs#1" to "runs" and read "seed = 5" as a
+    # second entry, so none of these values could round-trip
+    with pytest.raises(ConfigError, match="must not contain"):
+        build_config(overrides={"output_dir": value})

@@ -51,8 +51,7 @@ class TestCoincidenceAmplitude:
 
     def test_conservation_with_pump_oam(self):
         # structured pump with ell = 2: only ell_s + ell_i = 2 survives
-        pump_mode = LGMode(ell=2, geometry=BeamGeometry(waist=1.0))
-        pump = PumpSpec(waist=1.0, mode=pump_mode)
+        pump = LGMode(ell=2, geometry=BeamGeometry(waist=1.0))
         allowed = coincidence_amplitude(meas_mode(3), meas_mode(-1), pump, GRID)
         forbidden = coincidence_amplitude(meas_mode(3), meas_mode(-3), pump, GRID)
         assert abs(allowed) > 1e-3
@@ -88,12 +87,32 @@ class TestBuildState:
         ratios = amps[center + 1:] / amps[center:-1]
         assert np.max(np.abs(ratios - want)) < 1e-6
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_aligned_closed_form_matches_quadrature_oracle(self, gamma):
+        w = 1.0 / gamma
+        state = build_state(PUMP, gamma=gamma, ell_max=20)
+        grid = default_grid(1.0, w)
+        geo = BeamGeometry(waist=w)
+        want = np.array([coincidence_amplitude(LGMode(ell=l, geometry=geo), LGMode(ell=-l, geometry=geo),
+                                               PUMP, grid) for l in range(-20, 21)])
+        assert np.max(np.abs(state.amplitudes - want / np.linalg.norm(want))) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_tiny_offset_reduces_to_closed_form(self, gamma):
+        # a 1e-9 waist offset takes the quadrature path, which must reproduce the closed form
+        aligned = build_state(PUMP, gamma=gamma, ell_max=20)
+        offset = build_state(PUMP, gamma=gamma, ell_max=20, signal_offset=(1e-9 / gamma, 0.0))
+        anti = np.fliplr(np.eye(41, dtype=bool))
+        assert np.max(np.abs(offset.joint[anti] - aligned.amplitudes)) < 1e-12
+        assert np.max(np.abs(offset.amplitudes - aligned.amplitudes)) < 1e-12
+        assert np.max(np.abs(offset.joint[~anti])) <= 1e-8
+
     def test_offset_populates_forbidden_pairs(self):
         ratios = []
         for delta in (0.0, 0.05, 0.1):
             state = build_state(PUMP, gamma=2.0, ell_max=2, grid=GRID,
                                 signal_offset=(delta, 0.0))
-            joint = np.abs(state.joint_matrix()) ** 2
+            joint = np.abs(state.joint) ** 2
             anti = np.fliplr(np.eye(joint.shape[0], dtype=bool))
             peak = joint[anti].max()
             off = joint[~anti].max()
@@ -112,6 +131,20 @@ class TestTwoPhotonState:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             TwoPhotonState(ells=np.array([-1, 0, 1]), amplitudes=np.array([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("ells", [[0, 1, 2], [-1, 1], [1, 0, -1], [-1, 0, 0]])
+    def test_rejects_ells_other_than_symmetric_range(self, ells):
+        amps = np.ones(len(ells)) / math.sqrt(len(ells))
+        with pytest.raises(ValueError, match="ell_max"):
+            TwoPhotonState(ells=np.array(ells), amplitudes=amps)
+
+    def test_index_of_is_range_checked(self):
+        state = TwoPhotonState(ells=np.array([-1, 0, 1]), amplitudes=np.array([0.6, 0.0, 0.8]))
+        assert list(state.index_of([1, -1, 0])) == [2, 0, 1]
+        with pytest.raises(ValueError):
+            state.index_of(2)
+        with pytest.raises(ValueError):
+            state.restricted_ket([1, -2])
 
     def test_sector_ket(self):
         amps = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)

@@ -159,6 +159,17 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct([1.0] * 10, settings, d=2)
 
+    @pytest.mark.parametrize("count", [0.0, 1e12])
+    def test_rank_check_is_relative_to_the_count_scale(self, count):
+        # the first half of the list pairs three arm-A projectors with all six
+        # of arm B, so it spans at most 3 x 4 of the 16 operator dimensions
+        settings = tomography_settings(2, [1, -1])
+        half = settings[:len(settings) // 2]
+        with pytest.raises(ValueError, match="not informationally complete"):
+            reconstruct([count] * len(half), half, d=2)
+        report = reconstruct([count] * len(settings), settings, d=2)
+        assert report.flux >= 0.0
+
     def test_rejects_negative_counts(self):
         settings = tomography_settings(2, [1, -1])
         with pytest.raises(ValueError):
