@@ -1,9 +1,9 @@
 """Transverse optical modes used for projective measurements.
 
-Laguerre-Gaussian modes, which evaluate a complex amplitude on the transverse
-plane and can carry a lateral offset that models a misaligned measurement
-hologram, and the azimuthal Fourier coefficients of the angular-sector
-("slice") holograms.
+The p = 0 Laguerre-Gaussian modes at the waist plane, sampled for a whole
+window of azimuthal indices at once and optionally shifted laterally to model
+a misaligned measurement hologram, and the azimuthal Fourier coefficients of
+the angular-sector ("slice") holograms.
 """
 
 from __future__ import annotations
@@ -13,36 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PolarGrid, laguerre
-
-
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Wavelength, beam waist and evaluation plane of a paraxial beam."""
-
-    wavelength: float = 710e-9
-    waist: float = 1.0
-    z: float = 0.0
-
-    def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.waist <= 0:
-            raise ValueError("waist must be positive")
-
-    @property
-    def rayleigh_range(self) -> float:
-        return math.pi * self.waist**2 / self.wavelength
-
-    @property
-    def spot_size(self) -> float:
-        """1/e beam radius w(z)."""
-        zr = self.rayleigh_range
-        return self.waist * math.sqrt(1.0 + (self.z / zr) ** 2)
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
+from .numerics import PolarGrid
 
 
 def default_grid(*waists: float, n_r: int = 256, n_phi: int = 256) -> PolarGrid:
@@ -52,66 +23,37 @@ def default_grid(*waists: float, n_r: int = 256, n_phi: int = 256) -> PolarGrid:
     return PolarGrid(r_max=6.0 * max(waists), n_r=n_r, n_phi=n_phi)
 
 
-class TransverseMode:
-    """Base class: complex field on the transverse plane, with lateral offset.
-
-    Subclasses implement ``_centered_field(r, phi)``; ``field`` shifts the
-    evaluation point by the mode's (dx, dy) offset.
-    """
-
-    geometry: BeamGeometry
-    offset: tuple[float, float]
-
-    def field(self, r, phi):
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        dx, dy = self.offset
-        if dx == 0.0 and dy == 0.0:
-            return self._centered_field(r, phi)
-        x = r * np.cos(phi) - dx
-        y = r * np.sin(phi) - dy
-        return self._centered_field(np.hypot(x, y), np.arctan2(y, x))
-
-    def _centered_field(self, r, phi):
-        raise NotImplementedError
-
-    def sample(self, grid: PolarGrid) -> np.ndarray:
-        r, phi = grid.mesh()
-        return np.asarray(self.field(r, phi), dtype=complex)
-
-
 @dataclass(frozen=True)
-class LGMode(TransverseMode):
-    """Laguerre-Gaussian mode with azimuthal index ell and radial index p.
+class TransverseMode:
+    """The p = 0 Laguerre-Gaussian modes ell = -ell_max, ..., ell_max at the waist.
 
-    Normalized so the transverse intensity integrates to one.  Includes the
-    wavefront-curvature and Gouy phases away from the waist plane.
+    Each mode is normalized so its transverse intensity integrates to one; all
+    share the waist and the lateral (dx, dy) offset of their centre.
     """
 
-    ell: int
-    p: int = 0
-    geometry: BeamGeometry = BeamGeometry()
+    waist: float
+    ell_max: int
     offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("radial index p must be non-negative")
+        if self.waist <= 0:
+            raise ValueError("waist must be positive")
 
-    def _centered_field(self, r, phi):
-        geo = self.geometry
-        al = abs(self.ell)
-        w = geo.spot_size
-        norm = math.sqrt(2.0 * math.factorial(self.p) / (math.pi * math.factorial(self.p + al))) / w
-        rho = np.sqrt(2.0) * r / w
-        # radial profile: (sqrt(2) r / w)^|ell| L_p^|ell|(2 r^2 / w^2) exp(-r^2/w^2)
-        amp = norm * rho**al * laguerre(self.p, float(al), 2.0 * r**2 / w**2) * np.exp(-(r**2) / w**2)
-        out = amp * np.exp(1j * self.ell * phi)
-        if geo.z != 0.0:
-            zr = geo.rayleigh_range
-            curvature = geo.wavenumber * r**2 * geo.z / (2.0 * (geo.z**2 + zr**2))
-            gouy = (2 * self.p + al + 1) * math.atan2(geo.z, zr)
-            out = out * np.exp(1j * (curvature - gouy))
-        return out
+    def sample(self, grid: PolarGrid) -> np.ndarray:
+        """Field samples on the flattened (n_r, n_phi) mesh, one row per ell.
+
+        With zeta = sqrt(2) ((x - dx) + i (y - dy)) / w: u_0 = sqrt(2 / pi) / w
+        exp(-|zeta|^2 / 2), u_ell = u_{ell-1} zeta / sqrt(ell), u_{-ell} = conj(u_ell).
+        """
+        m, (dx, dy) = self.ell_max, self.offset
+        zeta = (math.sqrt(2.0) / self.waist) * (np.outer(grid.r, np.cos(grid.phi)) - dx
+                                                 + 1j * (np.outer(grid.r, np.sin(grid.phi)) - dy)).ravel()
+        rows = np.empty((2 * m + 1, zeta.size), dtype=complex)
+        rows[m] = math.sqrt(2.0 / math.pi) / self.waist * np.exp(-0.5 * (zeta.real**2 + zeta.imag**2))
+        for ell in range(1, m + 1):
+            np.multiply(rows[m + ell - 1], zeta / math.sqrt(ell), out=rows[m + ell])
+            np.conjugate(rows[m + ell], out=rows[m - ell])
+        return rows
 
 
 def sector_coefficients(beta: float, width: float, ells) -> np.ndarray:
@@ -129,4 +71,3 @@ def sector_coefficients(beta: float, width: float, ells) -> np.ndarray:
     nz = x != 0
     sinc[nz] = np.sin(x[nz]) / x[nz]
     return (width / (2.0 * math.pi)) * sinc * np.exp(-1j * ells * beta)
-

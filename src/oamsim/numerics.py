@@ -1,6 +1,9 @@
-"""Laguerre polynomials, polar-grid quadrature and Hermitian matrix functions.
+"""Polar-grid quadrature nodes and Hermitian matrix functions.
 
-Everything here is a pure function of its inputs; no shared mutable state.
+``PolarGrid`` holds the nodes and area weights on which the offset state
+build samples its modes; the eigendecomposition and positive-semidefinite
+square root serve the tomography metrics.  Everything here is a pure function
+of its inputs; no shared mutable state.
 """
 
 from __future__ import annotations
@@ -9,32 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-MAX_LAGUERRE_ORDER = 64
-
-
-def laguerre(p: int, alpha: float, x):
-    """Associated Laguerre polynomial L_p^alpha(x) via the three-term recurrence.
-
-    Parameters
-    ----------
-    p : int
-        Polynomial degree, 0 <= p <= 64.
-    alpha : float
-        Order parameter, alpha >= 0 for the optical-mode use case.
-    x : float or ndarray
-        Evaluation point(s).
-    """
-    if not 0 <= p <= MAX_LAGUERRE_ORDER:
-        raise ValueError(f"laguerre degree p={p} outside supported range [0, {MAX_LAGUERRE_ORDER}]")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if p == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
-    for k in range(1, p):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
 
 
 @dataclass(frozen=True)
@@ -68,32 +45,6 @@ class PolarGrid:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "weights", weights)
-
-    def mesh(self):
-        """Return (R, PHI) arrays of shape (n_r, n_phi)."""
-        return np.meshgrid(self.r, self.phi, indexing="ij")
-
-    @property
-    def area(self) -> float:
-        return float(self.weights.sum())
-
-
-def integrate_polar(f, grid: PolarGrid) -> complex:
-    """Integrate a complex field over the disc: sum of f(node) * weight.
-
-    ``f`` may be a callable f(r, phi) broadcasting over arrays, or an array of
-    samples with shape (n_r, n_phi).
-    """
-    if callable(f):
-        r, phi = grid.mesh()
-        values = np.asarray(f(r, phi))
-    else:
-        values = np.asarray(f)
-    if values.shape != grid.weights.shape:
-        raise ValueError(f"field samples have shape {values.shape}, expected {grid.weights.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand is not finite on all grid nodes")
-    return complex(np.sum(values * grid.weights))
 
 
 def _check_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:

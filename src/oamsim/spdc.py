@@ -3,10 +3,12 @@
 The two-photon state over the orbital-angular-momentum basis pairs a Gaussian
 pump with p = 0 Laguerre-Gaussian measurement modes at the crystal plane
 (thin-crystal approximation).  Aligned, the amplitudes are known in closed
-form; a lateral signal offset needs the overlap integrals of the
-back-projected modes with the pump, taken by quadrature.  Crystal length and
-phase mismatch enter only through the far-field ring profile.  Count
-synthesis is Poissonian with seed-derived, per-setting random streams.
+form.  A lateral signal offset needs the overlaps of the back-projected modes
+with the pump: each arm's whole ell window is sampled in one call of
+``modes.TransverseMode.sample`` and the overlaps are one matrix product on
+the polar quadrature grid.  Crystal length and phase mismatch enter only
+through the far-field ring profile.  Count synthesis is Poissonian with
+seed-derived, per-setting random streams.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import BeamGeometry, LGMode, default_grid
+from .modes import TransverseMode, default_grid
 from .numerics import PolarGrid
 
 
@@ -176,8 +178,9 @@ def build_state(pump: PumpSpec, gamma: float, ell_max: int,
     unit total probability; ``grid`` is not used.  With a nonzero lateral
     signal offset the full (ell_s, ell_i) coefficient matrix is the overlap of
     the back-projected signal and idler modes with the pump, each pair
-    normalized by its signal-pump and idler-pump overlaps, evaluated on
-    ``grid`` as one matrix product.  It captures misalignment crosstalk into
+    normalized by its signal-pump and idler-pump overlaps.  The pump and each
+    arm are sampled once on ``grid``, and the matrix is one product of the
+    two arms' sample arrays.  It captures misalignment crosstalk into
     conservation-forbidden pairs.
     """
     if gamma <= 0:
@@ -190,26 +193,24 @@ def build_state(pump: PumpSpec, gamma: float, ell_max: int,
         amps = (math.sqrt(g * (g + 2.0)) / (g + 1.0)) ** np.abs(ells)
         return TwoPhotonState(ells=ells, amplitudes=amps / np.linalg.norm(amps))
     w_meas = pump.waist / gamma
-    geo = BeamGeometry(waist=w_meas)
     if grid is None:
         grid = default_grid(pump.waist, w_meas)
-    u_p = LGMode(ell=0, geometry=BeamGeometry(waist=pump.waist)).sample(grid)
-    pump_weight = np.abs(u_p) ** 2 * grid.weights
+    weights = grid.weights.ravel()
+    u_p = TransverseMode(pump.waist, 0).sample(grid)[0]
+    pump_weight = np.repeat(np.abs(u_p) ** 2 * weights, 2)
 
     def conj_sampled(offset):
         # conjugated field samples, one row per ell, and the mode-pump overlap denominators
-        rows = np.empty((len(ells),) + grid.weights.shape, dtype=complex)
-        denoms = np.empty(len(ells))
-        for k, ell in enumerate(ells):
-            rows[k] = LGMode(ell=int(ell), geometry=geo, offset=offset).sample(grid)
-            denoms[k] = np.sum(np.abs(rows[k]) ** 2 * pump_weight)
+        rows = TransverseMode(w_meas, ell_max, offset).sample(grid)
+        # sum |u|^2 |u_p|^2 w over the (re, im) pairs of each row, without a full-size temporary
+        pairs = rows.view(float)
+        denoms = np.einsum("kn,kn,n->k", pairs, pairs, pump_weight)
         if denoms.min() <= 0:
             raise ValueError("degenerate mode choice: a measurement mode has no overlap with the pump")
-        np.conjugate(rows, out=rows)
-        return rows.reshape(len(ells), -1), denoms
+        return np.conjugate(rows, out=rows), denoms
 
     u_s, d_s = conj_sampled(signal_offset)
-    u_s *= (u_p * grid.weights).ravel()
+    u_s *= u_p * weights
     u_i, d_i = conj_sampled((0.0, 0.0))
     joint = (u_s @ u_i.T) / np.outer(d_s, d_i) ** 0.25
     joint /= np.linalg.norm(joint)

@@ -143,37 +143,40 @@ def reconstruct(records, settings, d: int) -> ReconstructionReport:
     def probabilities(sigma):
         return np.real(design_conj @ sigma.ravel())
 
-    def chi_squared(sigma):
-        return float(np.sum(w2 * (counts - probabilities(sigma)) ** 2))
-
-    def gradient(sigma):
-        return -2.0 * ((w2 * (counts - probabilities(sigma))) @ design).reshape(dim, dim)
+    def chi_squared(p):
+        return float(np.sum(w2 * (counts - p) ** 2))
 
     def project(sigma):
         w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
         return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
     x = project(np.linalg.lstsq(design, counts, rcond=None)[0].reshape(dim, dim))
-    p = probabilities(x)
-    denom = np.sum(w2 * p**2)
-    x = x * (np.sum(w2 * counts * p) / denom if denom > 0 else 0.0)
-    chi2 = chi_squared(x)
-    y, t = x, 1.0
+    p_x = probabilities(x)
+    denom = np.sum(w2 * p_x**2)
+    scale = np.sum(w2 * counts * p_x) / denom if denom > 0 else 0.0
+    x, p_x = x * scale, p_x * scale
+    chi2 = chi_squared(p_x)
+    # the rates are linear in sigma, so those at y follow from the iterates' rates
+    y, p_y, t = x, p_x, 1.0
     converged = False
     iterations = 0
     while iterations < MAX_ITERATIONS and not converged:
         iterations += 1
-        x_next = project(y - step * gradient(y))
-        chi2_next = chi_squared(x_next)
+        gradient = -2.0 * ((w2 * (counts - p_y)) @ design).reshape(dim, dim)
+        x_next = project(y - step * gradient)
+        p_next = probabilities(x_next)
+        chi2_next = chi_squared(p_next)
         if chi2_next > chi2 and t > 1.0:
             # momentum overshot: restart from the last iterate
-            y, t = x, 1.0
+            y, p_y, t = x, p_x, 1.0
             continue
         converged = chi2 - chi2_next <= TOLERANCE * chi2
         if chi2_next <= chi2:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
-            x, chi2, t = x_next, chi2_next, t_next
+            beta = (t - 1.0) / t_next
+            y = x_next + beta * (x_next - x)
+            p_y = p_next + beta * (p_next - p_x)
+            x, p_x, chi2, t = x_next, p_next, chi2_next, t_next
 
     flux = float(np.trace(x).real)
     rho = x / flux if flux > 0 else np.eye(dim, dtype=complex) / dim

@@ -2,8 +2,10 @@
 
 None of these is used by the library.  Each one computes a quantity a second
 way: by quadrature of a sampled field where the library uses a closed form
-or a different summation, or by brute-force evaluation where the library
-uses a frozen table.
+or a different summation, by the general Laguerre-Gaussian mode (any radial
+index, any propagation distance, one mode at a time) where the library
+samples the p = 0 modes at the waist by recurrence, or by brute-force
+evaluation where the library uses a frozen table.
 """
 
 from __future__ import annotations
@@ -13,13 +15,154 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from oamsim.modes import BeamGeometry, LGMode, TransverseMode, default_grid
-from oamsim.numerics import PolarGrid, integrate_polar
+from oamsim.modes import default_grid
+from oamsim.numerics import PolarGrid
 from oamsim.spdc import PumpSpec
+
+MAX_LAGUERRE_ORDER = 64
+
+
+def laguerre(p: int, alpha: float, x):
+    """Associated Laguerre polynomial L_p^alpha(x) via the three-term recurrence.
+
+    Parameters
+    ----------
+    p : int
+        Polynomial degree, 0 <= p <= 64.
+    alpha : float
+        Order parameter, alpha >= 0 for the optical-mode use case.
+    x : float or ndarray
+        Evaluation point(s).
+    """
+    if not 0 <= p <= MAX_LAGUERRE_ORDER:
+        raise ValueError(f"laguerre degree p={p} outside supported range [0, {MAX_LAGUERRE_ORDER}]")
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if p == 0:
+        return prev if prev.ndim else float(prev)
+    cur = 1.0 + alpha - x
+    for k in range(1, p):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur if cur.ndim else float(cur)
+
+
+def polar_mesh(grid: PolarGrid):
+    """Return (R, PHI) arrays of shape (n_r, n_phi) over the grid nodes."""
+    return np.meshgrid(grid.r, grid.phi, indexing="ij")
+
+
+def integrate_polar(f, grid: PolarGrid) -> complex:
+    """Integrate a complex field over the disc: sum of f(node) * weight.
+
+    ``f`` may be a callable f(r, phi) broadcasting over arrays, or an array of
+    samples with shape (n_r, n_phi).
+    """
+    if callable(f):
+        r, phi = polar_mesh(grid)
+        values = np.asarray(f(r, phi))
+    else:
+        values = np.asarray(f)
+    if values.shape != grid.weights.shape:
+        raise ValueError(f"field samples have shape {values.shape}, expected {grid.weights.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand is not finite on all grid nodes")
+    return complex(np.sum(values * grid.weights))
 
 
 @dataclass(frozen=True)
-class SuperpositionMode(TransverseMode):
+class BeamGeometry:
+    """Wavelength, beam waist and evaluation plane of a paraxial beam."""
+
+    wavelength: float = 710e-9
+    waist: float = 1.0
+    z: float = 0.0
+
+    def __post_init__(self):
+        if self.wavelength <= 0:
+            raise ValueError("wavelength must be positive")
+        if self.waist <= 0:
+            raise ValueError("waist must be positive")
+
+    @property
+    def rayleigh_range(self) -> float:
+        return math.pi * self.waist**2 / self.wavelength
+
+    @property
+    def spot_size(self) -> float:
+        """1/e beam radius w(z)."""
+        zr = self.rayleigh_range
+        return self.waist * math.sqrt(1.0 + (self.z / zr) ** 2)
+
+    @property
+    def wavenumber(self) -> float:
+        return 2.0 * math.pi / self.wavelength
+
+
+class FieldMode:
+    """Base class: complex field of one mode on the transverse plane, with lateral offset.
+
+    Subclasses implement ``_centered_field(r, phi)``; ``field`` shifts the
+    evaluation point by the mode's (dx, dy) offset.
+    """
+
+    geometry: BeamGeometry
+    offset: tuple[float, float]
+
+    def field(self, r, phi):
+        r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        dx, dy = self.offset
+        if dx == 0.0 and dy == 0.0:
+            return self._centered_field(r, phi)
+        x = r * np.cos(phi) - dx
+        y = r * np.sin(phi) - dy
+        return self._centered_field(np.hypot(x, y), np.arctan2(y, x))
+
+    def _centered_field(self, r, phi):
+        raise NotImplementedError
+
+    def sample(self, grid: PolarGrid) -> np.ndarray:
+        r, phi = polar_mesh(grid)
+        return np.asarray(self.field(r, phi), dtype=complex)
+
+
+@dataclass(frozen=True)
+class LGMode(FieldMode):
+    """Laguerre-Gaussian mode with azimuthal index ell and radial index p.
+
+    Normalized so the transverse intensity integrates to one.  Includes the
+    wavefront-curvature and Gouy phases away from the waist plane.  At p = 0
+    and z = 0 it checks ``modes.TransverseMode.sample``.
+    """
+
+    ell: int
+    p: int = 0
+    geometry: BeamGeometry = BeamGeometry()
+    offset: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        if self.p < 0:
+            raise ValueError("radial index p must be non-negative")
+
+    def _centered_field(self, r, phi):
+        geo = self.geometry
+        al = abs(self.ell)
+        w = geo.spot_size
+        norm = math.sqrt(2.0 * math.factorial(self.p) / (math.pi * math.factorial(self.p + al))) / w
+        rho = np.sqrt(2.0) * r / w
+        # radial profile: (sqrt(2) r / w)^|ell| L_p^|ell|(2 r^2 / w^2) exp(-r^2/w^2)
+        amp = norm * rho**al * laguerre(self.p, float(al), 2.0 * r**2 / w**2) * np.exp(-(r**2) / w**2)
+        out = amp * np.exp(1j * self.ell * phi)
+        if geo.z != 0.0:
+            zr = geo.rayleigh_range
+            curvature = geo.wavenumber * r**2 * geo.z / (2.0 * (geo.z**2 + zr**2))
+            gouy = (2 * self.p + al + 1) * math.atan2(geo.z, zr)
+            out = out * np.exp(1j * (curvature - gouy))
+        return out
+
+
+@dataclass(frozen=True)
+class SuperpositionMode(FieldMode):
     """Bloch-sphere superposition of opposite-helicity LG modes (p = 0).
 
     cos(theta/2) |+ell> + e^{i phase} sin(theta/2) |-ell>, with the north and
@@ -47,7 +190,7 @@ class SuperpositionMode(TransverseMode):
 
 
 @dataclass(frozen=True)
-class SectorMode(TransverseMode):
+class SectorMode(FieldMode):
     """Angular-sector ("slice") hologram used for angular-position projections.
 
     Wedge of angular width ``width`` centered on orientation ``beta``, with a
@@ -73,7 +216,7 @@ class SectorMode(TransverseMode):
         return norm * np.exp(-(r**2) / w**2) * inside.astype(complex)
 
 
-def mode_overlap(a: TransverseMode, b: TransverseMode, grid: PolarGrid | None = None) -> complex:
+def mode_overlap(a: FieldMode, b: FieldMode, grid: PolarGrid | None = None) -> complex:
     """Inner product <a|b> over the transverse plane, including offsets."""
     if abs(a.geometry.wavelength - b.geometry.wavelength) > 1e-15 * a.geometry.wavelength:
         raise ValueError("modes must share a wavelength")
@@ -82,8 +225,8 @@ def mode_overlap(a: TransverseMode, b: TransverseMode, grid: PolarGrid | None = 
     return integrate_polar(np.conj(a.sample(grid)) * b.sample(grid), grid)
 
 
-def coincidence_amplitude(signal: TransverseMode, idler: TransverseMode,
-                          pump: PumpSpec | TransverseMode, grid: PolarGrid | None = None) -> complex:
+def coincidence_amplitude(signal: FieldMode, idler: FieldMode,
+                          pump: PumpSpec | FieldMode, grid: PolarGrid | None = None) -> complex:
     """Normalized two-photon projection amplitude at the crystal plane.
 
     The magnitude squared is the relative coincidence rate: the squared

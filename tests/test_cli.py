@@ -1,9 +1,11 @@
 """Golden tests for the command-line runner.
 
-Every subcommand runs twice at the default config through ``oamsim.cli.main``.
-The two runs must write byte-identical tables (the manifest records timings
-and is the one file exempt), every table must have its expected number of
-rows, and every summary value must match the expectation checked in below.
+Every subcommand runs twice at the default config through ``oamsim.cli.main``,
+and so do two runs with a misaligned signal arm, which take the quadrature
+path of the state build.  The two runs must write byte-identical tables (the
+manifest records timings and is the one file exempt), every table must have
+its expected number of rows, and every summary value must match the
+expectation checked in below.
 """
 
 import math
@@ -20,7 +22,8 @@ from oamsim.cli import RUNNERS, main
 EXACT = 1e-9
 SOLVER = 1e-6
 
-# table -> number of data rows at the default config
+# run -> table -> number of data rows; a run is a subcommand at the default
+# config or one of the misaligned runs below
 ROWS = {
     "spiral": {"spiral_matrix.csv": 41 * 41, "spiral_spectrum.csv": 41, "spiral_summary.csv": 1},
     "angular": {"angular_map.csv": 64 * 64, "angular_conditional.csv": 64},
@@ -29,6 +32,8 @@ ROWS = {
     "tomo": {"tomo_counts.csv": 36, "tomo_rho.csv": 16, "tomo_summary.csv": 1},
     "ring": {"ring_profile.csv": 400},
     "modes": {"modes_summary.csv": 1},
+    "spiral-offset": {"spiral_matrix.csv": 21 * 21, "spiral_spectrum.csv": 21, "spiral_summary.csv": 1},
+    "epr-reid-offset": {"epr_profiles.csv": 21 + 64, "epr_summary.csv": 1},
 }
 
 # summary table -> column -> (expected value, relative tolerance)
@@ -73,16 +78,40 @@ SUMMARIES = {
 }
 
 
+# misaligned runs: name -> (subcommand, overrides)
+OFFSET_RUNS = {
+    "spiral-offset": ("spiral", ["source.ell_max=10", "source.signal_offset_waists=0.1"]),
+    "epr-reid-offset": ("epr-reid", ["source.signal_offset_waists=0.1"]),
+}
+
+OFFSET_SUMMARIES = {
+    "spiral-offset": {
+        "fwhm": (36.63455168869707, SOLVER),
+        "peak_count": (562, 0.0),
+    },
+    "epr-reid-offset": {
+        "delta_ell_sq": (0.13147582942779673, SOLVER),
+        "delta_phi_sq": (0.02163619814393092, SOLVER),
+        "product": (0.002844637096637474, SOLVER),
+        "violated": ("true", None),
+        "discrete_ell_var": (5.471020633472845, EXACT),
+        "discrete_phi_var": (0.5220012571086738, EXACT),
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """command -> (first output directory, second output directory)."""
+    """run -> (first output directory, second output directory)."""
     root = tmp_path_factory.mktemp("golden")
     out = {}
-    for command in RUNNERS:
-        dirs = (root / f"{command}-1", root / f"{command}-2")
+    for name in ROWS:
+        command, overrides = OFFSET_RUNS.get(name, (name, []))
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        dirs = (root / f"{name}-1", root / f"{name}-2")
         for d in dirs:
-            assert main([command, "--out", str(d)]) == 0
-        out[command] = dirs
+            assert main([command, *sets, "--out", str(d)]) == 0
+        out[name] = dirs
     return out
 
 
@@ -97,7 +126,7 @@ def data_rows(path):
 
 
 def test_every_runner_is_covered():
-    assert set(RUNNERS) == set(ROWS)
+    assert set(RUNNERS) == set(ROWS) - set(OFFSET_RUNS)
 
 
 @pytest.mark.parametrize("command", sorted(ROWS))
@@ -115,18 +144,28 @@ def test_row_counts(runs, command):
         assert len(data_rows(first / name)) == n, name
 
 
-@pytest.mark.parametrize("name", sorted(SUMMARIES))
-def test_summary_values(runs, name):
-    command = next(c for c, names in ROWS.items() if name in names)
-    lines = (runs[command][0] / name).read_text().splitlines()
+def check_summary(path, expected):
+    lines = path.read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
     row = dict(zip(lines[1].split(","), lines[2].split(",")))
-    assert set(row) == set(SUMMARIES[name])
-    for column, (want, rel) in SUMMARIES[name].items():
+    assert set(row) == set(expected)
+    for column, (want, rel) in expected.items():
         if rel is None:
             assert row[column] == want, column
         else:
             assert math.isclose(float(row[column]), want, rel_tol=rel, abs_tol=0.0), column
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARIES))
+def test_summary_values(runs, name):
+    command = next(c for c, names in ROWS.items() if name in names)
+    check_summary(runs[command][0] / name, SUMMARIES[name])
+
+
+@pytest.mark.parametrize("name", sorted(OFFSET_SUMMARIES))
+def test_offset_summary_values(runs, name):
+    summary = next(t for t in ROWS[name] if t.endswith("_summary.csv"))
+    check_summary(runs[name][0] / summary, OFFSET_SUMMARIES[name])
 
 
 def test_count_column_forms(runs):
@@ -143,7 +182,7 @@ def test_count_column_forms(runs):
             form = r"\d+\.0" if name == "spiral_spectrum.csv" else r"\d+"
             assert all(re.fullmatch(form, line.split(",")[k]) for line in lines[2:]), name
             checked += 1
-    assert checked == 6
+    assert checked == 8
 
 
 def test_validate_accepts_defaults(capsys):

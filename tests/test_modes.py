@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.modes import BeamGeometry, LGMode, default_grid, sector_coefficients
-from oamsim.numerics import PolarGrid, integrate_polar
-from oracles import SectorMode, SuperpositionMode, mode_overlap
+from oamsim.modes import TransverseMode, default_grid, sector_coefficients
+from oamsim.numerics import PolarGrid
+from oracles import BeamGeometry, LGMode, SectorMode, SuperpositionMode, integrate_polar, mode_overlap, polar_mesh
 
 GEO = BeamGeometry(waist=1.0)
 GRID = default_grid(1.0)
@@ -64,11 +64,35 @@ class TestLGMode:
         assert power == pytest.approx(1.0, abs=1e-6)
 
 
+class TestTransverseMode:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("offset_waists", [(0.0, 0.0), (0.1, 0.0), (0.3, -0.2)])
+    def test_matches_general_lg_oracle(self, gamma, offset_waists):
+        w = 1.0 / gamma
+        offset = (offset_waists[0] * w, offset_waists[1] * w)
+        grid = default_grid(1.0, w)
+        rows = TransverseMode(w, 20, offset).sample(grid)
+        geo = BeamGeometry(waist=w)
+        want = np.array([LGMode(ell=l, geometry=geo, offset=offset).sample(grid).ravel()
+                         for l in range(-20, 21)])
+        assert rows.shape == want.shape == (41, grid.n_r * grid.n_phi)
+        assert np.max(np.abs(rows - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (0.3, -0.2)])
+    def test_negative_ell_is_exact_conjugate(self, offset):
+        rows = TransverseMode(0.5, 20, offset).sample(GRID)
+        assert np.array_equal(rows[:20], np.conj(rows[:20:-1]))
+
+    def test_rejects_nonpositive_waist(self):
+        with pytest.raises(ValueError):
+            TransverseMode(0.0, 2)
+
+
 class TestSuperpositionMode:
     def test_pole_is_pure_mode(self):
         sup = SuperpositionMode(ell=3, theta=0.0, geometry=GEO)
         pure = LGMode(ell=3, geometry=GEO)
-        r, phi = GRID.mesh()
+        r, phi = polar_mesh(GRID)
         assert np.max(np.abs(sup.field(r, phi) - pure.field(r, phi))) < 1e-12
 
     def test_equator_petal_count(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.modes import BeamGeometry, LGMode, default_grid
+from oamsim.modes import default_grid
 from oamsim.spdc import (
     CoincidenceRecord,
     CrystalConfig,
@@ -17,7 +17,7 @@ from oamsim.spdc import (
     sinc_ring_profile,
     transverse_mode_count,
 )
-from oracles import coincidence_amplitude
+from oracles import BeamGeometry, LGMode, coincidence_amplitude
 
 PUMP = PumpSpec(waist=1.0)
 GRID = default_grid(1.0, 0.5, n_r=192, n_phi=128)
@@ -106,6 +106,21 @@ class TestBuildState:
         assert np.max(np.abs(offset.joint[anti] - aligned.amplitudes)) < 1e-12
         assert np.max(np.abs(offset.amplitudes - aligned.amplitudes)) < 1e-12
         assert np.max(np.abs(offset.joint[~anti])) <= 1e-8
+
+    def test_offset_matches_quadrature_oracle(self):
+        # every (ell_s, ell_i) pair at a 0.1-waist signal offset, one oracle
+        # integral per pair, normalized over the window like the state
+        gamma, w = 2.0, 0.5
+        offset = (0.1 * w, 0.0)
+        state = build_state(PUMP, gamma=gamma, ell_max=3, grid=GRID, signal_offset=offset)
+        geo = BeamGeometry(waist=w)
+        want = np.array([[coincidence_amplitude(LGMode(ell=ls, geometry=geo, offset=offset),
+                                                LGMode(ell=li, geometry=geo), PUMP, GRID)
+                          for li in range(-3, 4)] for ls in range(-3, 4)])
+        want /= np.linalg.norm(want)
+        anti = np.fliplr(np.eye(7, dtype=bool))
+        assert np.max(np.abs(want[~anti])) > 1e-2
+        assert np.max(np.abs(state.joint - want)) < 1e-12
 
     def test_offset_populates_forbidden_pairs(self):
         ratios = []
