@@ -35,7 +35,6 @@ from .experiments import (
     tomography_settings,
     angular_scan,
 )
-from .modes import default_grid
 from .spdc import build_state, sinc_ring_profile, transverse_mode_count
 from .tomography import (
     DensityMatrix,
@@ -56,6 +55,16 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _format_column(values) -> list[str]:
+    """``_fmt`` of each value; a column of plain floats or integers is formatted without a call per cell."""
+    types = set(map(type, values))
+    if all(issubclass(t, (float, np.floating)) for t in types):
+        return list(map(repr, map(float, values)))
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
+        return list(map(str, map(int, values)))
+    return list(map(_fmt, values))
 
 
 class RunContext:
@@ -79,8 +88,8 @@ class RunContext:
         path = self.out_dir / name
         lines = [f"# config_hash={self.config.hash()} seed={self.config.seed}"]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        cells = [_format_column(col) for col in zip(*rows)]
+        lines.extend(map(",".join, zip(*cells)))
         path.write_text("\n".join(lines) + "\n")
         self.files.append(name)
 
@@ -113,8 +122,6 @@ def _state(config: ScenarioConfig, ell_max: int, with_offset: bool = True):
         pump,
         gamma=config["source.gamma"],
         ell_max=ell_max,
-        grid=default_grid(pump.waist, meas_waist, n_r=config["source.grid_points_radial"],
-                          n_phi=config["source.grid_points_azimuthal"]),
         signal_offset=(offset_waists * meas_waist, 0.0),
     )
 

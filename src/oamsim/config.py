@@ -40,8 +40,6 @@ SCHEMA: dict[str, tuple] = {
     "source.phase_mismatch": (float, 0.0),
     "source.focal_length_mm": (float, 500.0),
     "source.signal_offset_waists": (float, 0.0),
-    "source.grid_points_radial": (int, 256),
-    "source.grid_points_azimuthal": (int, 256),
     "detector.singles_1": (float, 2e4),
     "detector.singles_2": (float, 2e4),
     "detector.gate_ns": (float, 12.5),
@@ -208,15 +206,6 @@ def validate(config: ScenarioConfig) -> list[str]:
     # 2 epr_ell_max + 1 OAM bins must leave the Gaussian fit at least four points
     if not 2 <= v["experiment.epr_ell_max"] <= 20:
         problems.append(f"experiment.epr_ell_max must lie in [2, 20] (got {v['experiment.epr_ell_max']})")
-    if v["source.grid_points_radial"] < 16 or v["source.grid_points_azimuthal"] < 16:
-        problems.append("source.grid_points_radial and source.grid_points_azimuthal must be at least 16")
-    # with an offset signal the joint integrand reaches azimuthal order
-    # |ell_s + ell_i| = 2 ell_max, and n_phi uniform points alias orders above n_phi / 2
-    n_phi_min = 4 * max(v["source.ell_max"], v["experiment.epr_ell_max"])
-    if v["source.signal_offset_waists"] > 0 and v["source.grid_points_azimuthal"] <= n_phi_min:
-        problems.append(f"source.grid_points_azimuthal must exceed 4 * max(source.ell_max, experiment.epr_ell_max)"
-                        f" = {n_phi_min} when source.signal_offset_waists > 0"
-                        f" (got {v['source.grid_points_azimuthal']})")
     if not 0.0 < v["detector.efficiency"] <= 1.0:
         problems.append(f"detector.efficiency must lie in (0, 1] (got {v['detector.efficiency']})")
     if not 0.0 < v["experiment.sector_width_rad"] < 2.0 * math.pi:

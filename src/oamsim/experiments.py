@@ -157,7 +157,7 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
     ca = arm_coeffs(orientations_a)
     cb = arm_coeffs(orientations_b)
     # amplitude(beta_a, beta_b) = sum_{ls, li} joint[ls, li] c_ls(beta_a) c_li(beta_b)
-    amps = np.einsum("ij,ai,bj->ab", state.joint, ca, cb)
+    amps = ca @ state.joint @ cb.T
     return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b),
                  pair_rate * np.abs(amps) ** 2, det, seed)
 

@@ -1,8 +1,9 @@
 """Transverse optical modes used for projective measurements.
 
 The p = 0 Laguerre-Gaussian modes at the waist plane, sampled for a whole
-window of azimuthal indices at once and optionally shifted laterally to model
-a misaligned measurement hologram, and the azimuthal Fourier coefficients of
+window of azimuthal indices at once at the nodes of an exact Gaussian rule
+(``numerics.GaussPolarRule``) and optionally shifted laterally to model a
+misaligned measurement hologram, and the azimuthal Fourier coefficients of
 the angular-sector ("slice") holograms.
 """
 
@@ -13,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PolarGrid
-
-
-def default_grid(*waists: float, n_r: int = 256, n_phi: int = 256) -> PolarGrid:
-    """Quadrature grid sized for Gaussian tails: r_max = 6x the largest waist."""
-    if not waists:
-        raise ValueError("at least one waist is required")
-    return PolarGrid(r_max=6.0 * max(waists), n_r=n_r, n_phi=n_phi)
+from .numerics import GaussPolarRule
 
 
 @dataclass(frozen=True)
@@ -39,15 +33,14 @@ class TransverseMode:
         if self.waist <= 0:
             raise ValueError("waist must be positive")
 
-    def sample(self, grid: PolarGrid) -> np.ndarray:
-        """Field samples on the flattened (n_r, n_phi) mesh, one row per ell.
+    def sample(self, rule: GaussPolarRule) -> np.ndarray:
+        """Field samples at the rule's nodes (``rule.points``), one row per ell.
 
         With zeta = sqrt(2) ((x - dx) + i (y - dy)) / w: u_0 = sqrt(2 / pi) / w
         exp(-|zeta|^2 / 2), u_ell = u_{ell-1} zeta / sqrt(ell), u_{-ell} = conj(u_ell).
         """
         m, (dx, dy) = self.ell_max, self.offset
-        zeta = (math.sqrt(2.0) / self.waist) * (np.outer(grid.r, np.cos(grid.phi)) - dx
-                                                 + 1j * (np.outer(grid.r, np.sin(grid.phi)) - dy)).ravel()
+        zeta = (math.sqrt(2.0) / self.waist) * (rule.points - complex(dx, dy))
         rows = np.empty((2 * m + 1, zeta.size), dtype=complex)
         rows[m] = math.sqrt(2.0 / math.pi) / self.waist * np.exp(-0.5 * (zeta.real**2 + zeta.imag**2))
         for ell in range(1, m + 1):

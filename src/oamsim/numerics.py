@@ -1,50 +1,44 @@
-"""Polar-grid quadrature nodes and Hermitian matrix functions.
+"""Exact Gaussian quadrature on the plane and Hermitian matrix functions.
 
-``PolarGrid`` holds the nodes and area weights on which the offset state
-build samples its modes; the eigendecomposition and positive-semidefinite
-square root serve the tomography metrics.  Everything here is a pure function
-of its inputs; no shared mutable state.
+``GaussPolarRule`` holds the few nodes and weights on which the offset state
+build samples its modes: every integrand there is a Gaussian times a
+polynomial, which the rule integrates exactly.  The eigendecomposition and
+positive-semidefinite square root serve the tomography metrics.  Everything
+here is a pure function of its inputs; no shared mutable state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.laguerre import laggauss
 
 
-@dataclass(frozen=True)
-class PolarGrid:
-    """Tensor-product quadrature on a disc of radius ``r_max``.
+class GaussPolarRule:
+    """Nodes and weights integrating e^{-a |r - c|^2} P(x, y) over the plane exactly.
 
-    Gauss-Legendre nodes in r on [0, r_max], uniform nodes in phi.  The
-    uniform azimuthal rule is exact for integrands whose azimuthal content is
-    band-limited below n_phi/2, which covers every e^{i ell phi} mode used
-    here as long as n_phi > 2*ell_max.
+    Exact whenever P has total degree at most 2 * ell_max.  The nodes are
+    c + sqrt(t_k / a) e^{i phi_j}: t_k are the n_r = ell_max // 2 + 1
+    Gauss-Laguerre nodes and phi_j = 2 pi j / n_phi with n_phi = 2 ell_max + 1.
+    The phi sum removes every e^{i m phi} with 0 < |m| <= 2 ell_max; what is
+    left is a polynomial in t = a |r - c|^2 of degree at most
+    ell_max <= 2 n_r - 1, which the Laguerre nodes integrate exactly.  The
+    weights lambda_k e^{t_k} / (2 a) * 2 pi / n_phi apply to the whole
+    integrand, Gaussian included.  ``points`` holds the nodes as complex
+    numbers x + i y, phi varying fastest, and ``weights`` matches it.
     """
 
-    r_max: float
-    n_r: int = 256
-    n_phi: int = 256
-    r: np.ndarray = field(init=False, repr=False, compare=False)
-    phi: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.n_r < 1 or self.n_phi < 1:
-            raise ValueError("n_r and n_phi must be positive")
-        x, wx = leggauss(self.n_r)
-        r = 0.5 * (x + 1.0) * self.r_max
-        wr = 0.5 * self.r_max * wx
-        phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-        # area element r dr dphi, flattened onto the (n_r, n_phi) mesh
-        weights = np.outer(wr * r, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, a: float, centre: tuple[float, float], ell_max: int):
+        if not a > 0:
+            raise ValueError("Gaussian rate a must be positive")
+        if ell_max < 0:
+            raise ValueError("ell_max must be non-negative")
+        self.n_r, self.n_phi = ell_max // 2 + 1, 2 * ell_max + 1
+        t, lam = laggauss(self.n_r)
+        ring = np.exp(2j * np.pi * np.arange(self.n_phi) / self.n_phi)
+        self.points = complex(*centre) + np.outer(np.sqrt(t / a), ring).ravel()
+        self.weights = np.repeat(lam * np.exp(t) * (math.pi / (a * self.n_phi)), self.n_phi)
 
 
 def _check_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:

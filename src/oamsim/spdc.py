@@ -4,11 +4,11 @@ The two-photon state over the orbital-angular-momentum basis pairs a Gaussian
 pump with p = 0 Laguerre-Gaussian measurement modes at the crystal plane
 (thin-crystal approximation).  Aligned, the amplitudes are known in closed
 form.  A lateral signal offset needs the overlaps of the back-projected modes
-with the pump: each arm's whole ell window is sampled in one call of
-``modes.TransverseMode.sample`` and the overlaps are one matrix product on
-the polar quadrature grid.  Crystal length and phase mismatch enter only
-through the far-field ring profile.  Count synthesis is Poissonian with
-seed-derived, per-setting random streams.
+with the pump; each integrand is a Gaussian times a polynomial, which three
+small exact rules (``numerics.GaussPolarRule``) integrate without a grid, and
+the joint overlaps are one matrix product.  Crystal length and phase
+mismatch enter only through the far-field ring profile.  Count synthesis is
+Poissonian with seed-derived, per-setting random streams.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import TransverseMode, default_grid
-from .numerics import PolarGrid
+from .modes import TransverseMode
+from .numerics import GaussPolarRule
 
 
 @dataclass(frozen=True)
@@ -168,20 +168,24 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def build_state(pump: PumpSpec, gamma: float, ell_max: int,
-                grid: PolarGrid | None = None,
                 signal_offset: tuple[float, float] = (0.0, 0.0)) -> TwoPhotonState:
-    """Two-photon OAM state for p = 0 measurement modes with waist w_pump / gamma.
+    """Two-photon OAM state for p = 0 measurement modes with waist w = w_pump / gamma.
 
     Aligned, the pair amplitudes are the closed form q^|ell| with
     q = sqrt(g (g + 2)) / (g + 1) and g = 2 gamma^2 (Torres et al., PRA 68,
     050301, 2003; Miatto, Yao & Barnett, PRA 83, 033816, 2011), normalized to
-    unit total probability; ``grid`` is not used.  With a nonzero lateral
-    signal offset the full (ell_s, ell_i) coefficient matrix is the overlap of
-    the back-projected signal and idler modes with the pump, each pair
-    normalized by its signal-pump and idler-pump overlaps.  The pump and each
-    arm are sampled once on ``grid``, and the matrix is one product of the
-    two arms' sample arrays.  It captures misalignment crosstalk into
-    conservation-forbidden pairs.
+    unit total probability.  With a nonzero lateral signal offset d the full
+    (ell_s, ell_i) coefficient matrix is the overlap of the back-projected
+    signal and idler modes with the pump, each pair normalized by its
+    signal-pump and idler-pump overlaps; it captures misalignment crosstalk
+    into conservation-forbidden pairs.  Each of the three integrands is a
+    Gaussian times a polynomial of degree at most 2 ell_max, integrated
+    exactly by a ``GaussPolarRule`` for its Gaussian: the joint overlaps by
+    rate a = 2 / w^2 + 1 / w_pump^2 centred at d / (w^2 a), the signal-pump
+    overlaps by a' = 2 / w^2 + 2 / w_pump^2 centred at 2 d / (w^2 a') and the
+    idler-pump overlaps by a' centred at the origin.  Each arm is sampled
+    once per rule, and the joint matrix is one product of the two arms'
+    sample arrays.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -193,26 +197,28 @@ def build_state(pump: PumpSpec, gamma: float, ell_max: int,
         amps = (math.sqrt(g * (g + 2.0)) / (g + 1.0)) ** np.abs(ells)
         return TwoPhotonState(ells=ells, amplitudes=amps / np.linalg.norm(amps))
     w_meas = pump.waist / gamma
-    if grid is None:
-        grid = default_grid(pump.waist, w_meas)
-    weights = grid.weights.ravel()
-    u_p = TransverseMode(pump.waist, 0).sample(grid)[0]
-    pump_weight = np.repeat(np.abs(u_p) ** 2 * weights, 2)
 
-    def conj_sampled(offset):
-        # conjugated field samples, one row per ell, and the mode-pump overlap denominators
-        rows = TransverseMode(w_meas, ell_max, offset).sample(grid)
-        # sum |u|^2 |u_p|^2 w over the (re, im) pairs of each row, without a full-size temporary
-        pairs = rows.view(float)
-        denoms = np.einsum("kn,kn,n->k", pairs, pairs, pump_weight)
+    def sampled(a, shift, offset):
+        # the rule for rate a centred at shift * offset, with the modes centred
+        # at offset and the pump sampled at its nodes
+        rule = GaussPolarRule(a, (shift * offset[0], shift * offset[1]), ell_max)
+        return (rule, TransverseMode(w_meas, ell_max, offset).sample(rule),
+                TransverseMode(pump.waist, 0).sample(rule)[0])
+
+    def denominators(offset):
+        # overlaps of |u_ell|^2 with |u_p|^2, one per ell, for modes centred at offset
+        a = 2.0 / w_meas**2 + 2.0 / pump.waist**2
+        rule, rows, u_p = sampled(a, 2.0 / (w_meas**2 * a), offset)
+        denoms = np.abs(rows) ** 2 @ (np.abs(u_p) ** 2 * rule.weights)
         if denoms.min() <= 0:
             raise ValueError("degenerate mode choice: a measurement mode has no overlap with the pump")
-        return np.conjugate(rows, out=rows), denoms
+        return denoms
 
-    u_s, d_s = conj_sampled(signal_offset)
-    u_s *= u_p * weights
-    u_i, d_i = conj_sampled((0.0, 0.0))
-    joint = (u_s @ u_i.T) / np.outer(d_s, d_i) ** 0.25
+    a = 2.0 / w_meas**2 + 1.0 / pump.waist**2
+    rule, u_s, u_p = sampled(a, 1.0 / (w_meas**2 * a), signal_offset)
+    u_i = TransverseMode(w_meas, ell_max).sample(rule)
+    joint = (np.conjugate(u_s) * (u_p * rule.weights)) @ np.conjugate(u_i).T
+    joint /= np.outer(denominators(signal_offset), denominators((0.0, 0.0))) ** 0.25
     joint /= np.linalg.norm(joint)
     return TwoPhotonState(ells=ells, amplitudes=np.fliplr(joint).diagonal(), joint=joint)
 

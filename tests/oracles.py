@@ -1,22 +1,22 @@
 """Independent reference implementations that the tests check shipped paths against.
 
 None of these is used by the library.  Each one computes a quantity a second
-way: by quadrature of a sampled field where the library uses a closed form
-or a different summation, by the general Laguerre-Gaussian mode (any radial
-index, any propagation distance, one mode at a time) where the library
-samples the p = 0 modes at the waist by recurrence, or by brute-force
-evaluation where the library uses a frozen table.
+way: by quadrature on a brute-force polar grid where the library uses a
+closed form or an exact Gaussian rule, by the general Laguerre-Gaussian mode
+(any radial index, any propagation distance, one mode at a time) where the
+library samples the p = 0 modes at the waist by recurrence, or by
+brute-force evaluation where the library uses a frozen table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from oamsim.modes import default_grid
-from oamsim.numerics import PolarGrid
+from oamsim.modes import TransverseMode
 from oamsim.spdc import PumpSpec
 
 MAX_LAGUERRE_ORDER = 64
@@ -44,6 +44,52 @@ def laguerre(p: int, alpha: float, x):
     for k in range(1, p):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
     return cur if cur.ndim else float(cur)
+
+
+@dataclass(frozen=True)
+class PolarGrid:
+    """Tensor-product quadrature on a disc of radius ``r_max``.
+
+    Gauss-Legendre nodes in r on [0, r_max], uniform nodes in phi.  The
+    uniform azimuthal rule is exact for integrands whose azimuthal content is
+    band-limited below n_phi/2, which covers every e^{i ell phi} mode used
+    here as long as n_phi > 2*ell_max.  ``points`` flattens the nodes to
+    complex x + i y like ``numerics.GaussPolarRule``, so
+    ``modes.TransverseMode.sample`` takes either.
+    """
+
+    r_max: float
+    n_r: int = 256
+    n_phi: int = 256
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.r_max <= 0:
+            raise ValueError("r_max must be positive")
+        if self.n_r < 1 or self.n_phi < 1:
+            raise ValueError("n_r and n_phi must be positive")
+        x, wx = leggauss(self.n_r)
+        r = 0.5 * (x + 1.0) * self.r_max
+        wr = 0.5 * self.r_max * wx
+        phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        # area element r dr dphi, flattened onto the (n_r, n_phi) mesh
+        weights = np.outer(wr * r, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def points(self) -> np.ndarray:
+        return (np.outer(self.r, np.cos(self.phi)) + 1j * np.outer(self.r, np.sin(self.phi))).ravel()
+
+
+def default_grid(*waists: float, n_r: int = 256, n_phi: int = 256) -> PolarGrid:
+    """Quadrature grid sized for Gaussian tails: r_max = 6x the largest waist."""
+    if not waists:
+        raise ValueError("at least one waist is required")
+    return PolarGrid(r_max=6.0 * max(waists), n_r=n_r, n_phi=n_phi)
 
 
 def polar_mesh(grid: PolarGrid):
@@ -250,6 +296,30 @@ def coincidence_amplitude(signal: FieldMode, idler: FieldMode,
     if d_s <= 0 or d_i <= 0:
         raise ValueError("degenerate mode choice: a signal/idler mode has no overlap with the pump")
     return numerator / (d_s * d_i) ** 0.25
+
+
+def offset_joint(pump: PumpSpec, gamma: float, ell_max: int, signal_offset,
+                 grid: PolarGrid | None = None) -> np.ndarray:
+    """The offset joint matrix of ``spdc.build_state``, on a polar grid.
+
+    The same overlaps, normalizations and matrix product, but every integral
+    is a sum over one brute-force grid (65,536 nodes by default) in place of
+    the library's three exact Gauss rules.
+    """
+    w_meas = pump.waist / gamma
+    if grid is None:
+        grid = default_grid(pump.waist, w_meas)
+    weights = grid.weights.ravel()
+    u_p = TransverseMode(pump.waist, 0).sample(grid)[0]
+
+    def sampled(offset):
+        rows = TransverseMode(w_meas, ell_max, offset).sample(grid)
+        return rows, np.abs(rows) ** 2 @ (np.abs(u_p) ** 2 * weights)
+
+    u_s, d_s = sampled(signal_offset)
+    u_i, d_i = sampled((0.0, 0.0))
+    joint = (np.conj(u_s) * (u_p * weights)) @ np.conj(u_i).T / np.outer(d_s, d_i) ** 0.25
+    return joint / np.linalg.norm(joint)
 
 
 def max_entangled_ket(d: int) -> np.ndarray:

@@ -11,9 +11,11 @@ expectation checked in below.
 import math
 import re
 
+import numpy as np
 import pytest
 
-from oamsim.cli import RUNNERS, main
+from oamsim.cli import RUNNERS, RunContext, _fmt, main
+from oamsim.config import build_config
 
 # Relative tolerances.  Closed forms, seeded Poisson counts and arithmetic on
 # them reproduce to round-off; 1e-9 leaves room for another BLAS or libm.
@@ -198,14 +200,33 @@ def test_validate_epr_ell_max_bound(capsys, ell_max, code):
     assert ("experiment.epr_ell_max" in out) == bool(code)
 
 
-@pytest.mark.parametrize("n_phi, offset, code", [(16, 0.001, 1), (80, 0.001, 1), (81, 0.001, 0), (16, 0.0, 0)])
-def test_validate_offset_azimuthal_grid_bound(capsys, n_phi, offset, code):
-    # the offset joint integrand reaches azimuthal order 2 * ell_max = 40 at the
-    # default config, which n_phi <= 80 aliases onto allowed pairs
-    assert main(["validate", "--set", f"source.grid_points_azimuthal={n_phi}",
-                 "--set", f"source.signal_offset_waists={offset}"]) == code
-    out = capsys.readouterr().out
-    assert ("source.grid_points_azimuthal" in out) == bool(code)
+@pytest.mark.parametrize("key", ["source.grid_points_radial", "source.grid_points_azimuthal"])
+def test_validate_rejects_removed_grid_keys(capsys, key):
+    # the offset state needs no quadrature grid, so its two size keys are unknown
+    assert main(["validate", "--set", f"{key}=256"]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_validate_accepts_offset_at_largest_windows(capsys):
+    # the exact rule has no aliasing bound to enforce at any ell window validate accepts
+    assert main(["validate", "--set", "source.signal_offset_waists=0.1", "--set", "source.ell_max=20",
+                 "--set", "experiment.epr_ell_max=20"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_write_table_matches_per_cell_format(tmp_path):
+    # one column per kind of value _fmt handles, plus a mixed column that takes
+    # the per-cell path; the text must equal _fmt applied cell by cell
+    rows = [
+        (True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1e-300), np.float32(0.5), "x", 1),
+        (False, np.bool_(True), -2**70, np.int32(5), float("inf"), np.float64(-2.5), np.float32(0.1), "y,", 2.0),
+        (True, np.bool_(True), 0, np.uint8(255), 1e16, np.float64(np.nan), np.float32(-0.0), "", True),
+    ]
+    columns = [f"c{k}" for k in range(len(rows[0]))]
+    ctx = RunContext(build_config(), tmp_path, "test")
+    ctx.write_table("t.csv", columns, iter(rows))
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
 
 
 def test_smallest_accepted_epr_ell_max_runs(tmp_path):

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.modes import TransverseMode, default_grid, sector_coefficients
-from oamsim.numerics import PolarGrid
-from oracles import BeamGeometry, LGMode, SectorMode, SuperpositionMode, integrate_polar, mode_overlap, polar_mesh
+from oamsim.modes import TransverseMode, sector_coefficients
+from oracles import (
+    BeamGeometry,
+    LGMode,
+    PolarGrid,
+    SectorMode,
+    SuperpositionMode,
+    default_grid,
+    integrate_polar,
+    mode_overlap,
+    polar_mesh,
+)
 
 GEO = BeamGeometry(waist=1.0)
 GRID = default_grid(1.0)

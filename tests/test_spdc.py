@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.modes import default_grid
 from oamsim.spdc import (
     CoincidenceRecord,
     CrystalConfig,
@@ -17,7 +16,7 @@ from oamsim.spdc import (
     sinc_ring_profile,
     transverse_mode_count,
 )
-from oracles import BeamGeometry, LGMode, coincidence_amplitude
+from oracles import BeamGeometry, LGMode, PolarGrid, coincidence_amplitude, default_grid, offset_joint
 
 PUMP = PumpSpec(waist=1.0)
 GRID = default_grid(1.0, 0.5, n_r=192, n_phi=128)
@@ -60,13 +59,13 @@ class TestCoincidenceAmplitude:
 
 class TestBuildState:
     def test_symmetric_spectrum_and_unit_norm(self):
-        state = build_state(PUMP, gamma=2.0, ell_max=4, grid=GRID)
+        state = build_state(PUMP, gamma=2.0, ell_max=4)
         probs = np.abs(state.amplitudes) ** 2
         assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(probs, probs[::-1], rtol=1e-8)
 
     def test_spectrum_monotone_in_abs_ell(self):
-        state = build_state(PUMP, gamma=2.0, ell_max=5, grid=GRID)
+        state = build_state(PUMP, gamma=2.0, ell_max=5)
         probs = np.abs(state.amplitudes) ** 2
         center = len(probs) // 2
         upper = probs[center:]
@@ -80,8 +79,7 @@ class TestBuildState:
         # normalized Gaussian moment integrals.
         g2 = 2.0 * gamma * gamma
         want = math.sqrt(g2 * (g2 + 2.0)) / (g2 + 1.0)
-        grid = default_grid(1.0, 1.0 / gamma, n_r=256, n_phi=128)
-        state = build_state(PumpSpec(waist=1.0), gamma=gamma, ell_max=4, grid=grid)
+        state = build_state(PumpSpec(waist=1.0), gamma=gamma, ell_max=4)
         amps = np.abs(state.amplitudes)
         center = len(amps) // 2
         ratios = amps[center + 1:] / amps[center:-1]
@@ -112,7 +110,7 @@ class TestBuildState:
         # integral per pair, normalized over the window like the state
         gamma, w = 2.0, 0.5
         offset = (0.1 * w, 0.0)
-        state = build_state(PUMP, gamma=gamma, ell_max=3, grid=GRID, signal_offset=offset)
+        state = build_state(PUMP, gamma=gamma, ell_max=3, signal_offset=offset)
         geo = BeamGeometry(waist=w)
         want = np.array([[coincidence_amplitude(LGMode(ell=ls, geometry=geo, offset=offset),
                                                 LGMode(ell=li, geometry=geo), PUMP, GRID)
@@ -122,11 +120,28 @@ class TestBuildState:
         assert np.max(np.abs(want[~anti])) > 1e-2
         assert np.max(np.abs(state.joint - want)) < 1e-12
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("ell_max", [3, 10, 20])
+    @pytest.mark.parametrize("offset_waists", [0.1, 0.5])
+    def test_offset_matches_polar_grid_oracle(self, gamma, ell_max, offset_waists):
+        # the exact Gauss rules against the same product on a 256 x 256 polar grid
+        offset = (offset_waists / gamma, 0.0)
+        state = build_state(PUMP, gamma=gamma, ell_max=ell_max, signal_offset=offset)
+        want = offset_joint(PUMP, gamma, ell_max, offset)
+        assert np.max(np.abs(state.joint - want)) < 1e-12
+
+    def test_far_offset_matches_wide_polar_grid(self):
+        # a 20-waist offset puts the signal modes beyond the default grid's
+        # 6 w_pump disc; the exact rules have no such edge
+        offset = (10.0, 0.0)
+        state = build_state(PUMP, gamma=2.0, ell_max=3, signal_offset=offset)
+        want = offset_joint(PUMP, 2.0, 3, offset, PolarGrid(r_max=16.0, n_r=256, n_phi=512))
+        assert np.max(np.abs(state.joint - want)) < 1e-12
+
     def test_offset_populates_forbidden_pairs(self):
         ratios = []
         for delta in (0.0, 0.05, 0.1):
-            state = build_state(PUMP, gamma=2.0, ell_max=2, grid=GRID,
-                                signal_offset=(delta, 0.0))
+            state = build_state(PUMP, gamma=2.0, ell_max=2, signal_offset=(delta, 0.0))
             joint = np.abs(state.joint) ** 2
             anti = np.fliplr(np.eye(joint.shape[0], dtype=bool))
             peak = joint[anti].max()
