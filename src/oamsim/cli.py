@@ -222,16 +222,16 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     target_ket = state.restricted_ket(ell_values)
     rho_true = DensityMatrix.from_ket(d, target_ket)
     settings = tomography_settings(d, ell_values)
-    records = run_tomography_experiment(rho_true, settings, config.detector(),
-                                        _stage_seed(config, 0),
-                                        flux=config["experiment.pair_rate"])
+    scan = run_tomography_experiment(rho_true, settings, config.detector(),
+                                     _stage_seed(config, 0),
+                                     flux=config["experiment.pair_rate"])
     ctx.mark("counts")
-    report = reconstruct(records, settings, d)
+    report = reconstruct(scan.counts, settings, d)
     ctx.mark("reconstruct")
     ctx.write_table("tomo_counts.csv",
                     ("index", "arm_a", "arm_b", "ideal_rate", "count", "accidental"),
-                    [(r.setting_id, s.label_a, s.label_b, r.ideal_rate, r.count,
-                      r.accidental_estimate) for r, s in zip(records, settings)])
+                    [(index, s.label_a, s.label_b, ideal, count, accidental)
+                     for (index, ideal, count, accidental), s in zip(scan.rows(), settings)])
     save_density_matrix(ctx.out_dir / "tomo_rho.csv", report.rho)
     ctx.files.append("tomo_rho.csv")
     fid = fidelity(rho_true, report.rho)

@@ -201,6 +201,14 @@ def validate(config: ScenarioConfig) -> list[str]:
                 "source.signal_offset_waists"):
         non_negative(key)
 
+    # an offset state's overlaps underflow from about 15 waists at gamma = 1e-3
+    # and ell_max = 20, and at any offset once gamma is far below 1e-3; inside
+    # these bounds every accepted ell window builds
+    if v["source.signal_offset_waists"] > 0:
+        if v["source.signal_offset_waists"] > 10.0:
+            problems.append(f"source.signal_offset_waists must not exceed 10 (got {v['source.signal_offset_waists']})")
+        if v["source.gamma"] < 1e-3:
+            problems.append(f"source.gamma must be at least 1e-3 when source.signal_offset_waists > 0 (got {v['source.gamma']})")
     if not 0 <= v["source.ell_max"] <= 20:
         problems.append(f"source.ell_max must lie in [0, 20] (got {v['source.ell_max']})")
     # 2 epr_ell_max + 1 OAM bins must leave the Gaussian fit at least four points

@@ -1,10 +1,11 @@
 """The four experiments: spiral bandwidth, angular correlations, EPR-Reid, Bell.
 
-Each scan synthesizes noisy coincidence records over a parameter grid from a
-two-photon state, using one seed-derived random stream per setting so results
-do not depend on evaluation order.  The statistics helpers (Gaussian fitting,
-conditional-variance products, Bell parameter with error propagation) operate
-on counts and are reused by the command-line runner.
+Each scan computes the ideal coincidence rates over a grid of settings from a
+two-photon state and samples all its counts with one ``sample_counts`` call; a
+setting's count depends only on the seed and the setting's position in the
+grid.  The statistics helpers (Gaussian fitting, conditional-variance
+products, Bell parameter with error propagation) operate on counts and are
+reused by the command-line runner.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .modes import sector_coefficients
-from .spdc import CoincidenceRecord, DetectorConfig, TwoPhotonState, sample_counts
+from .spdc import DetectorConfig, TwoPhotonState, accidentals, sample_counts
 
 
 class FitError(RuntimeError):
@@ -102,23 +103,19 @@ class ScanResult:
         if any(a.shape != shape for a in (self.ideal, self.counts, self.accidental)):
             raise ValueError(f"scan data shapes do not match axes {shape}")
 
+    def __len__(self) -> int:
+        """Number of settings."""
+        return self.counts.size
+
     def rows(self):
         """One (axis values..., ideal rate, count, accidental) tuple per setting, in C order."""
         coords = np.meshgrid(*self.axis_values, indexing="ij")
         return zip(*(a.ravel().tolist() for a in (*coords, self.ideal, self.counts, self.accidental)))
 
 
-def _sample_grid(rates: np.ndarray, det: DetectorConfig, seed: int) -> list[CoincidenceRecord]:
-    """One Poisson record per rate; the setting id is the flat C-order index."""
-    return [sample_counts(float(rate), det, seed, setting_id=setting_id)
-            for setting_id, rate in enumerate(rates.flat)]
-
-
 def _scan(axis_names, axis_values, rates: np.ndarray, det: DetectorConfig, seed: int) -> ScanResult:
-    records = _sample_grid(rates, det, seed)
-    counts = np.array([r.count for r in records]).reshape(rates.shape)
-    accidental = np.array([r.accidental_estimate for r in records]).reshape(rates.shape)
-    return ScanResult(axis_names, axis_values, rates, counts, accidental)
+    accidental = np.full(rates.shape, accidentals(det) * det.integration_time)
+    return ScanResult(axis_names, axis_values, rates, sample_counts(rates, det, seed), accidental)
 
 
 def spiral_scan(state: TwoPhotonState, ells_a, ells_b, det: DetectorConfig,
@@ -342,8 +339,7 @@ def bell_counts(state: TwoPhotonState, settings: BellSettings, det: DetectorConf
     rates = np.zeros((4, 4))
     for k, c, ta, tb in settings.orientations():
         rates[k, c] = pair_rate * bell_probability(state, settings.ell, ta, tb)
-    counts = np.array([r.count for r in _sample_grid(rates, det, seed)]).reshape(4, 4)
-    return counts, rates
+    return sample_counts(rates, det, seed), rates
 
 
 def bell_parameter(counts, settings: BellSettings) -> tuple[float, float]:
@@ -426,16 +422,17 @@ def tomography_settings(d: int, ell_values) -> list[MeasurementSetting]:
 
 
 def run_tomography_experiment(rho, settings, det: DetectorConfig, seed: int,
-                              flux: float = 1e4) -> list[CoincidenceRecord]:
-    """Synthesize coincidence records for a tomography campaign.
+                              flux: float = 1e4) -> ScanResult:
+    """Sampled coincidence counts of a tomography campaign, one per setting.
 
     Each setting's ideal rate is flux * <ab| rho |ab>; counts are Poisson
-    samples including detector efficiency and accidentals, reproducible per
-    (seed, position of the setting in ``settings``).
+    samples including detector efficiency and accidentals.  The scan's one
+    axis, ``setting``, is each setting's position in ``settings``, and a
+    count depends only on the seed and that position.
     """
     matrix = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
     kets = [np.kron(s.ket_a, s.ket_b) for s in settings]
     if any(len(ket) != len(matrix) for ket in kets):
         raise ValueError("setting dimension does not match the density matrix")
     rates = np.array([flux * max(float(np.real(np.conj(ket) @ matrix @ ket)), 0.0) for ket in kets])
-    return _sample_grid(rates, det, seed)
+    return _scan(("setting",), (np.arange(len(kets)),), rates, det, seed)

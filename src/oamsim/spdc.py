@@ -7,8 +7,9 @@ form.  A lateral signal offset needs the overlaps of the back-projected modes
 with the pump; each integrand is a Gaussian times a polynomial, which three
 small exact rules (``numerics.GaussPolarRule``) integrate without a grid, and
 the joint overlaps are one matrix product.  Crystal length and phase
-mismatch enter only through the far-field ring profile.  Count synthesis is
-Poissonian with seed-derived, per-setting random streams.
+mismatch enter only through the far-field ring profile.  Coincidence counts
+are Poisson draws over an array of ideal rates, each count from a random
+stream seeded by the run seed and the setting's position in the array.
 """
 
 from __future__ import annotations
@@ -81,20 +82,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class CoincidenceRecord:
-    """One measured setting: ideal rate, sampled count, accidental estimate."""
-
-    setting_id: int
-    ideal_rate: float
-    count: int
-    accidental_estimate: float
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("sampled count must be non-negative")
-
-
-@dataclass(frozen=True)
 class TwoPhotonState:
     """Joint OAM state of the photon pair over ells = -ell_max, ..., ell_max.
 
@@ -160,11 +147,6 @@ class TwoPhotonState:
         if norm == 0:
             raise ValueError("state has no support on the requested subspace")
         return ket / norm
-
-
-def derive_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Per-setting random stream: generator seeded from (seed, *stream)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
 
 
 def build_state(pump: PumpSpec, gamma: float, ell_max: int,
@@ -252,23 +234,19 @@ def accidentals(det: DetectorConfig) -> float:
     return det.singles_1 * det.singles_2 * det.gate_time
 
 
-def sample_counts(ideal_rate: float, det: DetectorConfig, seed: int,
-                  setting_id: int = 0) -> CoincidenceRecord:
-    """Poisson-sampled coincidence count for one setting.
+def sample_counts(ideal_rates, det: DetectorConfig, seed: int) -> np.ndarray:
+    """Poisson-sampled coincidence counts, an integer array shaped like ``ideal_rates``.
 
-    Mean is (efficiency^2 * ideal_rate + accidental rate) * integration time;
-    one efficiency factor per detector.  Deterministic for a fixed
-    (seed, setting_id) pair regardless of evaluation order.
+    Each mean is (efficiency^2 * ideal_rate + accidental rate) * integration
+    time; one efficiency factor per detector.  The count at flat C-order
+    position k is drawn from the stream ``default_rng([seed, k])``, so it
+    depends only on the seed, k and its own rate, not on the other settings
+    or on evaluation order.
     """
-    if ideal_rate < 0:
-        raise ValueError("ideal rate must be non-negative")
-    acc_rate = accidentals(det)
-    mean = (det.efficiency**2 * ideal_rate + acc_rate) * det.integration_time
-    rng = derive_rng(seed, setting_id)
-    count = int(rng.poisson(mean)) if mean > 0 else 0
-    return CoincidenceRecord(
-        setting_id=setting_id,
-        ideal_rate=float(ideal_rate),
-        count=count,
-        accidental_estimate=acc_rate * det.integration_time,
-    )
+    rates = np.asarray(ideal_rates, dtype=float)
+    if np.any(rates < 0):
+        raise ValueError("ideal rates must be non-negative")
+    means = (det.efficiency**2 * rates + accidentals(det)) * det.integration_time
+    counts = [np.random.default_rng([seed, k]).poisson(mean)
+              for k, mean in enumerate(means.ravel().tolist())]
+    return np.array(counts, dtype=np.int64).reshape(rates.shape)

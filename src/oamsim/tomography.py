@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import hermitian_eigen, psd_sqrt
-from .spdc import CoincidenceRecord
 
 # reconstruct stops once a step lowers chi^2 by at most this relative amount,
 # or after MAX_ITERATIONS steps (then it reports converged = False)
@@ -101,28 +100,27 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def reconstruct(records, settings, d: int) -> ReconstructionReport:
+def reconstruct(counts, settings, d: int) -> ReconstructionReport:
     """Reconstruct the two-qudit density matrix from coincidence counts.
 
-    Minimizes chi^2 = sum_i (C_i - <k_i|sigma|k_i>)^2 / (C_i + 1) over the
-    unnormalized state sigma = N rho, where |k_i> is the joint ket of setting
-    i and N the photon flux.  In sigma this is a convex quadratic on the cone
-    of positive-semidefinite matrices, solved by FISTA with adaptive restart
-    and the fixed step 1/L, L = 2 ||diag(1/sqrt(C + 1)) A||_2^2 for the
-    setting-by-vec(sigma) design matrix A.  Each step is projected onto the
+    ``counts`` is an array of shape (len(settings),), count i measured at
+    setting i.  Minimizes chi^2 = sum_i (C_i - <k_i|sigma|k_i>)^2 / (C_i + 1)
+    over the unnormalized state sigma = N rho, where |k_i> is the joint ket of
+    setting i and N the photon flux.  In sigma this is a convex quadratic on
+    the cone of positive-semidefinite matrices, solved by FISTA with adaptive
+    restart and the fixed step 1/L, L = 2 ||diag(1/sqrt(C + 1)) A||_2^2 for
+    the setting-by-vec(sigma) design matrix A.  Each step is projected onto the
     cone by clipping eigenvalues.  The start is the least-squares linear
     inversion, clipped to the cone and scaled by its best flux.  The solve
     stops when a step lowers chi^2 by at most a relative TOLERANCE
     (converged) or after MAX_ITERATIONS steps; then N = Tr sigma and
     rho = sigma / N (maximally mixed when N = 0).
     """
-    records = list(records)
     settings = list(settings)
-    if len(records) != len(settings):
-        raise ValueError("records and settings must have equal length")
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (len(settings),):
+        raise ValueError(f"expected one count per setting, shape ({len(settings)},), got {counts.shape}")
     dim = d * d
-    counts = np.array([float(r.count) if isinstance(r, CoincidenceRecord) else float(r)
-                       for r in records])
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     design = np.empty((len(settings), dim * dim), dtype=complex)

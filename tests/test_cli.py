@@ -8,6 +8,7 @@ its expected number of rows, and every summary value must match the
 expectation checked in below.
 """
 
+import hashlib
 import math
 import re
 
@@ -102,6 +103,20 @@ OFFSET_SUMMARIES = {
 }
 
 
+# (run, table) -> sha256 of the table's count column, one cell per line.  Every
+# count is a seeded Poisson draw, so a change to any sampled count shows here.
+COUNT_DIGESTS = {
+    ("spiral", "spiral_matrix.csv"): "609a5fa8ba7f2b9175a7bb0a8ad5f18805c842e9db2174a721c16c85764d082b",
+    ("spiral", "spiral_spectrum.csv"): "7c6cff79e6b3a9711dbeed78000a9c933028f17c2dd8b74165851d84a618d75c",
+    ("angular", "angular_map.csv"): "c80b38d93d9f573d80042bc38e5e82475e176e1756f55e44ab1a4bb8b3d3a831",
+    ("bell", "bell_curve.csv"): "ab4683a91212287011be1ab3a6089cb4078685cd65b8763d0f6555358fcbbdb3",
+    ("bell", "bell_counts.csv"): "a137c762eaaf4bc7600b3894e702d0699998bee26aeca593e5722864a5c36a03",
+    ("tomo", "tomo_counts.csv"): "7564b57fa28fcd03e76574ac8db906fd1d0af76ef85eed12f6cf41400fd8d05d",
+    ("spiral-offset", "spiral_matrix.csv"): "d75043b24e4b006b666d53d7f0a0ef38b83231129868c19fed1f05e36793165b",
+    ("spiral-offset", "spiral_spectrum.csv"): "4a851065b1e2ff9ef7c8ec8ce435c15a2b8627e8f2d50967b6c1f115b53ee290",
+}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """run -> (first output directory, second output directory)."""
@@ -170,21 +185,33 @@ def test_offset_summary_values(runs, name):
     check_summary(runs[name][0] / summary, OFFSET_SUMMARIES[name])
 
 
-def test_count_column_forms(runs):
-    # spiral_spectrum.csv has always written its counts as floats ("232.0"),
-    # every other table as integers ("232")
-    checked = 0
+def count_columns(runs):
+    """(run, table) -> the cells of its count column, for every table that has one."""
+    cells = {}
     for command, names in ROWS.items():
         for name in names:
             lines = (runs[command][0] / name).read_text().splitlines()
             columns = lines[1].split(",")
-            if "count" not in columns:
-                continue
-            k = columns.index("count")
-            form = r"\d+\.0" if name == "spiral_spectrum.csv" else r"\d+"
-            assert all(re.fullmatch(form, line.split(",")[k]) for line in lines[2:]), name
-            checked += 1
-    assert checked == 8
+            if "count" in columns:
+                k = columns.index("count")
+                cells[command, name] = [line.split(",")[k] for line in lines[2:]]
+    return cells
+
+
+def test_count_column_forms(runs):
+    # spiral_spectrum.csv has always written its counts as floats ("232.0"),
+    # every other table as integers ("232")
+    columns = count_columns(runs)
+    for (_, name), cells in columns.items():
+        form = r"\d+\.0" if name == "spiral_spectrum.csv" else r"\d+"
+        assert all(re.fullmatch(form, cell) for cell in cells), name
+    assert len(columns) == 8
+
+
+def test_count_columns_are_pinned(runs):
+    digests = {key: hashlib.sha256("\n".join(cells).encode()).hexdigest()
+               for key, cells in count_columns(runs).items()}
+    assert digests == COUNT_DIGESTS
 
 
 def test_validate_accepts_defaults(capsys):
@@ -212,6 +239,28 @@ def test_validate_accepts_offset_at_largest_windows(capsys):
     assert main(["validate", "--set", "source.signal_offset_waists=0.1", "--set", "source.ell_max=20",
                  "--set", "experiment.epr_ell_max=20"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("overrides, code", [
+    (["source.signal_offset_waists=10"], 0),
+    (["source.signal_offset_waists=10.5"], 1),
+    (["source.signal_offset_waists=0.1", "source.gamma=1e-3"], 0),
+    (["source.signal_offset_waists=0.1", "source.gamma=9e-4"], 1),
+    (["source.gamma=1e-4"], 0),
+])
+def test_validate_offset_bounds(capsys, overrides, code):
+    # beyond these bounds the offset overlaps underflow and build_state fails;
+    # an aligned state has no such limit on gamma
+    assert main(["validate", *(arg for item in overrides for arg in ("--set", item))]) == code
+    assert bool(capsys.readouterr().out) == bool(code)
+
+
+@pytest.mark.parametrize("gamma", ["1e-3", "1e6"])
+@pytest.mark.parametrize("command, window", [("spiral", "source.ell_max"),
+                                             ("angular", "experiment.epr_ell_max")])
+def test_offset_runs_at_validate_corners(tmp_path, gamma, command, window):
+    assert main([command, "--set", f"source.gamma={gamma}", "--set", "source.signal_offset_waists=10",
+                 "--set", f"{window}=20", "--out", str(tmp_path)]) == 0
 
 
 def test_write_table_matches_per_cell_format(tmp_path):

@@ -331,20 +331,27 @@ class TestRunTomographyExperiment:
         self.rho = np.outer(self.psi, self.psi.conj())
         self.settings = tomography_settings(2, [1, -1])
 
+    def test_one_axis_of_setting_positions(self):
+        scan = run_tomography_experiment(self.rho, self.settings, NOISY_DET, seed=5, flux=1e4)
+        assert scan.axis_names == ("setting",)
+        assert np.array_equal(scan.axis_values[0], np.arange(36))
+        assert len(scan) == 36
+        assert scan.counts.shape == scan.ideal.shape == scan.accidental.shape == (36,)
+        assert scan.accidental == pytest.approx(np.full(36, 2e4 * 2e4 * 12.5e-9))
+
     def test_orthogonal_setting_sees_only_accidentals(self):
         # (|l>, |l>) projects onto |00>, orthogonal to the pair state
-        records = run_tomography_experiment(self.rho, self.settings, QUIET_DET,
-                                            seed=5, flux=1e4)
-        assert records[0].ideal_rate == pytest.approx(0.0, abs=1e-12)
-        assert records[0].count == 0
+        scan = run_tomography_experiment(self.rho, self.settings, QUIET_DET, seed=5, flux=1e4)
+        assert scan.ideal[0] == pytest.approx(0.0, abs=1e-12)
+        assert scan.counts[0] == 0
 
     def test_matched_setting_rate(self):
-        records = run_tomography_experiment(self.rho, self.settings, QUIET_DET,
-                                            seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.rho, self.settings, QUIET_DET, seed=5, flux=1e4)
         # setting index 1 is (|l>, |-l>)
-        assert records[1].ideal_rate == pytest.approx(5e3, rel=1e-12)
+        assert scan.ideal[1] == pytest.approx(5e3, rel=1e-12)
 
     def test_seed_reproducibility(self):
         a = run_tomography_experiment(self.rho, self.settings, NOISY_DET, seed=9, flux=1e4)
         b = run_tomography_experiment(self.rho, self.settings, NOISY_DET, seed=9, flux=1e4)
-        assert a == b
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.ideal, b.ideal)

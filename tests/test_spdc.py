@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from oamsim.spdc import (
-    CoincidenceRecord,
     CrystalConfig,
     DetectorConfig,
     PumpSpec,
     TwoPhotonState,
     accidentals,
     build_state,
-    derive_rng,
     sample_counts,
     sinc_ring_profile,
     transverse_mode_count,
@@ -249,44 +247,62 @@ class TestSampleCounts:
     DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
 
     def test_zero_mean_gives_zero(self):
-        rec = sample_counts(0.0, self.DET, seed=1)
-        assert rec.count == 0
+        assert sample_counts(np.zeros(5), self.DET, seed=1).tolist() == [0] * 5
+
+    def test_integer_array_shaped_like_the_rates(self):
+        counts = sample_counts(np.full((3, 4), 50.0), self.DET, seed=1)
+        assert counts.shape == (3, 4)
+        assert counts.dtype == np.int64
 
     def test_poisson_tail_bound(self):
         # mean 1e4, sigma 100: |count - mean| < 500 except with prob ~6e-7
-        for seed in range(200):
-            rec = sample_counts(1e4, self.DET, seed=seed)
-            assert abs(rec.count - 1e4) < 500
+        counts = sample_counts(np.full(200, 1e4), self.DET, seed=0)
+        assert np.all(np.abs(counts - 1e4) < 500)
 
     def test_deterministic_for_fixed_seed(self):
-        a = sample_counts(123.0, self.DET, seed=42, setting_id=7)
-        b = sample_counts(123.0, self.DET, seed=42, setting_id=7)
-        assert a == b
-        c = sample_counts(123.0, self.DET, seed=42, setting_id=8)
-        assert c.count != a.count or c.setting_id != a.setting_id
+        rates = np.full(4, 123.0)
+        a = sample_counts(rates, self.DET, seed=42)
+        assert np.array_equal(a, sample_counts(rates, self.DET, seed=42))
+        assert not np.array_equal(a, sample_counts(rates, self.DET, seed=43))
 
     def test_mean_includes_efficiency_and_accidentals(self):
         det = DetectorConfig(singles_1=1e4, singles_2=1e4, gate_time=1e-8,
                              efficiency=0.5, integration_time=2.0)
         # mean = (0.25 * rate + 1) * 2
-        counts = [sample_counts(2e4, det, seed=s).count for s in range(3000)]
+        counts = sample_counts(np.full(3000, 2e4), det, seed=0)
         want = (0.25 * 2e4 + 1.0) * 2.0
         assert np.mean(counts) == pytest.approx(want, abs=3.0 * math.sqrt(want / len(counts)))
 
-    def test_empirical_mean_over_many_seeds(self):
-        mean = 100.0
-        counts = [sample_counts(mean, self.DET, seed=s).count for s in range(10000)]
-        sigma_of_mean = math.sqrt(mean / len(counts))
-        assert abs(np.mean(counts) - mean) < 3.0 * sigma_of_mean
+    def test_poisson_mean_and_variance(self):
+        # over many equal-mean settings of one call the counts are Poisson: the
+        # sample mean has sd sqrt(lam / n) and the sample variance about
+        # sqrt((lam + 2 lam^2) / n)
+        lam, n = 100.0, 10000
+        counts = sample_counts(np.full(n, lam), self.DET, seed=11)
+        assert abs(np.mean(counts) - lam) < 4.0 * math.sqrt(lam / n)
+        assert abs(np.var(counts, ddof=1) - lam) < 4.0 * math.sqrt((lam + 2.0 * lam**2) / n)
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            CoincidenceRecord(setting_id=0, ideal_rate=1.0, count=-1, accidental_estimate=0.0)
+    def test_rejects_negative_rate(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_counts(np.array([1.0, -1e-9]), self.DET, seed=0)
 
 
-class TestDeriveRng:
-    def test_streams_are_independent_of_order(self):
-        first = derive_rng(5, 3).poisson(50.0)
-        _ = derive_rng(5, 2).poisson(50.0)
-        again = derive_rng(5, 3).poisson(50.0)
-        assert first == again
+class TestCountStream:
+    DET = DetectorConfig(singles_1=1e4, singles_2=2e4, gate_time=1e-8,
+                         efficiency=0.6, integration_time=1.5)
+
+    def test_count_k_is_drawn_from_stream_seed_k(self):
+        rates = np.array([[10.0, 50.0, 0.0], [3e3, 1.0, 7.5]])
+        counts = sample_counts(rates, self.DET, seed=5).ravel()
+        means = (self.DET.efficiency**2 * rates.ravel() + accidentals(self.DET)) * self.DET.integration_time
+        for k, mean in enumerate(means):
+            assert counts[k] == np.random.default_rng([5, k]).poisson(mean)
+
+    def test_count_does_not_depend_on_other_settings(self):
+        rates = np.full(6, 50.0)
+        changed = rates.copy()
+        changed[2] = 5e3
+        base = sample_counts(rates, self.DET, seed=5)
+        other = sample_counts(changed, self.DET, seed=5)
+        assert np.array_equal(np.delete(other, 2), np.delete(base, 2))
+        assert other[2] != base[2]

@@ -60,7 +60,7 @@ def werner(p):
 
 def ideal_rates(rho, settings, flux):
     """Noiseless counts: the ideal rate of every setting of a tomography run."""
-    return [r.ideal_rate for r in run_tomography_experiment(rho, settings, QUIET_DET, seed=0, flux=flux)]
+    return run_tomography_experiment(rho, settings, QUIET_DET, seed=0, flux=flux).ideal
 
 
 class TestDensityMatrix:
@@ -117,29 +117,28 @@ class TestReconstruct:
     def test_noiseless_round_trip(self):
         settings = tomography_settings(2, [1, -1])
         rho_true = bell_density()
-        records = run_tomography_experiment(rho_true, settings, QUIET_DET, seed=0, flux=1e4)
         # noiseless: replace sampled counts by exact means
         counts = ideal_rates(rho_true, settings, 1e4)
+        assert counts.shape == (36,)
         report = reconstruct(counts, settings, d=2)
         assert isinstance(report, ReconstructionReport)
         assert report.converged
         assert fidelity(report.rho, rho_true) > 1.0 - 1e-6
         assert report.chi_squared < 1e-10 * len(settings)
         assert report.flux == pytest.approx(1e4, rel=1e-6)
-        assert len(records) == 36
 
     def test_noisy_round_trip(self):
         settings = tomography_settings(2, [1, -1])
         rho_true = bell_density()
-        records = run_tomography_experiment(rho_true, settings, NOISY_DET, seed=3, flux=1e4)
-        report = reconstruct(records, settings, d=2)
+        scan = run_tomography_experiment(rho_true, settings, NOISY_DET, seed=3, flux=1e4)
+        report = reconstruct(scan.counts, settings, d=2)
         assert fidelity(report.rho, rho_true) > 0.99
         assert linear_entropy(report.rho) < 0.02
 
     @hypothesis_settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 10**6), min_size=36, max_size=36))
     def test_output_always_physical(self, counts):
-        report = reconstruct(counts, tomography_settings(2, [1, -1]), d=2)
+        report = reconstruct(np.array(counts), tomography_settings(2, [1, -1]), d=2)
         matrix = report.rho.matrix
         assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-12
         assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
@@ -148,7 +147,7 @@ class TestReconstruct:
         assert report.chi_squared >= 0.0
 
     def test_all_zero_counts_give_maximally_mixed_state(self):
-        report = reconstruct([0] * 36, tomography_settings(2, [1, -1]), d=2)
+        report = reconstruct(np.zeros(36), tomography_settings(2, [1, -1]), d=2)
         assert np.max(np.abs(report.rho.matrix - np.eye(4) / 4.0)) < 1e-15
         assert report.flux == 0.0
         assert report.chi_squared == 0.0
@@ -157,7 +156,13 @@ class TestReconstruct:
     def test_rejects_incomplete_settings(self):
         settings = tomography_settings(2, [1, -1])[:10]
         with pytest.raises(ValueError):
-            reconstruct([1.0] * 10, settings, d=2)
+            reconstruct(np.ones(10), settings, d=2)
+
+    @pytest.mark.parametrize("shape", [(35,), (37,), (6, 6), (36, 1), ()])
+    def test_rejects_counts_not_one_per_setting(self, shape):
+        settings = tomography_settings(2, [1, -1])
+        with pytest.raises(ValueError, match="one count per setting"):
+            reconstruct(np.ones(shape), settings, d=2)
 
     @pytest.mark.parametrize("count", [0.0, 1e12])
     def test_rank_check_is_relative_to_the_count_scale(self, count):
@@ -166,14 +171,14 @@ class TestReconstruct:
         settings = tomography_settings(2, [1, -1])
         half = settings[:len(settings) // 2]
         with pytest.raises(ValueError, match="not informationally complete"):
-            reconstruct([count] * len(half), half, d=2)
-        report = reconstruct([count] * len(settings), settings, d=2)
+            reconstruct(np.full(len(half), count), half, d=2)
+        report = reconstruct(np.full(len(settings), count), settings, d=2)
         assert report.flux >= 0.0
 
     def test_rejects_negative_counts(self):
         settings = tomography_settings(2, [1, -1])
         with pytest.raises(ValueError):
-            reconstruct([-1.0] * 36, settings, d=2)
+            reconstruct(np.full(36, -1.0), settings, d=2)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_qutrit_round_trip(self, d):
