@@ -1,7 +1,9 @@
 """Scenario runner: one subcommand per experiment, delimited-text outputs.
 
 Every run writes its tables plus a manifest into the configured output
-directory.  All tables carry the config hash and seed on their first line;
+directory.  A table is a dict of columns, each header mapped to a 1-D array
+or a scalar, and ``RunContext.write_table`` formats each column from its
+dtype.  All tables carry the config hash and seed on their first line;
 rerunning with the same config and seed reproduces them byte for byte, which
 ``tests/test_cli.py`` checks for every subcommand.  The manifest additionally
 records versions and wall-clock timings, so it is the one file excluded from
@@ -23,6 +25,7 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, validate
 from .experiments import (
     BellSettings,
+    arm_projectors,
     bell_counts,
     bell_curve,
     bell_parameter,
@@ -47,24 +50,17 @@ from .tomography import (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _format_column(values) -> list[str]:
-    """``_fmt`` of each value; a column of plain floats or integers is formatted without a call per cell."""
-    types = set(map(type, values))
-    if all(issubclass(t, (float, np.floating)) for t in types):
-        return list(map(repr, map(float, values)))
-    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
-        return list(map(str, map(int, values)))
-    return list(map(_fmt, values))
+def _format_column(values: np.ndarray) -> list[str]:
+    """Cells of one column, from its dtype: floats by repr, integers as digits,
+    booleans as true/false, text as is."""
+    kind = values.dtype.kind
+    if kind == "f":
+        return list(map(repr, values.astype(float).tolist()))
+    if kind in "iuU":
+        return list(map(str, values.tolist()))
+    if kind == "b":
+        return ["true" if v else "false" for v in values.tolist()]
+    raise TypeError(f"cannot format a column of dtype {values.dtype}")
 
 
 class RunContext:
@@ -84,11 +80,16 @@ class RunContext:
         self.timings.append((stage, now - self._t0))
         self._t0 = now
 
-    def write_table(self, name: str, columns, rows):
+    def write_table(self, name: str, columns: dict):
+        """Write one table: ``columns`` maps each header to a 1-D array or a
+        scalar, and a scalar repeats down the rows."""
+        values = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
+        if values[0].ndim != 1:
+            raise TypeError("table columns must be 1-D arrays or scalars")
+        cells = [_format_column(v) for v in values]
         path = self.out_dir / name
         lines = [f"# config_hash={self.config.hash()} seed={self.config.seed}"]
         lines.append(",".join(columns))
-        cells = [_format_column(col) for col in zip(*rows)]
         lines.extend(map(",".join, zip(*cells)))
         path.write_text("\n".join(lines) + "\n")
         self.files.append(name)
@@ -134,15 +135,13 @@ def run_spiral(config: ScenarioConfig, ctx: RunContext):
     scan = spiral_scan(state, ells, ells, config.detector(), _stage_seed(config, 0),
                        pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
-    ctx.write_table("spiral_matrix.csv",
-                    ("ell_a", "ell_b", "ideal_rate", "count", "accidental"), scan.rows())
+    ctx.write_table("spiral_matrix.csv", scan.columns())
     s_ells, s_ideal, s_counts = spiral_spectrum(scan)
     # this table has always written its counts as floats
-    ctx.write_table("spiral_spectrum.csv", ("ell", "ideal_rate", "count"),
-                    zip(s_ells, s_ideal, s_counts.astype(float)))
+    ctx.write_table("spiral_spectrum.csv",
+                    {"ell": s_ells, "ideal_rate": s_ideal, "count": s_counts.astype(float)})
     fwhm = spectrum_fwhm(s_ells.astype(float), s_counts.astype(float))
-    ctx.write_table("spiral_summary.csv", ("fwhm", "peak_count"),
-                    [(fwhm, int(s_counts.max()))])
+    ctx.write_table("spiral_summary.csv", {"fwhm": fwhm, "peak_count": s_counts.max()})
     ctx.mark("write")
 
 
@@ -155,10 +154,9 @@ def run_angular(config: ScenarioConfig, ctx: RunContext):
                         config.detector(), _stage_seed(config, 1),
                         pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
-    ctx.write_table("angular_map.csv",
-                    ("beta_a", "beta_b", "ideal_rate", "count", "accidental"), scan.rows())
+    ctx.write_table("angular_map.csv", scan.columns())
     xs, ps = conditional_profile(scan)
-    ctx.write_table("angular_conditional.csv", ("beta_a", "probability"), zip(xs, ps))
+    ctx.write_table("angular_conditional.csv", {"beta_a": xs, "probability": ps})
     ctx.mark("write")
 
 
@@ -178,14 +176,17 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
     ell_profile = conditional_profile(spiral)
     phi_profile = conditional_profile(angular)
     result = epr_reid(ell_profile, phi_profile)
-    rows = [("ell", x, p, result.ell_fit(x)) for x, p in zip(*ell_profile)]
-    rows += [("phi", x, p, result.angle_fit(x)) for x, p in zip(*phi_profile)]
-    ctx.write_table("epr_profiles.csv", ("profile", "x", "probability", "fit"), rows)
-    ctx.write_table("epr_summary.csv",
-                    ("delta_ell_sq", "delta_phi_sq", "product", "violated",
-                     "discrete_ell_var", "discrete_phi_var"),
-                    [(result.delta_ell_sq, result.delta_phi_sq, result.product,
-                      result.violated, result.discrete_ell_var, result.discrete_phi_var)])
+    (ell_xs, ell_ps), (phi_xs, phi_ps) = ell_profile, phi_profile
+    # point by point, keeping the table's bits: numpy's scalar x ** 2 (libm pow) can round apart from x * x
+    fits = [result.ell_fit(x) for x in ell_xs] + [result.angle_fit(x) for x in phi_xs]
+    ctx.write_table("epr_profiles.csv", {
+        "profile": np.repeat(["ell", "phi"], [len(ell_xs), len(phi_xs)]),
+        "x": np.concatenate([ell_xs, phi_xs]),
+        "probability": np.concatenate([ell_ps, phi_ps]), "fit": np.array(fits)})
+    ctx.write_table("epr_summary.csv", {
+        "delta_ell_sq": result.delta_ell_sq, "delta_phi_sq": result.delta_phi_sq,
+        "product": result.product, "violated": result.violated,
+        "discrete_ell_var": result.discrete_ell_var, "discrete_phi_var": result.discrete_phi_var})
     ctx.mark("write")
 
 
@@ -201,16 +202,15 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
     counts, rates = bell_counts(state, settings, det, _stage_seed(config, 1), pair_rate=rate)
     s_value, sigma = bell_parameter(counts, settings)
     ctx.mark("scan")
-    ctx.write_table("bell_curve.csv",
-                    ("theta_b", "ideal_rate", "count", "accidental"), curve.rows())
-    count_rows = [(k, c, ta, tb, rates[k, c], int(counts[k, c]))
-                  for k, c, ta, tb in settings.orientations()]
-    ctx.write_table("bell_counts.csv",
-                    ("pair", "offset", "theta_a", "theta_b", "ideal_rate", "count"), count_rows)
+    ctx.write_table("bell_curve.csv", curve.columns())
+    pair, offset = np.indices(counts.shape)
+    theta_a, theta_b = settings.orientations()
+    ctx.write_table("bell_counts.csv", {
+        "pair": pair.ravel(), "offset": offset.ravel(), "theta_a": theta_a.ravel(),
+        "theta_b": theta_b.ravel(), "ideal_rate": rates.ravel(), "count": counts.ravel()})
     n_sigma = (s_value - 2.0) / sigma if sigma > 0 else float("inf")
-    ctx.write_table("bell_summary.csv",
-                    ("ell", "s_value", "sigma_s", "n_sigma_above_2", "violated"),
-                    [(ell, s_value, sigma, n_sigma, s_value > 2.0)])
+    ctx.write_table("bell_summary.csv", {"ell": ell, "s_value": s_value, "sigma_s": sigma,
+                                         "n_sigma_above_2": n_sigma, "violated": s_value > 2.0})
     ctx.mark("write")
 
 
@@ -228,24 +228,25 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("counts")
     report = reconstruct(scan.counts, settings, d)
     ctx.mark("reconstruct")
-    ctx.write_table("tomo_counts.csv",
-                    ("index", "arm_a", "arm_b", "ideal_rate", "count", "accidental"),
-                    [(index, s.label_a, s.label_b, ideal, count, accidental)
-                     for (index, ideal, count, accidental), s in zip(scan.rows(), settings)])
+    # setting a * m + b pairs arm ket a with arm ket b
+    _, labels = arm_projectors(d, ell_values)
+    columns = scan.columns()
+    ctx.write_table("tomo_counts.csv", {"index": columns.pop("setting"),
+                                        "arm_a": np.repeat(labels, len(labels)),
+                                        "arm_b": np.tile(labels, len(labels)), **columns})
     save_density_matrix(ctx.out_dir / "tomo_rho.csv", report.rho)
     ctx.files.append("tomo_rho.csv")
     fid = fidelity(rho_true, report.rho)
     entropy = linear_entropy(report.rho)
     threshold_p = config.threshold_fraction()
     threshold_fid = threshold_fidelity(threshold_p, d)
-    columns = ["d", "chi_squared", "flux", "converged", "fidelity_vs_target",
-               "linear_entropy", "threshold_p", "threshold_fidelity", "above_threshold"]
-    values = [d, report.chi_squared, report.flux, report.converged, fid,
-              entropy, threshold_p, threshold_fid, fid > threshold_fid]
+    summary = {"d": d, "chi_squared": report.chi_squared, "flux": report.flux,
+               "converged": report.converged, "fidelity_vs_target": fid,
+               "linear_entropy": entropy, "threshold_p": threshold_p,
+               "threshold_fidelity": threshold_fid, "above_threshold": fid > threshold_fid}
     if d == 2:
-        columns.append("concurrence")
-        values.append(concurrence(report.rho))
-    ctx.write_table("tomo_summary.csv", columns, [tuple(values)])
+        summary["concurrence"] = concurrence(report.rho)
+    ctx.write_table("tomo_summary.csv", summary)
     ctx.mark("write")
 
 
@@ -253,8 +254,7 @@ def run_ring(config: ScenarioConfig, ctx: RunContext):
     crystal = config.crystal()
     rs = np.linspace(0.0, config["ring.r_max_mm"] * 1e-3, config["ring.points"])
     profile = sinc_ring_profile(rs, crystal)
-    ctx.write_table("ring_profile.csv", ("r_mm", "intensity"),
-                    zip(rs * 1e3, profile))
+    ctx.write_table("ring_profile.csv", {"r_mm": rs * 1e3, "intensity": profile})
     ctx.mark("write")
 
 
@@ -262,10 +262,9 @@ def run_modes(config: ScenarioConfig, ctx: RunContext):
     wavelength = 2.0 * config["source.pump_wavelength_nm"] * 1e-9
     count = transverse_mode_count(config["modes.area_mm2"] * 1e-6,
                                   config["modes.solid_angle_sr"], wavelength)
-    ctx.write_table("modes_summary.csv",
-                    ("area_mm2", "solid_angle_sr", "wavelength_nm", "mode_count"),
-                    [(config["modes.area_mm2"], config["modes.solid_angle_sr"],
-                      wavelength * 1e9, count)])
+    ctx.write_table("modes_summary.csv", {"area_mm2": config["modes.area_mm2"],
+                                          "solid_angle_sr": config["modes.solid_angle_sr"],
+                                          "wavelength_nm": wavelength * 1e9, "mode_count": count})
     ctx.mark("write")
 
 

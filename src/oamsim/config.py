@@ -194,11 +194,10 @@ def validate(config: ScenarioConfig) -> list[str]:
 
     for key in ("source.pump_wavelength_nm", "source.pump_waist_mm", "source.gamma",
                 "source.crystal_length_mm", "source.refractive_index",
-                "source.focal_length_mm", "detector.gate_ns", "experiment.pair_rate",
-                "ring.r_max_mm", "modes.area_mm2", "modes.solid_angle_sr"):
+                "source.focal_length_mm", "detector.gate_ns", "detector.integration_s",
+                "experiment.pair_rate", "ring.r_max_mm", "modes.area_mm2", "modes.solid_angle_sr"):
         positive(key)
-    for key in ("detector.singles_1", "detector.singles_2", "detector.integration_s",
-                "source.signal_offset_waists"):
+    for key in ("detector.singles_1", "detector.singles_2", "source.signal_offset_waists"):
         non_negative(key)
 
     # an offset state's overlaps underflow from about 15 waists at gamma = 1e-3

@@ -1,16 +1,17 @@
-"""The four experiments: spiral bandwidth, angular correlations, EPR-Reid, Bell.
+"""The measurements: spiral bandwidth, angular correlations, EPR-Reid, Bell, tomography.
 
-Each scan computes the ideal coincidence rates over a grid of settings from a
-two-photon state and samples all its counts with one ``sample_counts`` call; a
-setting's count depends only on the seed and the setting's position in the
-grid.  The statistics helpers (Gaussian fitting, conditional-variance
-products, Bell parameter with error propagation) operate on counts and are
-reused by the command-line runner.
+Each scan forms the ideal rates of its whole grid of settings as one array
+and samples every count with one ``sample_counts`` call; a count depends only
+on the seed and its setting's position.  Bell analyzers and tomography
+superpositions are rows of ``analyzer_kets``; the tomography settings are an
+array of joint kets, with rates from ``tomography.born_probabilities``.  The
+statistics helpers (Gaussian fitting, conditional-variance products, Bell
+parameter with error propagation) operate on counts and are reused by the
+command-line runner.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from scipy.optimize import least_squares
 
 from .modes import sector_coefficients
 from .spdc import DetectorConfig, TwoPhotonState, accidentals, sample_counts
+from .tomography import born_probabilities
 
 
 class FitError(RuntimeError):
@@ -107,10 +109,12 @@ class ScanResult:
         """Number of settings."""
         return self.counts.size
 
-    def rows(self):
-        """One (axis values..., ideal rate, count, accidental) tuple per setting, in C order."""
-        coords = np.meshgrid(*self.axis_values, indexing="ij")
-        return zip(*(a.ravel().tolist() for a in (*coords, self.ideal, self.counts, self.accidental)))
+    def columns(self) -> dict[str, np.ndarray]:
+        """Table columns over the settings in C order: one per axis, headed by its
+        ``axis_names`` entry, then ``ideal_rate``, ``count`` and ``accidental``."""
+        coords = (c.ravel() for c in np.meshgrid(*self.axis_values, indexing="ij"))
+        return dict(zip(self.axis_names, coords), ideal_rate=self.ideal.ravel(),
+                    count=self.counts.ravel(), accidental=self.accidental.ravel())
 
 
 def _scan(axis_names, axis_values, rates: np.ndarray, det: DetectorConfig, seed: int) -> ScanResult:
@@ -138,7 +142,7 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
 
     Rates are computed in the OAM basis: the two sector projectors enter
     through their azimuthal Fourier coefficients, truncated to the state
-    support and normalized to unit vectors there.
+    support and normalized to unit vectors there, one row per orientation.
     """
     if not 0.0 < width <= 2.0 * math.pi:
         raise ValueError("sector width must lie in (0, 2*pi]")
@@ -147,7 +151,7 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
     ells = state.ells
 
     def arm_coeffs(betas):
-        vecs = np.array([sector_coefficients(b, width, ells) for b in betas])
+        vecs = sector_coefficients(betas[:, None], width, ells)
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         return vecs / norms
 
@@ -294,38 +298,47 @@ class BellSettings:
         return ((self.theta_a, self.theta_b), (self.theta_a, self.theta_b_prime),
                 (self.theta_a_prime, self.theta_b), (self.theta_a_prime, self.theta_b_prime))
 
-    def orientations(self):
-        """The 16 settings as (pair k, offset c, theta_a, theta_b): base pair k
-        shifted by offset c, one of (0, 0), (shift, shift), (shift, 0), (0, shift)."""
+    def orientations(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta_a, theta_b) of the 16 settings, each shaped (4, 4): entry (k, c)
+        is base pair k shifted by offset c, one of (0, 0), (shift, shift),
+        (shift, 0), (0, shift)."""
         s = self.shift
-        for k, (ta, tb) in enumerate(self.base_pairs()):
-            for c, (da, db) in enumerate(((0.0, 0.0), (s, s), (s, 0.0), (0.0, s))):
-                yield k, c, ta + da, tb + db
+        offsets = np.array(((0.0, 0.0), (s, s), (s, 0.0), (0.0, s)))
+        angles = np.array(self.base_pairs())[:, None, :] + offsets
+        return angles[..., 0], angles[..., 1]
 
 
-def analyzer_ket(ell: int, theta: float) -> np.ndarray:
-    """Superposition-analyzer ket over the {|+ell>, |-ell>} basis.
+def analyzer_kets(phases) -> np.ndarray:
+    """Equal-weight kets (|0> + e^{i phi} |1>) / sqrt(2), shaped phases.shape + (2,).
 
-    Rotating the two-lobed analyzer hologram by theta advances the relative
-    phase between the two helicities by 2*ell*theta.
+    Over {|+ell>, |-ell>} the analyzer hologram rotated by theta is the row at
+    phi = 2 ell theta; the tomography superpositions take phi = 0, pi/2, pi, 3pi/2.
     """
-    return np.array([1.0, np.exp(2j * ell * theta)]) / math.sqrt(2.0)
+    phases = np.asarray(phases, dtype=float)
+    return np.stack([np.ones_like(phases), np.exp(1j * phases)], axis=-1) / math.sqrt(2.0)
 
 
-def bell_probability(state: TwoPhotonState, ell: int, theta_a: float, theta_b: float) -> float:
-    """Joint projection probability onto rotated analyzers, within the +-ell sector."""
-    a_plus, a_minus = state.sector_ket(ell)
-    va = analyzer_ket(ell, theta_a)
-    vb = analyzer_ket(ell, theta_b)
-    amp = a_plus * np.conj(va[0]) * np.conj(vb[1]) + a_minus * np.conj(va[1]) * np.conj(vb[0])
-    return float(abs(amp) ** 2)
+def bell_probability(state: TwoPhotonState, ell: int, theta_a, theta_b) -> np.ndarray:
+    """Joint projection probabilities onto analyzers rotated to theta_a and theta_b.
+
+    The state enters as its normalized ket over {|+ell>, |-ell>} in each arm;
+    theta_a and theta_b broadcast against each other, and the result has
+    their broadcast shape.
+    """
+    if ell == 0:
+        raise ValueError("the Bell sector requires ell != 0")
+    psi = state.restricted_ket([ell, -ell]).reshape(2, 2)
+    va = analyzer_kets(2 * ell * np.asarray(theta_a, dtype=float))
+    vb = analyzer_kets(2 * ell * np.asarray(theta_b, dtype=float))
+    amps = np.sum((va.conj() @ psi) * vb.conj(), axis=-1)
+    return np.abs(amps) ** 2
 
 
 def bell_curve(state: TwoPhotonState, ell: int, theta_a: float, thetas_b,
                det: DetectorConfig, seed: int, pair_rate: float = 1e4) -> ScanResult:
     """Coincidence fringe: analyzer A fixed at theta_a, analyzer B swept."""
     thetas_b = np.asarray(thetas_b, dtype=float)
-    rates = pair_rate * np.array([bell_probability(state, ell, theta_a, tb) for tb in thetas_b])
+    rates = pair_rate * bell_probability(state, ell, theta_a, thetas_b)
     return _scan(("theta_b",), (thetas_b,), rates, det, seed)
 
 
@@ -336,9 +349,7 @@ def bell_counts(state: TwoPhotonState, settings: BellSettings, det: DetectorConf
     Entry (k, c) is setting (k, c) of :meth:`BellSettings.orientations`.
     Returns (counts, ideal rates), both shaped (4, 4).
     """
-    rates = np.zeros((4, 4))
-    for k, c, ta, tb in settings.orientations():
-        rates[k, c] = pair_rate * bell_probability(state, settings.ell, ta, tb)
+    rates = pair_rate * bell_probability(state, settings.ell, *settings.orientations())
     return sample_counts(rates, det, seed), rates
 
 
@@ -369,70 +380,56 @@ def bell_parameter(counts, settings: BellSettings) -> tuple[float, float]:
     return float(s_value), float(math.sqrt(s_var))
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Joint projector: one analyzer ket per arm over the tomography basis."""
-
-    ket_a: np.ndarray
-    ket_b: np.ndarray
-    label_a: str
-    label_b: str
-
-
 _PHASE_LABELS = {0.0: "0", math.pi / 2: "pi/2", math.pi: "pi", 3 * math.pi / 2: "3pi/2"}
 
 
-def arm_projectors(d: int, ell_values) -> list[tuple[np.ndarray, str]]:
+def arm_projectors(d: int, ell_values) -> tuple[np.ndarray, list[str]]:
     """Per-arm tomography states: d pure kets plus pairwise superpositions.
 
     For every unordered pair (i, j) the four relative phases 0, pi/2, pi,
     3pi/2 are included, giving the overcomplete set of 2d^2 - d states.
+    Returns the kets as the rows of a (2d^2 - d, d) array, and their labels.
     """
     ell_values = [int(v) for v in ell_values]
     if len(ell_values) != d:
         raise ValueError("ell_values must contain exactly d entries")
     if len(set(ell_values)) != d:
         raise ValueError("ell_values must be distinct")
-    states = []
-    for i, ell in enumerate(ell_values):
-        ket = np.zeros(d, dtype=complex)
-        ket[i] = 1.0
-        states.append((ket, f"l{ell:+d}"))
-    for i, j in itertools.combinations(range(d), 2):
-        for phase, label in _PHASE_LABELS.items():
-            ket = np.zeros(d, dtype=complex)
-            ket[i] = 1.0 / math.sqrt(2.0)
-            ket[j] = np.exp(1j * phase) / math.sqrt(2.0)
-            states.append((ket, f"(l{ell_values[i]:+d} + e^{{i {label}}} l{ell_values[j]:+d})"))
-    return states
+    # superposition (p, k) is analyzer ket k placed in columns (i[p], j[p])
+    i, j = np.triu_indices(d, 1)
+    pairs = np.arange(len(i))
+    superpositions = np.zeros((len(i), len(_PHASE_LABELS), d), dtype=complex)
+    superpositions[pairs, :, i], superpositions[pairs, :, j] = analyzer_kets(list(_PHASE_LABELS)).T
+    kets = np.concatenate([np.eye(d, dtype=complex), superpositions.reshape(-1, d)])
+    names = [f"l{ell:+d}" for ell in ell_values]
+    labels = names + [f"({names[a]} + e^{{i {phase}}} {names[b]})"
+                      for a, b in zip(i, j) for phase in _PHASE_LABELS.values()]
+    return kets, labels
 
 
-def tomography_settings(d: int, ell_values) -> list[MeasurementSetting]:
-    """Joint settings for two-arm state tomography in a d-dimensional basis.
+def tomography_settings(d: int, ell_values) -> np.ndarray:
+    """Joint kets for two-arm state tomography in a d-dimensional basis.
 
-    The per-arm set is informationally (over-)complete, so the Cartesian
-    product of (2d^2 - d)^2 joint projectors spans the full operator space of
-    d^2 x d^2 density matrices.
+    Row a * m + b is the kron product of arm kets a and b of
+    :func:`arm_projectors`, m = 2d^2 - d of them per arm.  The per-arm set is
+    informationally (over-)complete, so the m^2 joint projectors span the
+    full operator space of d^2 x d^2 density matrices.
     """
     if not 2 <= d <= 5:
         raise ValueError("local dimension d must lie in [2, 5]")
-    arm = arm_projectors(d, ell_values)
-    return [MeasurementSetting(ket_a=ket_a, ket_b=ket_b, label_a=label_a, label_b=label_b)
-            for ket_a, label_a in arm for ket_b, label_b in arm]
+    kets, _ = arm_projectors(d, ell_values)
+    return (kets[:, None, :, None] * kets[None, :, None, :]).reshape(-1, d * d)
 
 
 def run_tomography_experiment(rho, settings, det: DetectorConfig, seed: int,
                               flux: float = 1e4) -> ScanResult:
     """Sampled coincidence counts of a tomography campaign, one per setting.
 
-    Each setting's ideal rate is flux * <ab| rho |ab>; counts are Poisson
-    samples including detector efficiency and accidentals.  The scan's one
-    axis, ``setting``, is each setting's position in ``settings``, and a
-    count depends only on the seed and that position.
+    Row k of ``settings`` is a joint ket of ideal rate flux * <k| rho |k>;
+    counts are Poisson samples including detector efficiency and
+    accidentals.  The scan's one axis, ``setting``, is the row index, and a
+    count depends only on the seed and that index.
     """
-    matrix = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    kets = [np.kron(s.ket_a, s.ket_b) for s in settings]
-    if any(len(ket) != len(matrix) for ket in kets):
-        raise ValueError("setting dimension does not match the density matrix")
-    rates = np.array([flux * max(float(np.real(np.conj(ket) @ matrix @ ket)), 0.0) for ket in kets])
-    return _scan(("setting",), (np.arange(len(kets)),), rates, det, seed)
+    # round-off can leave <k|rho|k> a hair below zero for a setting orthogonal to rho
+    rates = flux * np.clip(born_probabilities(settings, rho), 0.0, None)
+    return _scan(("setting",), (np.arange(len(rates)),), rates, det, seed)

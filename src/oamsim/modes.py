@@ -49,12 +49,13 @@ class TransverseMode:
         return rows
 
 
-def sector_coefficients(beta: float, width: float, ells) -> np.ndarray:
+def sector_coefficients(beta, width: float, ells) -> np.ndarray:
     """Azimuthal Fourier coefficients of a sector hologram.
 
     c_ell = (width / 2pi) * sinc(ell * width / 2) * exp(-i ell beta), the
     projection of the wedge indicator onto e^{i ell phi}.  The ell-independent
-    radial envelope is factored out.
+    radial envelope is factored out.  beta broadcasts against ells, so a
+    column of orientations gives one row of coefficients per orientation.
     """
     if not 0.0 < width <= 2.0 * math.pi:
         raise ValueError("sector width must lie in (0, 2*pi]")

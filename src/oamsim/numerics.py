@@ -41,12 +41,12 @@ class GaussPolarRule:
         self.weights = np.repeat(lam * np.exp(t) * (math.pi / (a * self.n_phi)), self.n_phi)
 
 
-def _check_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > tol * scale:
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     return 0.5 * (m + m.conj().T)
 
@@ -63,10 +63,10 @@ def hermitian_eigen(m):
     return w[order], v[:, order]
 
 
-def psd_sqrt(m, clamp_tol: float = 1e-10, fail_tol: float = 1e-6):
+def psd_sqrt(m, fail_tol: float = 1e-6):
     """Hermitian square root of a positive-semidefinite matrix.
 
-    Eigenvalues in [-clamp_tol, 0) are treated as round-off and clamped to
+    Eigenvalues in [-fail_tol, 0) are treated as round-off and clamped to
     zero; anything below -fail_tol signals a genuinely non-physical matrix.
     """
     w, v = hermitian_eigen(m)

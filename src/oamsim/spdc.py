@@ -122,24 +122,12 @@ class TwoPhotonState:
             raise ValueError(f"ell={ell} not in state support")
         return ell + m
 
-    def amplitude(self, ell: int) -> complex:
-        return complex(self.amplitudes[self.index_of(ell)])
-
-    def sector_ket(self, ell: int) -> np.ndarray:
-        """Normalized two-dimensional ket over {|ell,-ell>, |-ell,ell>}."""
-        if ell == 0:
-            raise ValueError("sector requires ell != 0")
-        pair = np.array([self.amplitude(ell), self.amplitude(-ell)])
-        norm = np.linalg.norm(pair)
-        if norm == 0:
-            raise ValueError(f"state has no support on ells +-{ell}")
-        return pair / norm
-
     def restricted_ket(self, ell_values) -> np.ndarray:
         """Joint ket over the subspace spanned by ell_values in each arm.
 
         Index order matches kron: entry i*d + j is |ell_values[i]>_signal
-        |ell_values[j]>_idler.  Normalized over the subspace.
+        |ell_values[j]>_idler.  Normalized over the subspace.  With
+        ell_values = [ell, -ell] it is the sector that the Bell analyzers see.
         """
         idx = self.index_of(list(ell_values))
         ket = self.joint[np.ix_(idx, idx)].ravel()

@@ -1,12 +1,16 @@
-"""Density-matrix reconstruction and entanglement metrics for two-qudit states.
+"""Two-qudit state tomography: the Born rule, reconstruction and entanglement metrics.
 
-Reconstruction minimizes the count-weighted chi-square between measured and
-predicted coincidences over the unnormalized state sigma = N rho (flux times
-density matrix).  In sigma the problem is convex: a quadratic on the cone of
-positive-semidefinite matrices, solved by accelerated projected gradient
-(FISTA with adaptive restart; Beck & Teboulle, SIAM J. Imaging Sci. 2, 183,
-2009) whose projection clips eigenvalues (Smolin, Gambetta & Smith, PRL 108,
-070502, 2012).  The flux and the unit-trace state are read off the optimum.
+A setting is a joint ket |k>, one row of an array of kets, and its rate is
+<k|rho|k> = vec(|k><k|)^* . vec(rho).  ``born_probabilities`` forms the rates
+from the design matrix whose rows are vec(|k><k|), and ``reconstruct``
+inverts the same design: it minimizes the count-weighted chi-square between
+measured and predicted coincidences over the unnormalized state
+sigma = N rho (flux times density matrix).  In sigma the problem is convex:
+a quadratic on the cone of positive-semidefinite matrices, solved by
+accelerated projected gradient (FISTA with adaptive restart; Beck &
+Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose projection clips
+eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).  The flux and
+the unit-trace state are read off the optimum.
 """
 
 from __future__ import annotations
@@ -100,35 +104,47 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
+def _projector_rows(kets) -> np.ndarray:
+    """The design matrix: row k is vec(|k><k|) for row k of ``kets``."""
+    kets = np.asarray(kets, dtype=complex)
+    return (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), -1)
+
+
+def born_probabilities(kets, rho) -> np.ndarray:
+    """Re <k| rho |k> for every row k of ``kets``, one product with the design matrix."""
+    matrix = _as_matrix(rho)
+    design = _projector_rows(kets)
+    if design.shape[1] != matrix.size:
+        raise ValueError("ket dimension does not match the density matrix")
+    return np.real(design.conj() @ matrix.ravel())
+
+
 def reconstruct(counts, settings, d: int) -> ReconstructionReport:
     """Reconstruct the two-qudit density matrix from coincidence counts.
 
+    ``settings`` holds one joint ket |k_i> of dimension d^2 per row, and
     ``counts`` is an array of shape (len(settings),), count i measured at
     setting i.  Minimizes chi^2 = sum_i (C_i - <k_i|sigma|k_i>)^2 / (C_i + 1)
-    over the unnormalized state sigma = N rho, where |k_i> is the joint ket of
-    setting i and N the photon flux.  In sigma this is a convex quadratic on
-    the cone of positive-semidefinite matrices, solved by FISTA with adaptive
-    restart and the fixed step 1/L, L = 2 ||diag(1/sqrt(C + 1)) A||_2^2 for
-    the setting-by-vec(sigma) design matrix A.  Each step is projected onto the
-    cone by clipping eigenvalues.  The start is the least-squares linear
+    over the unnormalized state sigma = N rho, N the photon flux.  In sigma
+    this is a convex quadratic on the cone of positive-semidefinite matrices,
+    solved by FISTA with adaptive restart and the fixed step 1/L,
+    L = 2 ||diag(1/sqrt(C + 1)) A||_2^2 for the design matrix A of
+    :func:`born_probabilities`.  Each step is projected onto the cone by
+    clipping eigenvalues.  The start is the least-squares linear
     inversion, clipped to the cone and scaled by its best flux.  The solve
     stops when a step lowers chi^2 by at most a relative TOLERANCE
     (converged) or after MAX_ITERATIONS steps; then N = Tr sigma and
     rho = sigma / N (maximally mixed when N = 0).
     """
-    settings = list(settings)
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (len(settings),):
         raise ValueError(f"expected one count per setting, shape ({len(settings)},), got {counts.shape}")
     dim = d * d
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    design = np.empty((len(settings), dim * dim), dtype=complex)
-    for i, setting in enumerate(settings):
-        joint_ket = np.kron(setting.ket_a, setting.ket_b)
-        if len(joint_ket) != dim:
-            raise ValueError("setting dimension does not match d")
-        design[i] = np.outer(joint_ket, joint_ket.conj()).ravel()
+    design = _projector_rows(settings)
+    if design.shape[1] != dim * dim:
+        raise ValueError("setting dimension does not match d")
     w2 = 1.0 / (counts + 1.0)
     # the positive row weights keep the rank; numpy's matrix_rank tolerance is relative
     s = np.linalg.svd(np.sqrt(w2)[:, None] * design, compute_uv=False)
@@ -216,8 +232,7 @@ def concurrence(rho) -> float:
     matrix = _as_matrix(rho)
     if matrix.shape != (4, 4):
         raise ValueError("concurrence is defined for two qubits (4x4 matrices)")
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    flip = np.kron(sy, sy)
+    flip = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
     root = psd_sqrt(matrix)
     m = root @ flip @ matrix.conj() @ flip @ root
     w, _ = hermitian_eigen(0.5 * (m + m.conj().T))

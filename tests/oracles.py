@@ -4,7 +4,8 @@ None of these is used by the library.  Each one computes a quantity a second
 way: by quadrature on a brute-force polar grid where the library uses a
 closed form or an exact Gaussian rule, by the general Laguerre-Gaussian mode
 (any radial index, any propagation distance, one mode at a time) where the
-library samples the p = 0 modes at the waist by recurrence, or by
+library samples the p = 0 modes at the waist by recurrence, one setting at
+a time where the library forms the rates of all settings as one array, or by
 brute-force evaluation where the library uses a frozen table.
 """
 
@@ -213,8 +214,8 @@ class SuperpositionMode(FieldMode):
 
     cos(theta/2) |+ell> + e^{i phase} sin(theta/2) |-ell>, with the north and
     south poles mapping to |+ell> and |-ell>.  theta = pi/2 gives the
-    equal-weight petal modes used for the rotated analyzer holograms; it
-    checks ``experiments.analyzer_ket``.
+    equal-weight petal modes used for the rotated analyzer holograms, the
+    rows of ``experiments.analyzer_kets``.
     """
 
     ell: int
@@ -320,6 +321,45 @@ def offset_joint(pump: PumpSpec, gamma: float, ell_max: int, signal_offset,
     u_i, d_i = sampled((0.0, 0.0))
     joint = (np.conj(u_s) * (u_p * weights)) @ np.conj(u_i).T / np.outer(d_s, d_i) ** 0.25
     return joint / np.linalg.norm(joint)
+
+
+def analyzer_ket(ell: int, theta: float) -> np.ndarray:
+    """Ket of the two-lobed analyzer rotated by theta over {|+ell>, |-ell>}.
+
+    Rotating the hologram by theta advances the relative phase between the
+    two helicities by 2 ell theta.
+    """
+    return np.array([1.0, np.exp(2j * ell * theta)]) / math.sqrt(2.0)
+
+
+def bell_probability(state, ell: int, theta_a: float, theta_b: float) -> float:
+    """Joint projection probability onto rotated analyzers for one orientation pair.
+
+    Built from the state's pair amplitudes of |ell, -ell> and |-ell, ell>,
+    normalized over the two, one orientation at a time.  Checks the array
+    ``experiments.bell_probability`` on aligned states.
+    """
+    pair = state.amplitudes[state.index_of(np.array([ell, -ell]))]
+    a_plus, a_minus = pair / np.linalg.norm(pair)
+    va = analyzer_ket(ell, theta_a)
+    vb = analyzer_ket(ell, theta_b)
+    amp = a_plus * np.conj(va[0]) * np.conj(vb[1]) + a_minus * np.conj(va[1]) * np.conj(vb[0])
+    return float(abs(amp) ** 2)
+
+
+def tomography_probabilities(arm_kets, rho) -> np.ndarray:
+    """Re <ab| rho |ab> for every pair of arm kets (a, b), a varying slowest.
+
+    One explicit kron product and one matrix-vector product per setting.
+    Checks ``tomography.born_probabilities`` on ``experiments.tomography_settings``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    probs = []
+    for ket_a in arm_kets:
+        for ket_b in arm_kets:
+            ket = np.kron(ket_a, ket_b)
+            probs.append(float(np.real(np.conj(ket) @ rho @ ket)))
+    return np.array(probs)
 
 
 def max_entangled_ket(d: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from oamsim.cli import RUNNERS, RunContext, _fmt, main
+from oamsim.cli import RUNNERS, RunContext, main
 from oamsim.config import build_config
 
 # Relative tolerances.  Closed forms, seeded Poisson counts and arithmetic on
@@ -227,6 +227,13 @@ def test_validate_epr_ell_max_bound(capsys, ell_max, code):
     assert ("experiment.epr_ell_max" in out) == bool(code)
 
 
+@pytest.mark.parametrize("seconds, code", [("0", 1), ("1e-3", 0)])
+def test_validate_integration_time_bound(capsys, seconds, code):
+    # with no integration time every scan has zero counts, and four of five scans fail
+    assert main(["validate", "--set", f"detector.integration_s={seconds}"]) == code
+    assert ("detector.integration_s" in capsys.readouterr().out) == bool(code)
+
+
 @pytest.mark.parametrize("key", ["source.grid_points_radial", "source.grid_points_azimuthal"])
 def test_validate_rejects_removed_grid_keys(capsys, key):
     # the offset state needs no quadrature grid, so its two size keys are unknown
@@ -263,19 +270,48 @@ def test_offset_runs_at_validate_corners(tmp_path, gamma, command, window):
                  "--set", f"{window}=20", "--out", str(tmp_path)]) == 0
 
 
+def per_cell(value) -> str:
+    """The text of one table cell, formatted value by value."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 def test_write_table_matches_per_cell_format(tmp_path):
-    # one column per kind of value _fmt handles, plus a mixed column that takes
-    # the per-cell path; the text must equal _fmt applied cell by cell
-    rows = [
-        (True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1e-300), np.float32(0.5), "x", 1),
-        (False, np.bool_(True), -2**70, np.int32(5), float("inf"), np.float64(-2.5), np.float32(0.1), "y,", 2.0),
-        (True, np.bool_(True), 0, np.uint8(255), 1e16, np.float64(np.nan), np.float32(-0.0), "", True),
-    ]
-    columns = [f"c{k}" for k in range(len(rows[0]))]
+    # one column per dtype write_table formats, plus a scalar that repeats down
+    # the rows; the text must equal per_cell applied cell by cell
+    columns = {
+        "bool": np.array([True, False, True]),
+        "int64": np.array([3, -2**62, 0]),
+        "int32": np.array([-7, 5, 0], dtype=np.int32),
+        "uint8": np.array([0, 255, 7], dtype=np.uint8),
+        "float64": np.array([0.1, float("inf"), -0.0]),
+        "float64_edges": np.array([1e-300, float("nan"), 1e16]),
+        "float32": np.array([0.5, 0.1, -0.0], dtype=np.float32),
+        "text": np.array(["x", "y,", ""]),
+        "scalar": 2.5,
+    }
     ctx = RunContext(build_config(), tmp_path, "test")
-    ctx.write_table("t.csv", columns, iter(rows))
+    ctx.write_table("t.csv", columns)
     lines = (tmp_path / "t.csv").read_text().splitlines()
-    assert lines[1:] == [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    cells = [values if np.ndim(values) else [values] * 3 for values in columns.values()]
+    assert lines[1:] == [",".join(columns)] + [",".join(map(per_cell, row)) for row in zip(*cells)]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1, 2.0, True], dtype=object),
+    np.array([1.0 + 2.0j, 3.0]),
+    np.zeros((2, 2)),
+], ids=["mixed", "complex", "2-D"])
+def test_write_table_rejects_columns_it_cannot_format(tmp_path, values):
+    ctx = RunContext(build_config(), tmp_path, "test")
+    with pytest.raises(TypeError):
+        ctx.write_table("t.csv", {"ok": np.arange(len(values)), "bad": values})
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_smallest_accepted_epr_ell_max_runs(tmp_path):

@@ -8,7 +8,8 @@ from oamsim.experiments import (
     BellSettings,
     FitError,
     GaussianFit,
-    analyzer_ket,
+    ScanResult,
+    analyzer_kets,
     angular_scan,
     arm_projectors,
     bell_counts,
@@ -25,6 +26,8 @@ from oamsim.experiments import (
     tomography_settings,
 )
 from oamsim.spdc import DetectorConfig, TwoPhotonState
+from oracles import analyzer_ket
+from oracles import bell_probability as bell_probability_oracle
 
 QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
 NOISY_DET = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9,
@@ -104,12 +107,26 @@ class TestSpiralScan:
         s_ells, s_ideal, s_counts = spiral_spectrum(scan)
         assert np.array_equal(s_ells, ells)
         assert s_ideal[2] == s_ideal.max()
-        assert len(list(scan.rows())) == 25
+        assert [len(c) for c in scan.columns().values()] == [25] * 5
 
     def test_rejects_ells_outside_support(self):
         state = geometric_state(2)
         with pytest.raises(ValueError):
             spiral_scan(state, [-3, 0, 3], [0], QUIET_DET, seed=0)
+
+
+class TestScanResultColumns:
+    def test_axis_headers_come_from_axis_names(self):
+        axes = (np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]))
+        ideal = np.arange(6.0).reshape(2, 3)
+        scan = ScanResult(("u", "v"), axes, ideal, np.arange(6).reshape(2, 3), ideal / 10.0)
+        columns = scan.columns()
+        assert list(columns) == ["u", "v", "ideal_rate", "count", "accidental"]
+        assert np.array_equal(columns["u"], [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        assert np.array_equal(columns["v"], [3.0, 4.0, 5.0, 3.0, 4.0, 5.0])
+        assert np.array_equal(columns["ideal_rate"], np.arange(6.0))
+        assert np.array_equal(columns["count"], np.arange(6))
+        assert np.array_equal(columns["accidental"], np.arange(6.0) / 10.0)
 
 
 class TestSpectrumFwhm:
@@ -204,10 +221,20 @@ class TestEprReid:
 class TestBell:
     def test_probability_law(self):
         state = bell_pair_state(ell=2)
-        for ta, tb in ((0.0, 0.0), (0.1, 0.45), (0.3, -0.2)):
-            got = bell_probability(state, 2, ta, tb)
-            want = 0.5 * math.cos(2 * (ta - tb)) ** 2
-            assert got == pytest.approx(want, abs=1e-12)
+        ta, tb = np.array([0.0, 0.1, 0.3]), np.array([0.0, 0.45, -0.2])
+        got = bell_probability(state, 2, ta, tb)
+        assert got == pytest.approx(0.5 * np.cos(2 * (ta - tb)) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_matches_per_orientation_oracle(self, ell):
+        # unequal, complex pair amplitudes, so both terms of the amplitude count
+        ells = np.arange(-4, 5)
+        amps = 0.8 ** np.abs(ells) * np.exp(0.7j * ells)
+        state = TwoPhotonState(ells=ells, amplitudes=amps / np.linalg.norm(amps))
+        thetas = np.linspace(-math.pi, math.pi, 37)
+        got = bell_probability(state, ell, thetas[:, None], thetas[None, :])
+        want = [[bell_probability_oracle(state, ell, ta, tb) for tb in thetas] for ta in thetas]
+        assert np.max(np.abs(got - np.array(want))) < 1e-14
 
     def test_curve_zeros_and_visibility(self):
         state = bell_pair_state(ell=1)
@@ -266,9 +293,8 @@ class TestBell:
         ell = 1
         settings = BellSettings.canonical(ell)
         hidden = np.linspace(0.0, math.pi, 720, endpoint=False)
-        counts = np.zeros((4, 4))
-        for k, c, ta, tb in settings.orientations():
-            counts[k, c] = np.mean(np.cos(ell * (ta - hidden)) ** 2 * np.cos(ell * (tb - hidden)) ** 2)
+        ta, tb = (theta[..., None] for theta in settings.orientations())
+        counts = np.mean(np.cos(ell * (ta - hidden)) ** 2 * np.cos(ell * (tb - hidden)) ** 2, axis=-1)
         s_value, _ = bell_parameter(counts, settings)
         assert abs(s_value) <= 2.0 + 1e-9
 
@@ -283,39 +309,45 @@ class TestBell:
         assert settings.theta_a == pytest.approx(0.0)
 
     def test_analyzer_rotation_phase_convention(self):
-        ket = analyzer_ket(3, 0.25)
-        assert ket[1] == pytest.approx(np.exp(1j * 1.5) / math.sqrt(2.0))
+        # rotating analyzer A by theta advances its relative phase by 2 ell theta,
+        # so a pair phase of 1.5 at ell = 3 moves the fringe peak to theta_a = 0.25
+        ells = np.arange(-3, 4)
+        amps = np.zeros(7, dtype=complex)
+        amps[6], amps[0] = 1.0 / math.sqrt(2.0), np.exp(1.5j) / math.sqrt(2.0)
+        state = TwoPhotonState(ells=ells, amplitudes=amps)
+        assert bell_probability(state, 3, 0.25, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert bell_probability(state, 3, 0.25 + math.pi / 6, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert analyzer_kets(1.5) == pytest.approx(np.array([1.0, np.exp(1.5j)]) / math.sqrt(2.0))
 
 
 class TestTomographySettings:
     def test_qubit_counts(self):
-        settings = tomography_settings(2, [1, -1])
-        assert len(settings) == 36
-        assert len(arm_projectors(2, [1, -1])) == 6
+        assert tomography_settings(2, [1, -1]).shape == (36, 4)
+        kets, labels = arm_projectors(2, [1, -1])
+        assert kets.shape == (6, 2)
+        assert labels == ["l+1", "l-1", "(l+1 + e^{i 0} l-1)", "(l+1 + e^{i pi/2} l-1)",
+                          "(l+1 + e^{i pi} l-1)", "(l+1 + e^{i 3pi/2} l-1)"]
 
     def test_qutrit_counts(self):
-        settings = tomography_settings(3, [-1, 0, 1])
-        assert len(settings) == 225
-        assert len(arm_projectors(3, [-1, 0, 1])) == 15
+        assert tomography_settings(3, [-1, 0, 1]).shape == (225, 9)
+        kets, labels = arm_projectors(3, [-1, 0, 1])
+        assert kets.shape == (15, 3)
+        assert len(labels) == 15
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_informationally_complete(self, d):
         ells = list(range(-(d // 2), d - d // 2))
         settings = tomography_settings(d, ells)
-        vecs = []
-        for s in settings:
-            joint = np.kron(s.ket_a, s.ket_b)
-            vecs.append(np.outer(joint, joint.conj()).reshape(-1))
+        vecs = [np.outer(ket, ket.conj()).reshape(-1) for ket in settings]
         rank = np.linalg.matrix_rank(np.array(vecs), tol=1e-10)
         assert rank == d**4
 
     def test_equator_phase_set_matches_rotated_analyzers(self):
         # the four superposition phases correspond to analyzer rotations
         # 0, pi/4, pi/2, 3pi/4 for |ell| = 1 under the 2*ell*theta convention
-        arm = arm_projectors(2, [1, -1])
-        sup_kets = [ket for ket, _ in arm[2:]]
+        kets, _ = arm_projectors(2, [1, -1])
         rotations = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
-        for ket, rot in zip(sup_kets, rotations):
+        for ket, rot in zip(kets[2:], rotations):
             assert np.allclose(ket, analyzer_ket(1, rot))
 
     def test_rejects_duplicates_and_bad_dimension(self):

@@ -172,6 +172,12 @@ class TestPsdSqrt:
         with pytest.raises(ValueError):
             psd_sqrt(np.diag([1.0, -0.1]))
 
+    def test_round_off_negative_eigenvalue_is_clamped(self):
+        # -1e-8 lies inside the [-fail_tol, 0) round-off band, so its root is 0
+        root = psd_sqrt(np.diag([4.0, -1e-8]))
+        assert np.all(np.isfinite(root))
+        assert np.array_equal(root, np.diag([2.0, 0.0]))
+
 
 class TestSuBasis:
     def test_d2_is_pauli(self):

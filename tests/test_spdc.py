@@ -175,10 +175,11 @@ class TestTwoPhotonState:
             state.restricted_ket([1, -2])
 
     def test_sector_ket(self):
-        amps = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+        # the +-ell sector the Bell analyzers see: |1,-1> and |-1,1> off the diagonal
+        amps = np.array([1.0, 0.5, 1.0]) / 1.5
         state = TwoPhotonState(ells=np.array([-1, 0, 1]), amplitudes=amps)
-        ket = state.sector_ket(1)
-        assert np.allclose(ket, [1.0 / math.sqrt(2.0)] * 2)
+        ket = state.restricted_ket([1, -1]).reshape(2, 2)
+        assert np.allclose(ket, [[0.0, 1.0 / math.sqrt(2.0)], [1.0 / math.sqrt(2.0), 0.0]])
 
     def test_restricted_ket_orders_like_kron(self):
         amps = np.array([0.6, 0.0, 0.8])

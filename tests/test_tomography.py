@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from oamsim.cli import main
 from oamsim.config import build_config, validate
-from oamsim.experiments import run_tomography_experiment, tomography_settings
+from oamsim.experiments import arm_projectors, run_tomography_experiment, tomography_settings
 from oamsim.spdc import DetectorConfig
 from oamsim.tomography import (
     BELL_VIOLATION_THRESHOLDS,
     DensityMatrix,
     ReconstructionReport,
+    born_probabilities,
     concurrence,
     fidelity,
     linear_entropy,
@@ -29,6 +30,7 @@ from oracles import (
     su_compose,
     su_expand,
     su_purity,
+    tomography_probabilities,
 )
 
 QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
@@ -106,6 +108,19 @@ class TestPredictedCounts:
     def test_zero_flux(self):
         settings = tomography_settings(2, [1, -1])
         assert ideal_rates(bell_density(), settings, 0.0)[5] == 0.0
+
+    @pytest.mark.parametrize("d, ells", [(2, [1, -1]), (3, [-1, 0, 1]), (4, [-2, -1, 1, 2]),
+                                         (5, [2, 1, 0, -1, -2])])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 0.9])
+    def test_born_probabilities_match_per_setting_kron(self, d, ells, p):
+        # the isotropic state, and its mixture with a random complex state, for which rho^T != rho
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        noise = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        arm_kets, _ = arm_projectors(d, ells)
+        for rho in (isotropic_state(d, p), p * isotropic_state(d, 1.0) + (1.0 - p) * noise):
+            got = born_probabilities(tomography_settings(d, ells), rho)
+            assert np.max(np.abs(got - tomography_probabilities(arm_kets, rho))) < 1e-12
 
     def test_dimension_mismatch(self):
         settings = tomography_settings(3, [-1, 0, 1])
