@@ -40,9 +40,8 @@ from .experiments import (
 )
 from .spdc import build_state, sinc_ring_profile, transverse_mode_count
 from .tomography import (
-    DensityMatrix,
+    born_probabilities,
     concurrence,
-    fidelity,
     linear_entropy,
     reconstruct,
     save_density_matrix,
@@ -115,15 +114,14 @@ def _stage_seed(config: ScenarioConfig, stage: int) -> int:
     return int(np.random.SeedSequence([config.seed, stage]).generate_state(1)[0])
 
 
-def _state(config: ScenarioConfig, ell_max: int, with_offset: bool = True):
+def _state(config: ScenarioConfig, ell_max: int):
     pump = config.pump()
     meas_waist = pump.waist / config["source.gamma"]
-    offset_waists = config["source.signal_offset_waists"] if with_offset else 0.0
     return build_state(
         pump,
         gamma=config["source.gamma"],
         ell_max=ell_max,
-        signal_offset=(offset_waists * meas_waist, 0.0),
+        signal_offset=(config["source.signal_offset_waists"] * meas_waist, 0.0),
     )
 
 
@@ -177,12 +175,11 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
     phi_profile = conditional_profile(angular)
     result = epr_reid(ell_profile, phi_profile)
     (ell_xs, ell_ps), (phi_xs, phi_ps) = ell_profile, phi_profile
-    # point by point, keeping the table's bits: numpy's scalar x ** 2 (libm pow) can round apart from x * x
-    fits = [result.ell_fit(x) for x in ell_xs] + [result.angle_fit(x) for x in phi_xs]
     ctx.write_table("epr_profiles.csv", {
         "profile": np.repeat(["ell", "phi"], [len(ell_xs), len(phi_xs)]),
         "x": np.concatenate([ell_xs, phi_xs]),
-        "probability": np.concatenate([ell_ps, phi_ps]), "fit": np.array(fits)})
+        "probability": np.concatenate([ell_ps, phi_ps]),
+        "fit": np.concatenate([result.ell_fit(ell_xs), result.angle_fit(phi_xs)])})
     ctx.write_table("epr_summary.csv", {
         "delta_ell_sq": result.delta_ell_sq, "delta_phi_sq": result.delta_phi_sq,
         "product": result.product, "violated": result.violated,
@@ -192,7 +189,7 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
 
 def run_bell(config: ScenarioConfig, ctx: RunContext):
     ell = config["bell.ell"]
-    state = _state(config, ell, with_offset=False)
+    state = _state(config, ell)
     ctx.mark("build_state")
     det = config.detector()
     rate = config["experiment.pair_rate"]
@@ -217,10 +214,10 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
 def run_tomo(config: ScenarioConfig, ctx: RunContext):
     d = config["tomo.d"]
     ell_values = list(config["tomo.ell_values"])
-    state = _state(config, max(abs(e) for e in ell_values), with_offset=False)
+    state = _state(config, max(abs(e) for e in ell_values))
     ctx.mark("build_state")
     target_ket = state.restricted_ket(ell_values)
-    rho_true = DensityMatrix.from_ket(d, target_ket)
+    rho_true = np.outer(target_ket, target_ket.conj())
     settings = tomography_settings(d, ell_values)
     scan = run_tomography_experiment(rho_true, settings, config.detector(),
                                      _stage_seed(config, 0),
@@ -236,7 +233,8 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
                                         "arm_b": np.tile(labels, len(labels)), **columns})
     save_density_matrix(ctx.out_dir / "tomo_rho.csv", report.rho)
     ctx.files.append("tomo_rho.csv")
-    fid = fidelity(rho_true, report.rho)
+    # the target is pure, so its fidelity with rho is the Born rule <target|rho|target>
+    fid = min(max(float(born_probabilities(target_ket[None], report.rho)[0]), 0.0), 1.0)
     entropy = linear_entropy(report.rho)
     threshold_p = config.threshold_fraction()
     threshold_fid = threshold_fidelity(threshold_p, d)

@@ -45,7 +45,8 @@ class GaussianFit:
         return math.sqrt(8.0 * math.log(2.0) * self.variance)
 
     def __call__(self, x):
-        return self.amplitude * np.exp(-((np.asarray(x) - self.mean) ** 2) / (2.0 * self.variance))
+        d = np.asarray(x) - self.mean
+        return self.amplitude * np.exp(-(d * d) / (2.0 * self.variance))
 
 
 def fit_gaussian(xs, ys) -> GaussianFit:

@@ -1,25 +1,29 @@
-"""Two-qudit state tomography: the Born rule, reconstruction and entanglement metrics.
+"""Two-qudit state tomography on plain arrays: the Born rule, reconstruction and metrics.
 
-A setting is a joint ket |k>, one row of an array of kets, and its rate is
-<k|rho|k> = vec(|k><k|)^* . vec(rho).  ``born_probabilities`` forms the rates
-from the design matrix whose rows are vec(|k><k|), and ``reconstruct``
-inverts the same design: it minimizes the count-weighted chi-square between
-measured and predicted coincidences over the unnormalized state
-sigma = N rho (flux times density matrix).  In sigma the problem is convex:
-a quadratic on the cone of positive-semidefinite matrices, solved by
-accelerated projected gradient (FISTA with adaptive restart; Beck &
-Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose projection clips
-eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).  The flux and
-the unit-trace state are read off the optimum.
+A density matrix is a (d^2, d^2) complex ndarray in kron order, from
+``reconstruct`` to ``tomo_rho.csv``; ``check_density_matrix`` is the one
+test that an array is a physical state.  A setting is a joint ket |k>, one
+row of an array of kets, and its rate is <k|rho|k> = vec(|k><k|)^* . vec(rho).
+``born_probabilities`` forms the rates from the design matrix whose rows are
+vec(|k><k|), and the fidelity with a pure target is the same call on the
+target ket.  ``reconstruct`` inverts that design: it minimizes the
+count-weighted chi-square between measured and predicted coincidences over
+the unnormalized state sigma = N rho (flux times density matrix).  In sigma
+the problem is convex: a quadratic on the cone of positive-semidefinite
+matrices, solved by accelerated projected gradient (FISTA with adaptive
+restart; Beck & Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose
+projection clips eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502,
+2012).  The flux and the unit-trace state are read off the optimum.  The
+metrics are closed forms: the linear entropy is a trace, and the two-qubit
+concurrence one eigendecomposition and one singular-value decomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import hermitian_eigen, psd_sqrt
 
 # reconstruct stops once a step lowers chi^2 by at most this relative amount,
 # or after MAX_ITERATIONS steps (then it reports converged = False)
@@ -47,47 +51,33 @@ def threshold_fidelity(p: float, d: int) -> float:
     return p + (1.0 - p) / d**2
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state of two d-level systems."""
+def check_density_matrix(matrix, d: int, herm_tol: float = 1e-10, trace_tol: float = 1e-10,
+                         eig_tol: float = 1e-8) -> np.ndarray:
+    """The Hermitian part of ``matrix`` once it passes as a two-qudit state.
 
-    d: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-
-    @classmethod
-    def from_matrix(cls, d: int, matrix, herm_tol: float = 1e-10,
-                    trace_tol: float = 1e-10, eig_tol: float = 1e-8) -> "DensityMatrix":
-        matrix = np.asarray(matrix, dtype=complex)
-        dim = d * d
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix for local dimension {d}")
-        if np.max(np.abs(matrix - matrix.conj().T)) > herm_tol:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        trace = np.trace(matrix).real
-        if abs(trace - 1.0) > trace_tol:
-            raise ValueError(f"trace {trace} differs from 1 beyond tolerance")
-        eigs = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-        if eigs[0] < -eig_tol:
-            raise ValueError(f"matrix has negative eigenvalue {eigs[0]:.3e}")
-        return cls(d=d, matrix=0.5 * (matrix + matrix.conj().T))
-
-    @classmethod
-    def from_ket(cls, d: int, ket) -> "DensityMatrix":
-        ket = np.asarray(ket, dtype=complex)
-        ket = ket / np.linalg.norm(ket)
-        return cls(d=d, matrix=np.outer(ket, ket.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.d * self.d
+    Raises ValueError unless ``matrix`` is (d^2, d^2), Hermitian within
+    ``herm_tol``, of unit trace within ``trace_tol`` and without an
+    eigenvalue below -``eig_tol``.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    dim = d * d
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} matrix for local dimension {d}")
+    if np.max(np.abs(matrix - matrix.conj().T)) > herm_tol:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    trace = np.trace(matrix).real
+    if abs(trace - 1.0) > trace_tol:
+        raise ValueError(f"trace {trace} differs from 1 beyond tolerance")
+    hermitian = 0.5 * (matrix + matrix.conj().T)
+    eigs = np.linalg.eigvalsh(hermitian)
+    if eigs[0] < -eig_tol:
+        raise ValueError(f"matrix has negative eigenvalue {eigs[0]:.3e}")
+    return hermitian
 
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    rho: DensityMatrix
+    rho: np.ndarray
     chi_squared: float
     iterations: int
     flux: float
@@ -98,12 +88,6 @@ class ReconstructionReport:
             raise ValueError("chi-squared must be non-negative")
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
 def _projector_rows(kets) -> np.ndarray:
     """The design matrix: row k is vec(|k><k|) for row k of ``kets``."""
     kets = np.asarray(kets, dtype=complex)
@@ -112,11 +96,11 @@ def _projector_rows(kets) -> np.ndarray:
 
 def born_probabilities(kets, rho) -> np.ndarray:
     """Re <k| rho |k> for every row k of ``kets``, one product with the design matrix."""
-    matrix = _as_matrix(rho)
+    rho = np.asarray(rho, dtype=complex)
     design = _projector_rows(kets)
-    if design.shape[1] != matrix.size:
+    if design.shape[1] != rho.size:
         raise ValueError("ket dimension does not match the density matrix")
-    return np.real(design.conj() @ matrix.ravel())
+    return np.real(design.conj() @ rho.ravel())
 
 
 def reconstruct(counts, settings, d: int) -> ReconstructionReport:
@@ -194,69 +178,55 @@ def reconstruct(counts, settings, d: int) -> ReconstructionReport:
 
     flux = float(np.trace(x).real)
     rho = x / flux if flux > 0 else np.eye(dim, dtype=complex) / dim
-    return ReconstructionReport(rho=DensityMatrix.from_matrix(d, rho), chi_squared=chi2,
+    return ReconstructionReport(rho=check_density_matrix(rho, d), chi_squared=chi2,
                                 iterations=iterations, flux=flux, converged=converged)
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1].
-
-    Reduces to <psi|rho|psi> when either argument is the pure state |psi>.
-    """
-    a = _as_matrix(rho)
-    b = _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise ValueError("states must share a dimension")
-    root = psd_sqrt(a)
-    inner = root @ b @ root
-    w, _ = hermitian_eigen(0.5 * (inner + inner.conj().T))
-    w = np.clip(w, 0.0, None)
-    # eigenvalues at round-off scale are square-root amplified; zero them so
-    # rank-deficient (e.g. pure) states keep full precision
-    if w[0] > 0:
-        w[w < 1e-13 * w[0]] = 0.0
-    value = float(np.sum(np.sqrt(w)) ** 2)
-    return min(max(value, 0.0), 1.0)
 
 
 def linear_entropy(rho) -> float:
     """Normalized impurity (D / (D - 1)) (1 - Tr rho^2); 0 pure, 1 maximally mixed."""
-    matrix = _as_matrix(rho)
-    dim = matrix.shape[0]
-    purity = float(np.real(np.trace(matrix @ matrix)))
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    purity = float(np.real(np.trace(rho @ rho)))
     return dim / (dim - 1.0) * (1.0 - purity)
 
 
 def concurrence(rho) -> float:
-    """Two-qubit concurrence from the spin-flipped overlap spectrum."""
-    matrix = _as_matrix(rho)
-    if matrix.shape != (4, 4):
+    """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4) (Wootters, PRL 80, 2245, 1998).
+
+    The l_i are the square roots of the eigenvalues of rho (Y rho* Y), Y the
+    spin flip sigma_y (x) sigma_y, in decreasing order.  With rho = A A^dagger,
+    A = V diag(sqrt(w)) from the eigendecomposition, they are the singular
+    values of A^T Y A, which needs no matrix square root.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
         raise ValueError("concurrence is defined for two qubits (4x4 matrices)")
     flip = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
-    root = psd_sqrt(matrix)
-    m = root @ flip @ matrix.conj() @ flip @ root
-    w, _ = hermitian_eigen(0.5 * (m + m.conj().T))
-    lam = np.sqrt(np.clip(w, 0.0, None))
+    w, v = np.linalg.eigh(rho)
+    a = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(a.T @ flip @ a, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def save_density_matrix(path, dm: DensityMatrix) -> None:
+def save_density_matrix(path, rho) -> None:
     """Write the delimited-text form: header with d, then row,col,real,imag."""
-    dim = dm.dim
-    lines = [f"d,{dm.d}"]
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    lines = [f"d,{math.isqrt(dim)}"]
     for i in range(dim):
         for j in range(dim):
-            value = dm.matrix[i, j]
+            value = rho[i, j]
             lines.append(f"{i},{j},{float(value.real)!r},{float(value.imag)!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_density_matrix(path) -> DensityMatrix:
-    """Read the delimited-text form, rejecting non-physical matrices.
+def load_density_matrix(path) -> np.ndarray:
+    """Read the delimited-text form, rejecting malformed or non-physical matrices.
 
-    Invariant violations (hermiticity, unit trace, negative eigenvalues)
-    beyond 1e-6 are rejected.
+    Every (row, col) in [0, d^2) must appear exactly once.  Invariant
+    violations (hermiticity, unit trace, negative eigenvalues) beyond 1e-6
+    are rejected.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -267,7 +237,14 @@ def load_density_matrix(path) -> DensityMatrix:
     if len(lines) - 1 != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, found {len(lines) - 1}")
     matrix = np.zeros((dim, dim), dtype=complex)
+    seen = np.zeros((dim, dim), dtype=bool)
     for line in lines[1:]:
         row_s, col_s, re_s, im_s = line.split(",")
-        matrix[int(row_s), int(col_s)] = float(re_s) + 1j * float(im_s)
-    return DensityMatrix.from_matrix(d, matrix, herm_tol=1e-6, trace_tol=1e-6, eig_tol=1e-6)
+        row, col = int(row_s), int(col_s)
+        if not (0 <= row < dim and 0 <= col < dim):
+            raise ValueError(f"entry ({row}, {col}) lies outside the {dim}x{dim} matrix")
+        if seen[row, col]:
+            raise ValueError(f"entry ({row}, {col}) appears twice")
+        seen[row, col] = True
+        matrix[row, col] = float(re_s) + 1j * float(im_s)
+    return check_density_matrix(matrix, d, herm_tol=1e-6, trace_tol=1e-6, eig_tol=1e-6)

@@ -5,8 +5,10 @@ way: by quadrature on a brute-force polar grid where the library uses a
 closed form or an exact Gaussian rule, by the general Laguerre-Gaussian mode
 (any radial index, any propagation distance, one mode at a time) where the
 library samples the p = 0 modes at the waist by recurrence, one setting at
-a time where the library forms the rates of all settings as one array, or by
-brute-force evaluation where the library uses a frozen table.
+a time where the library forms the rates of all settings as one array, by
+brute-force evaluation where the library uses a frozen table, or by the
+general Uhlmann fidelity through a matrix square root where the library
+applies the Born rule to a pure target.
 """
 
 from __future__ import annotations
@@ -360,6 +362,64 @@ def tomography_probabilities(arm_kets, rho) -> np.ndarray:
             ket = np.kron(ket_a, ket_b)
             probs.append(float(np.real(np.conj(ket) @ rho @ ket)))
     return np.array(probs)
+
+
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
+        raise ValueError("matrix is not Hermitian")
+    return 0.5 * (m + m.conj().T)
+
+
+def hermitian_eigen(m):
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
+    eigenvectors as the corresponding columns, so m = V diag(w) V^dagger.
+    """
+    m = _check_hermitian(m)
+    w, v = np.linalg.eigh(m)
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
+
+
+def psd_sqrt(m, fail_tol: float = 1e-6):
+    """Hermitian square root of a positive-semidefinite matrix.
+
+    Eigenvalues in [-fail_tol, 0) are treated as round-off and clamped to
+    zero; anything below -fail_tol signals a genuinely non-physical matrix.
+    """
+    w, v = hermitian_eigen(m)
+    if w[-1] < -fail_tol:
+        raise ValueError(f"matrix has negative eigenvalue {w[-1]:.3e}; not positive semidefinite")
+    w = np.clip(w, 0.0, None)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
+def fidelity(rho, sigma) -> float:
+    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1].
+
+    Holds for any two states; for a pure one it reduces to <psi|rho|psi>,
+    the Born rule by which ``oamsim tomo`` reports ``fidelity_vs_target``.
+    """
+    a = np.asarray(rho, dtype=complex)
+    b = np.asarray(sigma, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError("states must share a dimension")
+    root = psd_sqrt(a)
+    inner = root @ b @ root
+    w, _ = hermitian_eigen(0.5 * (inner + inner.conj().T))
+    w = np.clip(w, 0.0, None)
+    # eigenvalues at round-off scale are square-root amplified; zero them so
+    # rank-deficient (e.g. pure) states keep full precision
+    if w[0] > 0:
+        w[w < 1e-13 * w[0]] = 0.0
+    value = float(np.sum(np.sqrt(w)) ** 2)
+    return min(max(value, 0.0), 1.0)
 
 
 def max_entangled_ket(d: int) -> np.ndarray:

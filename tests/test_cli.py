@@ -1,7 +1,7 @@
 """Golden tests for the command-line runner.
 
 Every subcommand runs twice at the default config through ``oamsim.cli.main``,
-and so do two runs with a misaligned signal arm, which take the quadrature
+and so do four runs with a misaligned signal arm, which take the quadrature
 path of the state build.  The two runs must write byte-identical tables (the
 manifest records timings and is the one file exempt), every table must have
 its expected number of rows, and every summary value must match the
@@ -37,6 +37,8 @@ ROWS = {
     "modes": {"modes_summary.csv": 1},
     "spiral-offset": {"spiral_matrix.csv": 21 * 21, "spiral_spectrum.csv": 21, "spiral_summary.csv": 1},
     "epr-reid-offset": {"epr_profiles.csv": 21 + 64, "epr_summary.csv": 1},
+    "bell-offset": {"bell_curve.csv": 64, "bell_counts.csv": 16, "bell_summary.csv": 1},
+    "tomo-offset": {"tomo_counts.csv": 36, "tomo_rho.csv": 16, "tomo_summary.csv": 1},
 }
 
 # summary table -> column -> (expected value, relative tolerance)
@@ -85,6 +87,8 @@ SUMMARIES = {
 OFFSET_RUNS = {
     "spiral-offset": ("spiral", ["source.ell_max=10", "source.signal_offset_waists=0.1"]),
     "epr-reid-offset": ("epr-reid", ["source.signal_offset_waists=0.1"]),
+    "bell-offset": ("bell", ["source.signal_offset_waists=0.5"]),
+    "tomo-offset": ("tomo", ["source.signal_offset_waists=0.5"]),
 }
 
 OFFSET_SUMMARIES = {
@@ -100,6 +104,27 @@ OFFSET_SUMMARIES = {
         "discrete_ell_var": (5.471020633472845, EXACT),
         "discrete_phi_var": (0.5220012571086738, EXACT),
     },
+    # at 0.5 waists the target puts 0.0127 on each of the pairs (1, 1) and (-1, -1),
+    # and the ideal Bell S drops to 2.8279359738643732
+    "bell-offset": {
+        "ell": (2, 0.0),
+        "s_value": (2.8221861385468214, EXACT),
+        "sigma_s": (0.01363023343686884, EXACT),
+        "n_sigma_above_2": (60.32076723813583, EXACT),
+        "violated": ("true", None),
+    },
+    "tomo-offset": {
+        "d": (2, 0.0),
+        "chi_squared": (22.329279923154754, SOLVER),
+        "flux": (10779.98831778931, SOLVER),
+        "converged": ("true", None),
+        "fidelity_vs_target": (0.9993210432227265, SOLVER),
+        "linear_entropy": (0.0017285269203382765, SOLVER),
+        "threshold_p": (0.7071067811865476, EXACT),
+        "threshold_fidelity": (0.7803300858899107, EXACT),
+        "above_threshold": ("true", None),
+        "concurrence": (0.9487178402493697, SOLVER),
+    },
 }
 
 
@@ -114,6 +139,9 @@ COUNT_DIGESTS = {
     ("tomo", "tomo_counts.csv"): "7564b57fa28fcd03e76574ac8db906fd1d0af76ef85eed12f6cf41400fd8d05d",
     ("spiral-offset", "spiral_matrix.csv"): "d75043b24e4b006b666d53d7f0a0ef38b83231129868c19fed1f05e36793165b",
     ("spiral-offset", "spiral_spectrum.csv"): "4a851065b1e2ff9ef7c8ec8ce435c15a2b8627e8f2d50967b6c1f115b53ee290",
+    ("bell-offset", "bell_curve.csv"): "2396d41f7c11137a1d45a3b39ab7fb553c6c32d294c0d369d1327a3c4500edfa",
+    ("bell-offset", "bell_counts.csv"): "f66db773b705863576f71e64550bc0288e16101ed0531d95cb16096840aa6d0a",
+    ("tomo-offset", "tomo_counts.csv"): "dfa3cea155871f54a94af660394b4cbd63c3be16491c82840f355c3b444cd616",
 }
 
 
@@ -205,7 +233,7 @@ def test_count_column_forms(runs):
     for (_, name), cells in columns.items():
         form = r"\d+\.0" if name == "spiral_spectrum.csv" else r"\d+"
         assert all(re.fullmatch(form, cell) for cell in cells), name
-    assert len(columns) == 8
+    assert len(columns) == 11
 
 
 def test_count_columns_are_pinned(runs):
@@ -264,10 +292,13 @@ def test_validate_offset_bounds(capsys, overrides, code):
 
 @pytest.mark.parametrize("gamma", ["1e-3", "1e6"])
 @pytest.mark.parametrize("command, window", [("spiral", "source.ell_max"),
-                                             ("angular", "experiment.epr_ell_max")])
+                                             ("angular", "experiment.epr_ell_max"),
+                                             ("bell", "bell.ell"), ("tomo", "tomo.ell_values")])
 def test_offset_runs_at_validate_corners(tmp_path, gamma, command, window):
+    # the largest |ell| each window accepts is 20; tomo pairs it with -20
+    value = "20,-20" if command == "tomo" else "20"
     assert main([command, "--set", f"source.gamma={gamma}", "--set", "source.signal_offset_waists=10",
-                 "--set", f"{window}=20", "--out", str(tmp_path)]) == 0
+                 "--set", f"{window}={value}", "--out", str(tmp_path)]) == 0
 
 
 def per_cell(value) -> str:

@@ -80,6 +80,15 @@ class TestFitGaussian:
         with pytest.raises(FitError):
             fit_gaussian([0, 1, 2], [1.0, 2.0, 1.0])
 
+    def test_array_call_matches_scalar_call_bit_for_bit(self):
+        # at x = -6, mean = 7.1e-10 the libm pow of (x - mean) ** 2 rounds apart from
+        # the product, so the fit column of a profile must not depend on its evaluation form
+        fit = GaussianFit(amplitude=1.0, mean=7.1e-10, variance=4.0, residual_norm=0.0)
+        xs = np.concatenate([np.arange(-20.0, 21.0), np.linspace(-np.pi, np.pi, 64, endpoint=False)])
+        assert -6.0 in xs
+        values = fit(xs)
+        assert all(values[i] == fit(x) for i, x in enumerate(xs))
+
     def test_fwhm_relation(self):
         fit = GaussianFit(amplitude=1.0, mean=0.0, variance=2.0, residual_norm=0.0)
         assert fit.fwhm == pytest.approx(math.sqrt(8.0 * math.log(2.0) * 2.0))

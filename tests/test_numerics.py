@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.numerics import GaussPolarRule, hermitian_eigen, psd_sqrt
-from oracles import PolarGrid, integrate_polar, laguerre, polar_mesh, su_basis
+from oamsim.numerics import GaussPolarRule
+from oracles import PolarGrid, hermitian_eigen, integrate_polar, laguerre, polar_mesh, psd_sqrt, su_basis
 
 
 # Explicit closed forms used as an independent oracle for the recurrence.

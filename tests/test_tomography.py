@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from oamsim.cli import main
 from oamsim.config import build_config, validate
 from oamsim.experiments import arm_projectors, run_tomography_experiment, tomography_settings
-from oamsim.spdc import DetectorConfig
+from oamsim.spdc import DetectorConfig, build_state
 from oamsim.tomography import (
     BELL_VIOLATION_THRESHOLDS,
-    DensityMatrix,
     ReconstructionReport,
     born_probabilities,
+    check_density_matrix,
     concurrence,
-    fidelity,
     linear_entropy,
     load_density_matrix,
     reconstruct,
@@ -25,6 +24,7 @@ from oamsim.tomography import (
 from oracles import (
     bell_inequality_value,
     cross_entangled_ket,
+    fidelity,
     isotropic_state,
     max_entangled_ket,
     su_compose,
@@ -53,7 +53,8 @@ ROUNDED_RECONSTRUCTION = (np.array([
 
 
 def bell_density(d=2):
-    return DensityMatrix.from_ket(d, cross_entangled_ket(d))
+    ket = cross_entangled_ket(d)
+    return np.outer(ket, ket.conj())
 
 
 def werner(p):
@@ -66,29 +67,38 @@ def ideal_rates(rho, settings, flux):
 
 
 class TestDensityMatrix:
+    """check_density_matrix, the one test that an array is a two-qudit state."""
+
     def test_accepts_physical_matrix(self):
-        dm = DensityMatrix.from_matrix(2, np.eye(4) / 4.0)
-        assert dm.dim == 4
-        assert linear_entropy(dm) == pytest.approx(1.0)
+        rho = check_density_matrix(np.eye(4) / 4.0, 2)
+        assert rho.dtype == complex and rho.shape == (4, 4)
+        assert linear_entropy(rho) == pytest.approx(1.0)
+
+    def test_returns_hermitian_part(self):
+        m = isotropic_state(2, 0.5).astype(complex)
+        m[0, 1] += 1e-12j
+        rho = check_density_matrix(m, 2)
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.max(np.abs(rho - m)) <= 1e-12
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
-            DensityMatrix.from_matrix(2, np.eye(4) / 3.0)
+            check_density_matrix(np.eye(4) / 3.0, 2)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = 0.1
         with pytest.raises(ValueError):
-            DensityMatrix.from_matrix(2, m)
+            check_density_matrix(m, 2)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
         with pytest.raises(ValueError):
-            DensityMatrix.from_matrix(2, m)
+            check_density_matrix(m, 2)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            DensityMatrix.from_matrix(2, np.eye(3) / 3.0)
+            check_density_matrix(np.eye(3) / 3.0, 2)
 
 
 class TestPredictedCounts:
@@ -102,7 +112,7 @@ class TestPredictedCounts:
 
     def test_maximally_mixed_isotropy(self):
         settings = tomography_settings(2, [1, -1])
-        mixed = DensityMatrix.from_matrix(2, np.eye(4) / 4.0)
+        mixed = np.eye(4) / 4.0
         assert all(abs(v - 0.25) < 1e-12 for v in ideal_rates(mixed, settings, 1.0))
 
     def test_zero_flux(self):
@@ -154,7 +164,7 @@ class TestReconstruct:
     @given(st.lists(st.integers(0, 10**6), min_size=36, max_size=36))
     def test_output_always_physical(self, counts):
         report = reconstruct(np.array(counts), tomography_settings(2, [1, -1]), d=2)
-        matrix = report.rho.matrix
+        matrix = report.rho
         assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-12
         assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(matrix)[0] >= -1e-10
@@ -163,7 +173,7 @@ class TestReconstruct:
 
     def test_all_zero_counts_give_maximally_mixed_state(self):
         report = reconstruct(np.zeros(36), tomography_settings(2, [1, -1]), d=2)
-        assert np.max(np.abs(report.rho.matrix - np.eye(4) / 4.0)) < 1e-15
+        assert np.max(np.abs(report.rho - np.eye(4) / 4.0)) < 1e-15
         assert report.flux == 0.0
         assert report.chi_squared == 0.0
         assert report.converged
@@ -255,6 +265,20 @@ class TestFidelity:
         direct = float(np.real(ket.conj() @ rho @ ket))
         assert fidelity(target, rho) == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("d, ells", [(2, "1,-1"), (3, "2,-2,0"), (4, "2,1,-1,-2"),
+                                         (5, "2,1,0,-1,-2")])
+    def test_cli_born_rule_matches_uhlmann(self, tmp_path, d, ells):
+        # the reported fidelity_vs_target is <target|rho|target>, exact for the pure target
+        assert main(["tomo", "--set", f"tomo.d={d}", "--set", f"tomo.ell_values={ells}",
+                     "--out", str(tmp_path)]) == 0
+        config = build_config(overrides={"tomo.d": str(d), "tomo.ell_values": ells})
+        state = build_state(config.pump(), gamma=config["source.gamma"], ell_max=2)
+        ket = state.restricted_ket([int(e) for e in ells.split(",")])
+        want = fidelity(np.outer(ket, ket.conj()), load_density_matrix(tmp_path / "tomo_rho.csv"))
+        lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert float(row["fidelity_vs_target"]) == pytest.approx(want, rel=1e-12)
+
     def test_rounded_reconstruction_against_pair_target(self):
         # slightly non-physical input (two-decimal rounding): root the pure
         # target, which is the well-conditioned order of the symmetric form
@@ -301,10 +325,19 @@ class TestConcurrence:
         rho[0, 0] = 1.0
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 0.9, 1.0 - 1e-6, 1.0])
     def test_werner_closed_form(self, p):
+        # near p = 1 three eigenvalues are tiny, where a matrix square root loses digits
         want = max(0.0, (3.0 * p - 1.0) / 2.0)
-        assert concurrence(werner(p)) == pytest.approx(want, abs=1e-10)
+        assert concurrence(werner(p)) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(0.6, 0.8), (0.8, 0.6j), (1.0 - 1e-9, None), (0.1, -0.3 + 0.2j)])
+    def test_schmidt_form_closed_form(self, a, b):
+        # a|00> + b|11>, normalized, has C = 2 |a b|
+        b = np.sqrt(1.0 - a * a) if b is None else b
+        ket = np.array([a, 0.0, 0.0, b]) / np.hypot(a, abs(b))
+        want = 2.0 * abs(ket[0] * ket[3])
+        assert concurrence(np.outer(ket, ket.conj())) == pytest.approx(want, abs=1e-13)
 
     def test_rejects_non_qubit_dimension(self):
         with pytest.raises(ValueError):
@@ -385,17 +418,17 @@ class TestBellThresholds:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        dm = DensityMatrix.from_matrix(2, isotropic_state(2, 0.8))
+        rho = check_density_matrix(isotropic_state(2, 0.8), 2)
         path = tmp_path / "state.csv"
-        save_density_matrix(path, dm)
+        save_density_matrix(path, rho)
+        assert path.read_text().splitlines()[0] == "d,2"
         loaded = load_density_matrix(path)
-        assert loaded.d == 2
-        assert np.max(np.abs(loaded.matrix - dm.matrix)) < 1e-15
+        assert loaded.shape == (4, 4)
+        assert np.max(np.abs(loaded - rho)) < 1e-15
 
     def test_rejects_tampered_trace(self, tmp_path):
-        dm = DensityMatrix.from_matrix(2, isotropic_state(2, 0.5))
         path = tmp_path / "state.csv"
-        save_density_matrix(path, dm)
+        save_density_matrix(path, isotropic_state(2, 0.5))
         text = path.read_text().splitlines()
         # corrupt a diagonal entry well beyond the 1e-6 reader tolerance
         row = text[1].split(",")
@@ -409,4 +442,17 @@ class TestSerialization:
         path = tmp_path / "state.csv"
         path.write_text("0,0,1.0,0.0\n")
         with pytest.raises(ValueError):
+            load_density_matrix(path)
+
+    @pytest.mark.parametrize("line, entry", [(2, "0,-3"), (2, "0,4"), (5, "4,0"), (3, "0,1")],
+                             ids=["negative", "column-past-end", "row-past-end", "repeated"])
+    def test_rejects_malformed_index(self, tmp_path, line, entry):
+        # each bad line displaces an off-diagonal zero of the maximally mixed state,
+        # so the matrix read stays physical and only the index check can reject it
+        path = tmp_path / "state.csv"
+        save_density_matrix(path, np.eye(4) / 4.0)
+        text = path.read_text().splitlines()
+        text[line] = ",".join([entry, *text[line].split(",")[2:]])
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match="entry"):
             load_density_matrix(path)
