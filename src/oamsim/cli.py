@@ -115,14 +115,7 @@ def _stage_seed(config: ScenarioConfig, stage: int) -> int:
 
 
 def _state(config: ScenarioConfig, ell_max: int):
-    pump = config.pump()
-    meas_waist = pump.waist / config["source.gamma"]
-    return build_state(
-        pump,
-        gamma=config["source.gamma"],
-        ell_max=ell_max,
-        signal_offset=(config["source.signal_offset_waists"] * meas_waist, 0.0),
-    )
+    return build_state(config["source.gamma"], ell_max, config["source.signal_offset_waists"])
 
 
 def run_spiral(config: ScenarioConfig, ctx: RunContext):

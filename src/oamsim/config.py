@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .spdc import CrystalConfig, DetectorConfig, PumpSpec
+from .spdc import CrystalConfig, DetectorConfig
 from .tomography import BELL_VIOLATION_THRESHOLDS
 
 
@@ -32,7 +32,6 @@ SCHEMA: dict[str, tuple] = {
     "seed": (int, 12345),
     "output_dir": (str, "out"),
     "source.pump_wavelength_nm": (float, 355.0),
-    "source.pump_waist_mm": (float, 1.0),
     "source.gamma": (float, 2.0),
     "source.ell_max": (int, 20),
     "source.crystal_length_mm": (float, 3.0),
@@ -93,9 +92,6 @@ class ScenarioConfig:
         return hashlib.sha256(payload).hexdigest()
 
     # --- conversions to simulation objects -------------------------------
-    def pump(self) -> PumpSpec:
-        return PumpSpec(waist=self.values["source.pump_waist_mm"] * 1e-3)
-
     def detector(self) -> DetectorConfig:
         return DetectorConfig(
             singles_1=self.values["detector.singles_1"],
@@ -192,7 +188,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         if v[key] < 0:
             problems.append(f"{key} must be non-negative (got {v[key]})")
 
-    for key in ("source.pump_wavelength_nm", "source.pump_waist_mm", "source.gamma",
+    for key in ("source.pump_wavelength_nm", "source.gamma",
                 "source.crystal_length_mm", "source.refractive_index",
                 "source.focal_length_mm", "detector.gate_ns", "detector.integration_s",
                 "experiment.pair_rate", "ring.r_max_mm", "modes.area_mm2", "modes.solid_angle_sr"):
@@ -240,8 +236,6 @@ def validate(config: ScenarioConfig) -> list[str]:
     threshold = v["tomo.threshold_p"]
     if threshold > 1.0:
         problems.append(f"tomo.threshold_p must lie in [0, 1] or be negative for the built-in table (got {threshold})")
-    if threshold < 0 and 2 <= d <= 5 and d not in BELL_VIOLATION_THRESHOLDS:
-        problems.append(f"no built-in Bell threshold for d = {d}; set tomo.threshold_p")
     if v["ring.points"] < 2:
         problems.append(f"ring.points must be at least 2 (got {v['ring.points']})")
     if not str(v["output_dir"]).strip():

@@ -177,18 +177,14 @@ def conditional_profile(scan: ScanResult) -> tuple[np.ndarray, np.ndarray]:
 def spiral_spectrum(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Anti-diagonal (ell, -ell) slice of a square spiral scan.
 
-    Returns (ells, ideal rates, counts).
+    The scan's axes must be ells and -ells[::-1], so that column n - 1 - i
+    holds -ells[i].  Returns (ells, ideal rates, counts).
     """
     ells_a, ells_b = scan.axis_values
-    rows, cols = [], []
-    for i, ell in enumerate(ells_a):
-        j = np.nonzero(ells_b == -ell)[0]
-        if len(j):
-            rows.append(i)
-            cols.append(int(j[0]))
-    if not rows:
-        raise ValueError("scan has no (ell, -ell) pairs")
-    return ells_a[rows], scan.ideal[rows, cols], scan.counts[rows, cols]
+    if not np.array_equal(ells_b, -ells_a[::-1]):
+        raise ValueError("spiral spectrum needs a square scan with axes ells and -ells[::-1]")
+    rows = np.arange(len(ells_a))
+    return ells_a, scan.ideal[rows, rows[::-1]], scan.counts[rows, rows[::-1]]
 
 
 def spectrum_fwhm(xs, ys) -> float:

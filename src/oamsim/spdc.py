@@ -2,11 +2,14 @@
 
 The two-photon state over the orbital-angular-momentum basis pairs a Gaussian
 pump with p = 0 Laguerre-Gaussian measurement modes at the crystal plane
-(thin-crystal approximation).  Aligned, the amplitudes are known in closed
-form.  A lateral signal offset needs the overlaps of the back-projected modes
-with the pump; each integrand is a Gaussian times a polynomial, which three
-small exact rules (``numerics.GaussPolarRule``) integrate without a grid, and
-the joint overlaps are one matrix product.  Crystal length and phase
+(thin-crystal approximation).  It depends on the pump only through the ratio
+gamma of pump waist to measurement waist, so the state is built with every
+length in measurement waists: w = 1 and w_pump = gamma.  Aligned, the
+amplitudes are known in closed form.  A lateral signal offset needs the
+overlaps of the back-projected modes with the pump; each integrand is a
+Gaussian times a polynomial, which three small exact rules
+(``numerics.GaussPolarRule``) integrate without a grid, and the joint
+overlaps are one matrix product.  Crystal length and phase
 mismatch enter only through the far-field ring profile.  Coincidence counts
 are Poisson draws over an array of ideal rates, each count from a random
 stream seeded by the run seed and the setting's position in the array.
@@ -50,17 +53,6 @@ class CrystalConfig:
 
 
 @dataclass(frozen=True)
-class PumpSpec:
-    """Gaussian pump beam at the crystal plane."""
-
-    waist: float = 1.0
-
-    def __post_init__(self):
-        if self.waist <= 0:
-            raise ValueError("pump waist must be positive")
-
-
-@dataclass(frozen=True)
 class DetectorConfig:
     """Single-photon detectors and coincidence gating."""
 
@@ -85,39 +77,31 @@ class DetectorConfig:
 class TwoPhotonState:
     """Joint OAM state of the photon pair over ells = -ell_max, ..., ell_max.
 
-    ``amplitudes[i]`` is the coefficient of |ells[i]>|-ells[i]>.  ``joint[i, j]``
-    is the coefficient of |ells[i]>|ells[j]>; it defaults to the anti-diagonal
-    matrix of the amplitudes.  When lateral misalignment relaxes OAM
-    conservation it also holds the conservation-forbidden pairs, and the
-    amplitudes are its anti-diagonal.
+    ``joint[i, j]`` is the coefficient of |ells[i]>|ells[j]>.  Aligned, only
+    the anti-diagonal pairs |ell>|-ell> are populated; lateral misalignment
+    relaxes OAM conservation and fills the conservation-forbidden pairs too.
     """
 
-    ells: np.ndarray
-    amplitudes: np.ndarray
-    joint: np.ndarray | None = None
+    joint: np.ndarray
 
     def __post_init__(self):
-        ells = np.asarray(self.ells, dtype=int)
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        m = len(ells) // 2
-        if not np.array_equal(ells, np.arange(-m, m + 1)):
-            raise ValueError("ells must run from -ell_max to ell_max in steps of one")
-        if ells.shape != amps.shape:
-            raise ValueError("ells and amplitudes must have matching shapes")
-        joint = np.fliplr(np.diag(amps)) if self.joint is None else np.asarray(self.joint, dtype=complex)
-        if joint.shape != (len(ells), len(ells)):
-            raise ValueError("joint must be square over ells")
+        joint = np.asarray(self.joint, dtype=complex)
+        if joint.ndim != 2 or joint.shape[0] != joint.shape[1] or joint.shape[0] % 2 == 0:
+            raise ValueError("joint must be a square matrix over ells = -ell_max, ..., ell_max")
         total = np.sum(np.abs(joint) ** 2)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"state norm {total} is not 1")
-        object.__setattr__(self, "ells", ells)
-        object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "joint", joint)
+
+    @property
+    def ells(self) -> np.ndarray:
+        m = len(self.joint) // 2
+        return np.arange(-m, m + 1)
 
     def index_of(self, ell):
         """Position of ell in ``ells``; elementwise for an array of ells."""
         ell = np.asarray(ell)
-        m = len(self.ells) // 2
+        m = len(self.joint) // 2
         if np.any(np.abs(ell) > m):
             raise ValueError(f"ell={ell} not in state support")
         return ell + m
@@ -137,60 +121,57 @@ class TwoPhotonState:
         return ket / norm
 
 
-def build_state(pump: PumpSpec, gamma: float, ell_max: int,
-                signal_offset: tuple[float, float] = (0.0, 0.0)) -> TwoPhotonState:
-    """Two-photon OAM state for p = 0 measurement modes with waist w = w_pump / gamma.
+def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> TwoPhotonState:
+    """Two-photon OAM state for p = 0 measurement modes, all lengths in measurement waists.
 
+    The measurement modes have waist w = 1 and the Gaussian pump has waist
+    w_pump = gamma; the state depends on the pump only through this ratio.
     Aligned, the pair amplitudes are the closed form q^|ell| with
     q = sqrt(g (g + 2)) / (g + 1) and g = 2 gamma^2 (Torres et al., PRA 68,
     050301, 2003; Miatto, Yao & Barnett, PRA 83, 033816, 2011), normalized to
-    unit total probability.  With a nonzero lateral signal offset d the full
-    (ell_s, ell_i) coefficient matrix is the overlap of the back-projected
-    signal and idler modes with the pump, each pair normalized by its
-    signal-pump and idler-pump overlaps; it captures misalignment crosstalk
-    into conservation-forbidden pairs.  Each of the three integrands is a
-    Gaussian times a polynomial of degree at most 2 ell_max, integrated
+    unit total probability.  With the signal modes offset by d = offset_waists
+    along x, the full (ell_s, ell_i) coefficient matrix is the overlap of the
+    back-projected signal and idler modes with the pump, each pair normalized
+    by its signal-pump and idler-pump overlaps; it captures misalignment
+    crosstalk into conservation-forbidden pairs.  Each of the three integrands
+    is a Gaussian times a polynomial of degree at most 2 ell_max, integrated
     exactly by a ``GaussPolarRule`` for its Gaussian: the joint overlaps by
-    rate a = 2 / w^2 + 1 / w_pump^2 centred at d / (w^2 a), the signal-pump
-    overlaps by a' = 2 / w^2 + 2 / w_pump^2 centred at 2 d / (w^2 a') and the
-    idler-pump overlaps by a' centred at the origin.  Each arm is sampled
-    once per rule, and the joint matrix is one product of the two arms'
-    sample arrays.
+    rate a = 2 + 1 / gamma^2 centred at d / a, the signal-pump overlaps by
+    a' = 2 + 2 / gamma^2 centred at 2 d / a' and the idler-pump overlaps by
+    a' centred at the origin.  Each arm is sampled once per rule, and the
+    joint matrix is one product of the two arms' sample arrays.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not 0 <= ell_max <= 20:
         raise ValueError("ell_max must lie in [0, 20]")
-    ells = np.arange(-ell_max, ell_max + 1)
-    if signal_offset == (0.0, 0.0):
+    if offset_waists == 0.0:
         g = 2.0 * gamma * gamma
-        amps = (math.sqrt(g * (g + 2.0)) / (g + 1.0)) ** np.abs(ells)
-        return TwoPhotonState(ells=ells, amplitudes=amps / np.linalg.norm(amps))
-    w_meas = pump.waist / gamma
+        amps = (math.sqrt(g * (g + 2.0)) / (g + 1.0)) ** np.abs(np.arange(-ell_max, ell_max + 1))
+        return TwoPhotonState(np.fliplr(np.diag(amps / np.linalg.norm(amps))))
 
     def sampled(a, shift, offset):
         # the rule for rate a centred at shift * offset, with the modes centred
         # at offset and the pump sampled at its nodes
-        rule = GaussPolarRule(a, (shift * offset[0], shift * offset[1]), ell_max)
-        return (rule, TransverseMode(w_meas, ell_max, offset).sample(rule),
-                TransverseMode(pump.waist, 0).sample(rule)[0])
+        rule = GaussPolarRule(a, (shift * offset, 0.0), ell_max)
+        return (rule, TransverseMode(1.0, ell_max, (offset, 0.0)).sample(rule),
+                TransverseMode(gamma, 0).sample(rule)[0])
 
     def denominators(offset):
         # overlaps of |u_ell|^2 with |u_p|^2, one per ell, for modes centred at offset
-        a = 2.0 / w_meas**2 + 2.0 / pump.waist**2
-        rule, rows, u_p = sampled(a, 2.0 / (w_meas**2 * a), offset)
+        a = 2.0 + 2.0 / gamma**2
+        rule, rows, u_p = sampled(a, 2.0 / a, offset)
         denoms = np.abs(rows) ** 2 @ (np.abs(u_p) ** 2 * rule.weights)
         if denoms.min() <= 0:
             raise ValueError("degenerate mode choice: a measurement mode has no overlap with the pump")
         return denoms
 
-    a = 2.0 / w_meas**2 + 1.0 / pump.waist**2
-    rule, u_s, u_p = sampled(a, 1.0 / (w_meas**2 * a), signal_offset)
-    u_i = TransverseMode(w_meas, ell_max).sample(rule)
+    a = 2.0 + 1.0 / gamma**2
+    rule, u_s, u_p = sampled(a, 1.0 / a, offset_waists)
+    u_i = TransverseMode(1.0, ell_max).sample(rule)
     joint = (np.conjugate(u_s) * (u_p * rule.weights)) @ np.conjugate(u_i).T
-    joint /= np.outer(denominators(signal_offset), denominators((0.0, 0.0))) ** 0.25
-    joint /= np.linalg.norm(joint)
-    return TwoPhotonState(ells=ells, amplitudes=np.fliplr(joint).diagonal(), joint=joint)
+    joint /= np.outer(denominators(offset_waists), denominators(0.0)) ** 0.25
+    return TwoPhotonState(joint / np.linalg.norm(joint))
 
 
 def sinc_ring_profile(r, config: CrystalConfig):

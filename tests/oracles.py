@@ -20,7 +20,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from oamsim.modes import TransverseMode
-from oamsim.spdc import PumpSpec
 
 MAX_LAGUERRE_ORDER = 64
 
@@ -275,18 +274,15 @@ def mode_overlap(a: FieldMode, b: FieldMode, grid: PolarGrid | None = None) -> c
 
 
 def coincidence_amplitude(signal: FieldMode, idler: FieldMode,
-                          pump: PumpSpec | FieldMode, grid: PolarGrid | None = None) -> complex:
+                          pump: FieldMode, grid: PolarGrid | None = None) -> complex:
     """Normalized two-photon projection amplitude at the crystal plane.
 
     The magnitude squared is the relative coincidence rate: the squared
     overlap of the back-projected signal and idler modes with the pump,
-    normalized by the individual signal-pump and idler-pump overlaps.  A
-    ``PumpSpec`` stands for its Gaussian mode; any other pump mode is used
-    as given.  One mode pair at a time, so it checks both paths of
-    ``spdc.build_state``: the closed form and the offset matrix product.
+    normalized by the individual signal-pump and idler-pump overlaps.  One
+    mode pair at a time, so it checks both paths of ``spdc.build_state``:
+    the closed form and the offset matrix product.
     """
-    if isinstance(pump, PumpSpec):
-        pump = LGMode(ell=0, geometry=BeamGeometry(waist=pump.waist))
     if grid is None:
         grid = default_grid(signal.geometry.spot_size, idler.geometry.spot_size,
                             pump.geometry.spot_size)
@@ -301,19 +297,21 @@ def coincidence_amplitude(signal: FieldMode, idler: FieldMode,
     return numerator / (d_s * d_i) ** 0.25
 
 
-def offset_joint(pump: PumpSpec, gamma: float, ell_max: int, signal_offset,
+def offset_joint(pump_waist: float, gamma: float, ell_max: int, signal_offset,
                  grid: PolarGrid | None = None) -> np.ndarray:
     """The offset joint matrix of ``spdc.build_state``, on a polar grid.
 
     The same overlaps, normalizations and matrix product, but every integral
     is a sum over one brute-force grid (65,536 nodes by default) in place of
-    the library's three exact Gauss rules.
+    the library's three exact Gauss rules, and every length (the pump waist,
+    the measurement waist pump_waist / gamma and the (dx, dy) signal offset)
+    is in one unit of the caller's choice, not in measurement waists.
     """
-    w_meas = pump.waist / gamma
+    w_meas = pump_waist / gamma
     if grid is None:
-        grid = default_grid(pump.waist, w_meas)
+        grid = default_grid(pump_waist, w_meas)
     weights = grid.weights.ravel()
-    u_p = TransverseMode(pump.waist, 0).sample(grid)[0]
+    u_p = TransverseMode(pump_waist, 0).sample(grid)[0]
 
     def sampled(offset):
         rows = TransverseMode(w_meas, ell_max, offset).sample(grid)
@@ -341,7 +339,8 @@ def bell_probability(state, ell: int, theta_a: float, theta_b: float) -> float:
     normalized over the two, one orientation at a time.  Checks the array
     ``experiments.bell_probability`` on aligned states.
     """
-    pair = state.amplitudes[state.index_of(np.array([ell, -ell]))]
+    i, j = state.index_of(np.array([ell, -ell]))
+    pair = np.array([state.joint[i, j], state.joint[j, i]])
     a_plus, a_minus = pair / np.linalg.norm(pair)
     va = analyzer_ket(ell, theta_a)
     vb = analyzer_ket(ell, theta_b)

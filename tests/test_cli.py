@@ -262,9 +262,11 @@ def test_validate_integration_time_bound(capsys, seconds, code):
     assert ("detector.integration_s" in capsys.readouterr().out) == bool(code)
 
 
-@pytest.mark.parametrize("key", ["source.grid_points_radial", "source.grid_points_azimuthal"])
+@pytest.mark.parametrize("key", ["source.grid_points_radial", "source.grid_points_azimuthal",
+                                 "source.pump_waist_mm"])
 def test_validate_rejects_removed_grid_keys(capsys, key):
-    # the offset state needs no quadrature grid, so its two size keys are unknown
+    # the offset state needs no quadrature grid, so its two size keys are
+    # unknown, and it is built in measurement waists, so the pump waist is too
     assert main(["validate", "--set", f"{key}=256"]) == 1
     assert f"unknown key {key!r}" in capsys.readouterr().err
 

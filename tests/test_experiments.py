@@ -34,18 +34,20 @@ NOISY_DET = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9,
                            efficiency=1.0, integration_time=1.0)
 
 
+def pair_state(amps):
+    """The state sum_i amps[i] |ells[i]>|-ells[i]>."""
+    return TwoPhotonState(np.fliplr(np.diag(amps)))
+
+
 def geometric_state(ell_max, ratio=0.9):
-    ells = np.arange(-ell_max, ell_max + 1)
-    amps = ratio ** np.abs(ells)
-    amps = amps / np.linalg.norm(amps)
-    return TwoPhotonState(ells=ells, amplitudes=amps.astype(complex))
+    amps = ratio ** np.abs(np.arange(-ell_max, ell_max + 1))
+    return pair_state(amps / np.linalg.norm(amps))
 
 
 def bell_pair_state(ell=1):
-    ells = np.arange(-ell, ell + 1)
-    amps = np.zeros(len(ells), dtype=complex)
+    amps = np.zeros(2 * ell + 1, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return TwoPhotonState(ells=ells, amplitudes=amps)
+    return pair_state(amps)
 
 
 class TestFitGaussian:
@@ -117,6 +119,16 @@ class TestSpiralScan:
         assert np.array_equal(s_ells, ells)
         assert s_ideal[2] == s_ideal.max()
         assert [len(c) for c in scan.columns().values()] == [25] * 5
+
+    @pytest.mark.parametrize("ells_a, ells_b", [
+        ([-2, -1, 0, 1, 2], [-2, -1, 0, 1]),  # not square
+        ([-2, -1, 0, 1, 2], [2, 1, 0, -1, -2]),  # square, axis b reversed
+        ([0, 1, 2], [0, 1, 2]),  # one-sided window
+    ])
+    def test_spectrum_rejects_non_symmetric_scan(self, ells_a, ells_b):
+        scan = spiral_scan(geometric_state(2), ells_a, ells_b, QUIET_DET, seed=1)
+        with pytest.raises(ValueError, match="ells"):
+            spiral_spectrum(scan)
 
     def test_rejects_ells_outside_support(self):
         state = geometric_state(2)
@@ -239,7 +251,7 @@ class TestBell:
         # unequal, complex pair amplitudes, so both terms of the amplitude count
         ells = np.arange(-4, 5)
         amps = 0.8 ** np.abs(ells) * np.exp(0.7j * ells)
-        state = TwoPhotonState(ells=ells, amplitudes=amps / np.linalg.norm(amps))
+        state = pair_state(amps / np.linalg.norm(amps))
         thetas = np.linspace(-math.pi, math.pi, 37)
         got = bell_probability(state, ell, thetas[:, None], thetas[None, :])
         want = [[bell_probability_oracle(state, ell, ta, tb) for tb in thetas] for ta in thetas]
@@ -320,10 +332,9 @@ class TestBell:
     def test_analyzer_rotation_phase_convention(self):
         # rotating analyzer A by theta advances its relative phase by 2 ell theta,
         # so a pair phase of 1.5 at ell = 3 moves the fringe peak to theta_a = 0.25
-        ells = np.arange(-3, 4)
         amps = np.zeros(7, dtype=complex)
         amps[6], amps[0] = 1.0 / math.sqrt(2.0), np.exp(1.5j) / math.sqrt(2.0)
-        state = TwoPhotonState(ells=ells, amplitudes=amps)
+        state = pair_state(amps)
         assert bell_probability(state, 3, 0.25, 0.0) == pytest.approx(0.5, abs=1e-15)
         assert bell_probability(state, 3, 0.25 + math.pi / 6, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert analyzer_kets(1.5) == pytest.approx(np.array([1.0, np.exp(1.5j)]) / math.sqrt(2.0))

@@ -6,7 +6,6 @@ import pytest
 from oamsim.spdc import (
     CrystalConfig,
     DetectorConfig,
-    PumpSpec,
     TwoPhotonState,
     accidentals,
     build_state,
@@ -16,12 +15,22 @@ from oamsim.spdc import (
 )
 from oracles import BeamGeometry, LGMode, PolarGrid, coincidence_amplitude, default_grid, offset_joint
 
-PUMP = PumpSpec(waist=1.0)
+PUMP = LGMode(ell=0, geometry=BeamGeometry(waist=1.0))
 GRID = default_grid(1.0, 0.5, n_r=192, n_phi=128)
 
 
 def meas_mode(ell, offset=(0.0, 0.0)):
     return LGMode(ell=ell, geometry=BeamGeometry(waist=0.5), offset=offset)
+
+
+def pair_state(amps):
+    """The state sum_i amps[i] |ells[i]>|-ells[i]>."""
+    return TwoPhotonState(np.fliplr(np.diag(amps)))
+
+
+def pair_amplitudes(state):
+    """Coefficients of |ell>|-ell>, ell = -ell_max, ..., ell_max."""
+    return np.fliplr(state.joint).diagonal()
 
 
 class TestCoincidenceAmplitude:
@@ -35,11 +44,10 @@ class TestCoincidenceAmplitude:
         assert abs(a) == pytest.approx(abs(b), rel=1e-10)
 
     def test_fundamental_pair_dominates_at_equal_waists(self):
-        pump = PumpSpec(waist=1.0)
         grid = default_grid(1.0, n_r=192, n_phi=128)
         geo = BeamGeometry(waist=1.0)
         amps = [
-            abs(coincidence_amplitude(LGMode(ell=l, geometry=geo), LGMode(ell=-l, geometry=geo), pump, grid))
+            abs(coincidence_amplitude(LGMode(ell=l, geometry=geo), LGMode(ell=-l, geometry=geo), PUMP, grid))
             for l in range(0, 4)
         ]
         assert amps[0] == max(amps)
@@ -57,14 +65,14 @@ class TestCoincidenceAmplitude:
 
 class TestBuildState:
     def test_symmetric_spectrum_and_unit_norm(self):
-        state = build_state(PUMP, gamma=2.0, ell_max=4)
-        probs = np.abs(state.amplitudes) ** 2
+        state = build_state(gamma=2.0, ell_max=4)
+        probs = np.abs(pair_amplitudes(state)) ** 2
         assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(probs, probs[::-1], rtol=1e-8)
 
     def test_spectrum_monotone_in_abs_ell(self):
-        state = build_state(PUMP, gamma=2.0, ell_max=5)
-        probs = np.abs(state.amplitudes) ** 2
+        state = build_state(gamma=2.0, ell_max=5)
+        probs = np.abs(pair_amplitudes(state)) ** 2
         center = len(probs) // 2
         upper = probs[center:]
         assert np.all(np.diff(upper) < 0)
@@ -77,8 +85,8 @@ class TestBuildState:
         # normalized Gaussian moment integrals.
         g2 = 2.0 * gamma * gamma
         want = math.sqrt(g2 * (g2 + 2.0)) / (g2 + 1.0)
-        state = build_state(PumpSpec(waist=1.0), gamma=gamma, ell_max=4)
-        amps = np.abs(state.amplitudes)
+        state = build_state(gamma=gamma, ell_max=4)
+        amps = np.abs(pair_amplitudes(state))
         center = len(amps) // 2
         ratios = amps[center + 1:] / amps[center:-1]
         assert np.max(np.abs(ratios - want)) < 1e-6
@@ -86,21 +94,20 @@ class TestBuildState:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_aligned_closed_form_matches_quadrature_oracle(self, gamma):
         w = 1.0 / gamma
-        state = build_state(PUMP, gamma=gamma, ell_max=20)
+        state = build_state(gamma=gamma, ell_max=20)
         grid = default_grid(1.0, w)
         geo = BeamGeometry(waist=w)
         want = np.array([coincidence_amplitude(LGMode(ell=l, geometry=geo), LGMode(ell=-l, geometry=geo),
                                                PUMP, grid) for l in range(-20, 21)])
-        assert np.max(np.abs(state.amplitudes - want / np.linalg.norm(want))) < 1e-12
+        assert np.max(np.abs(pair_amplitudes(state) - want / np.linalg.norm(want))) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_tiny_offset_reduces_to_closed_form(self, gamma):
         # a 1e-9 waist offset takes the quadrature path, which must reproduce the closed form
-        aligned = build_state(PUMP, gamma=gamma, ell_max=20)
-        offset = build_state(PUMP, gamma=gamma, ell_max=20, signal_offset=(1e-9 / gamma, 0.0))
+        aligned = build_state(gamma=gamma, ell_max=20)
+        offset = build_state(gamma=gamma, ell_max=20, offset_waists=1e-9)
         anti = np.fliplr(np.eye(41, dtype=bool))
-        assert np.max(np.abs(offset.joint[anti] - aligned.amplitudes)) < 1e-12
-        assert np.max(np.abs(offset.amplitudes - aligned.amplitudes)) < 1e-12
+        assert np.max(np.abs(pair_amplitudes(offset) - pair_amplitudes(aligned))) < 1e-12
         assert np.max(np.abs(offset.joint[~anti])) <= 1e-8
 
     def test_offset_matches_quadrature_oracle(self):
@@ -108,7 +115,7 @@ class TestBuildState:
         # integral per pair, normalized over the window like the state
         gamma, w = 2.0, 0.5
         offset = (0.1 * w, 0.0)
-        state = build_state(PUMP, gamma=gamma, ell_max=3, signal_offset=offset)
+        state = build_state(gamma=gamma, ell_max=3, offset_waists=0.1)
         geo = BeamGeometry(waist=w)
         want = np.array([[coincidence_amplitude(LGMode(ell=ls, geometry=geo, offset=offset),
                                                 LGMode(ell=li, geometry=geo), PUMP, GRID)
@@ -122,24 +129,26 @@ class TestBuildState:
     @pytest.mark.parametrize("ell_max", [3, 10, 20])
     @pytest.mark.parametrize("offset_waists", [0.1, 0.5])
     def test_offset_matches_polar_grid_oracle(self, gamma, ell_max, offset_waists):
-        # the exact Gauss rules against the same product on a 256 x 256 polar grid
-        offset = (offset_waists / gamma, 0.0)
-        state = build_state(PUMP, gamma=gamma, ell_max=ell_max, signal_offset=offset)
-        want = offset_joint(PUMP, gamma, ell_max, offset)
-        assert np.max(np.abs(state.joint - want)) < 1e-12
+        # the exact Gauss rules in measurement waists against the same product
+        # on a 256 x 256 polar grid in metres: the state depends on the pump
+        # waist only through gamma, so both pump waists give the same matrix
+        state = build_state(gamma=gamma, ell_max=ell_max, offset_waists=offset_waists)
+        for pump_waist in (1.0, 1e-3):
+            offset = (offset_waists * pump_waist / gamma, 0.0)
+            want = offset_joint(pump_waist, gamma, ell_max, offset)
+            assert np.max(np.abs(state.joint - want)) < 1e-12
 
     def test_far_offset_matches_wide_polar_grid(self):
         # a 20-waist offset puts the signal modes beyond the default grid's
         # 6 w_pump disc; the exact rules have no such edge
-        offset = (10.0, 0.0)
-        state = build_state(PUMP, gamma=2.0, ell_max=3, signal_offset=offset)
-        want = offset_joint(PUMP, 2.0, 3, offset, PolarGrid(r_max=16.0, n_r=256, n_phi=512))
+        state = build_state(gamma=2.0, ell_max=3, offset_waists=20.0)
+        want = offset_joint(1.0, 2.0, 3, (10.0, 0.0), PolarGrid(r_max=16.0, n_r=256, n_phi=512))
         assert np.max(np.abs(state.joint - want)) < 1e-12
 
     def test_offset_populates_forbidden_pairs(self):
         ratios = []
-        for delta in (0.0, 0.05, 0.1):
-            state = build_state(PUMP, gamma=2.0, ell_max=2, signal_offset=(delta, 0.0))
+        for offset_waists in (0.0, 0.1, 0.2):
+            state = build_state(gamma=2.0, ell_max=2, offset_waists=offset_waists)
             joint = np.abs(state.joint) ** 2
             anti = np.fliplr(np.eye(joint.shape[0], dtype=bool))
             peak = joint[anti].max()
@@ -150,24 +159,30 @@ class TestBuildState:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            build_state(PUMP, gamma=-1.0, ell_max=2)
+            build_state(gamma=-1.0, ell_max=2)
         with pytest.raises(ValueError):
-            build_state(PUMP, gamma=2.0, ell_max=21)
+            build_state(gamma=2.0, ell_max=21)
 
 
 class TestTwoPhotonState:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
-            TwoPhotonState(ells=np.array([-1, 0, 1]), amplitudes=np.array([1.0, 1.0, 1.0]))
+            pair_state(np.array([1.0, 1.0, 1.0]))
 
-    @pytest.mark.parametrize("ells", [[0, 1, 2], [-1, 1], [1, 0, -1], [-1, 0, 0]])
-    def test_rejects_ells_other_than_symmetric_range(self, ells):
-        amps = np.ones(len(ells)) / math.sqrt(len(ells))
-        with pytest.raises(ValueError, match="ell_max"):
-            TwoPhotonState(ells=np.array(ells), amplitudes=amps)
+    @pytest.mark.parametrize("joint", [
+        np.full((3, 5), 1.0 / math.sqrt(15.0)),  # not square
+        np.eye(2) / math.sqrt(2.0),  # square, but no centre ell = 0
+        np.array([0.6, 0.0, 0.8]),  # not a matrix
+        np.eye(3),  # unnormalised
+        np.full((3, 3), np.nan),  # no norm at all
+    ], ids=["non-square", "even-sized", "one-dimensional", "unnormalised", "nan"])
+    def test_rejects_malformed_joint(self, joint):
+        with pytest.raises(ValueError):
+            TwoPhotonState(joint)
 
     def test_index_of_is_range_checked(self):
-        state = TwoPhotonState(ells=np.array([-1, 0, 1]), amplitudes=np.array([0.6, 0.0, 0.8]))
+        state = pair_state(np.array([0.6, 0.0, 0.8]))
+        assert list(state.ells) == [-1, 0, 1]
         assert list(state.index_of([1, -1, 0])) == [2, 0, 1]
         with pytest.raises(ValueError):
             state.index_of(2)
@@ -176,14 +191,12 @@ class TestTwoPhotonState:
 
     def test_sector_ket(self):
         # the +-ell sector the Bell analyzers see: |1,-1> and |-1,1> off the diagonal
-        amps = np.array([1.0, 0.5, 1.0]) / 1.5
-        state = TwoPhotonState(ells=np.array([-1, 0, 1]), amplitudes=amps)
+        state = pair_state(np.array([1.0, 0.5, 1.0]) / 1.5)
         ket = state.restricted_ket([1, -1]).reshape(2, 2)
         assert np.allclose(ket, [[0.0, 1.0 / math.sqrt(2.0)], [1.0 / math.sqrt(2.0), 0.0]])
 
     def test_restricted_ket_orders_like_kron(self):
-        amps = np.array([0.6, 0.0, 0.8])
-        state = TwoPhotonState(ells=np.array([-1, 0, 1]), amplitudes=amps)
+        state = pair_state(np.array([0.6, 0.0, 0.8]))
         ket = state.restricted_ket([1, -1])
         # |l=1>|l=-1> lands at index 0*2+1, |l=-1>|l=1> at 1*2+0
         assert ket[1] == pytest.approx(0.8)

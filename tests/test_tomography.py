@@ -272,7 +272,7 @@ class TestFidelity:
         assert main(["tomo", "--set", f"tomo.d={d}", "--set", f"tomo.ell_values={ells}",
                      "--out", str(tmp_path)]) == 0
         config = build_config(overrides={"tomo.d": str(d), "tomo.ell_values": ells})
-        state = build_state(config.pump(), gamma=config["source.gamma"], ell_max=2)
+        state = build_state(config["source.gamma"], ell_max=2)
         ket = state.restricted_ket([int(e) for e in ells.split(",")])
         want = fidelity(np.outer(ket, ket.conj()), load_density_matrix(tmp_path / "tomo_rho.csv"))
         lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
