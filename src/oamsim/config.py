@@ -204,6 +204,19 @@ def validate(config: ScenarioConfig) -> list[str]:
             problems.append(f"source.signal_offset_waists must not exceed 10 (got {v['source.signal_offset_waists']})")
         if v["source.gamma"] < 1e-3:
             problems.append(f"source.gamma must be at least 1e-3 when source.signal_offset_waists > 0 (got {v['source.gamma']})")
+    # the aligned closed form overflows to NaN amplitudes from about gamma = 8e76
+    if v["source.gamma"] > 1e6:
+        problems.append(f"source.gamma must not exceed 1e6 (got {v['source.gamma']})")
+    # no ideal rate exceeds pair_rate, so this bounds every count mean; numpy's
+    # Poisson sampler refuses means above about 9.2e18, and every count below
+    # 2^53 is exact in float64
+    largest_mean = (v["detector.efficiency"] ** 2 * v["experiment.pair_rate"]
+                    + v["detector.singles_1"] * v["detector.singles_2"] * v["detector.gate_ns"] * 1e-9
+                    ) * v["detector.integration_s"]
+    if not largest_mean <= 1e15:
+        problems.append("the largest count mean (detector.efficiency^2 * experiment.pair_rate + detector.singles_1"
+                        " * detector.singles_2 * detector.gate_ns * 1e-9) * detector.integration_s"
+                        f" must not exceed 1e15 (got {largest_mean})")
     if not 0 <= v["source.ell_max"] <= 20:
         problems.append(f"source.ell_max must lie in [0, 20] (got {v['source.ell_max']})")
     # 2 epr_ell_max + 1 OAM bins must leave the Gaussian fit at least four points

@@ -12,7 +12,12 @@ Gaussian times a polynomial, which three small exact rules
 overlaps are one matrix product.  Crystal length and phase
 mismatch enter only through the far-field ring profile.  Coincidence counts
 are Poisson draws over an array of ideal rates, each count from a random
-stream seeded by the run seed and the setting's position in the array.
+stream seeded by the run seed and the setting's position in the array:
+numpy's ``default_rng([seed, k]).poisson``.  ``numerics.poisson_streams``
+runs all of these streams in lockstep as arrays, the same counts bit for
+bit; it takes exp and log from the C library through ``math``, as numpy's
+sampler does, since numpy's vectorised exp and log can differ from it in the
+last bit and flip an acceptance test.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import TransverseMode
-from .numerics import GaussPolarRule
+from .numerics import GaussPolarRule, poisson_streams
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,8 @@ class DetectorConfig:
             raise ValueError("gate time must be positive")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
-        if self.integration_time < 0:
-            raise ValueError("integration time must be non-negative")
+        if not self.integration_time > 0:
+            raise ValueError("integration time must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,14 +213,15 @@ def sample_counts(ideal_rates, det: DetectorConfig, seed: int) -> np.ndarray:
 
     Each mean is (efficiency^2 * ideal_rate + accidental rate) * integration
     time; one efficiency factor per detector.  The count at flat C-order
-    position k is drawn from the stream ``default_rng([seed, k])``, so it
-    depends only on the seed, k and its own rate, not on the other settings
-    or on evaluation order.
+    position k is ``default_rng([seed, k]).poisson(mean)``, so it depends only
+    on the seed, k and its own rate, not on the other settings or on
+    evaluation order.  ``numerics.poisson_streams`` evaluates all of these
+    streams at once as arrays, bit for bit; its exp and log come from the C
+    library, as in numpy's own sampler, because numpy's vectorised exp and log
+    may differ in the last bit and flip a rejection test.
     """
     rates = np.asarray(ideal_rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("ideal rates must be non-negative")
     means = (det.efficiency**2 * rates + accidentals(det)) * det.integration_time
-    counts = [np.random.default_rng([seed, k]).poisson(mean)
-              for k, mean in enumerate(means.ravel().tolist())]
-    return np.array(counts, dtype=np.int64).reshape(rates.shape)
+    return poisson_streams(means.ravel(), seed).reshape(rates.shape)

@@ -5,10 +5,11 @@ way: by quadrature on a brute-force polar grid where the library uses a
 closed form or an exact Gaussian rule, by the general Laguerre-Gaussian mode
 (any radial index, any propagation distance, one mode at a time) where the
 library samples the p = 0 modes at the waist by recurrence, one setting at
-a time where the library forms the rates of all settings as one array, by
-brute-force evaluation where the library uses a frozen table, or by the
-general Uhlmann fidelity through a matrix square root where the library
-applies the Born rule to a pure target.
+a time where the library forms the rates of all settings as one array, one
+numpy Generator per count where the library runs every count's random stream
+in lockstep, by brute-force evaluation where the library uses a frozen
+table, or by the general Uhlmann fidelity through a matrix square root where
+the library applies the Born rule to a pure target.
 """
 
 from __future__ import annotations
@@ -361,6 +362,21 @@ def tomography_probabilities(arm_kets, rho) -> np.ndarray:
             ket = np.kron(ket_a, ket_b)
             probs.append(float(np.real(np.conj(ket) @ rho @ ket)))
     return np.array(probs)
+
+
+def per_setting_counts(ideal_rates, det, seed: int) -> np.ndarray:
+    """Poisson counts shaped like ideal_rates, one numpy Generator per setting.
+
+    The count at flat position k is ``default_rng([seed, k]).poisson(mean)``
+    with mean (efficiency^2 * rate + accidentals) * integration time.
+    Checks ``spdc.sample_counts``, which evaluates every stream at once.
+    """
+    rates = np.asarray(ideal_rates, dtype=float)
+    acc = det.singles_1 * det.singles_2 * det.gate_time
+    means = (det.efficiency**2 * rates + acc) * det.integration_time
+    counts = [np.random.default_rng([seed, k]).poisson(mean)
+              for k, mean in enumerate(means.ravel().tolist())]
+    return np.array(counts, dtype=np.int64).reshape(rates.shape)
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:

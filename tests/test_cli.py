@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+from oamsim import experiments
 from oamsim.cli import RUNNERS, RunContext, main
 from oamsim.config import build_config
 
@@ -301,6 +302,52 @@ def test_offset_runs_at_validate_corners(tmp_path, gamma, command, window):
     value = "20,-20" if command == "tomo" else "20"
     assert main([command, "--set", f"source.gamma={gamma}", "--set", "source.signal_offset_waists=10",
                  "--set", f"{window}={value}", "--out", str(tmp_path)]) == 0
+
+
+# the runners that sample counts
+SAMPLING = ("angular", "bell", "epr-reid", "spiral", "tomo")
+
+
+@pytest.mark.parametrize("overrides", [[], ["source.gamma=1e-3"], ["source.signal_offset_waists=0.5"]],
+                         ids=["default", "narrow", "offset"])
+@pytest.mark.parametrize("command", SAMPLING)
+def test_ideal_rates_do_not_exceed_pair_rate(tmp_path, monkeypatch, command, overrides):
+    # validate bounds every count mean by (efficiency^2 pair_rate + accidentals)
+    # * integration time, which needs every ideal rate to be at most pair_rate
+    largest = []
+    real = experiments.sample_counts
+
+    def spy(rates, det, seed):
+        largest.append(np.max(rates))
+        return real(rates, det, seed)
+
+    monkeypatch.setattr(experiments, "sample_counts", spy)
+    sets = [arg for item in [*overrides, "experiment.pair_rate=1e4"] for arg in ("--set", item)]
+    assert main([command, *sets, "--out", str(tmp_path)]) == 0
+    assert largest and max(largest) <= 1e4
+
+
+@pytest.mark.parametrize("overrides, code", [
+    (["source.gamma=1e6"], 0),
+    (["source.gamma=1.1e6"], 1),
+    (["experiment.pair_rate=2.7e15"], 0),
+    (["experiment.pair_rate=2.8e15"], 1),
+    (["experiment.pair_rate=1e30"], 1),
+    (["detector.integration_s=9e10"], 0),
+    (["detector.integration_s=1e20"], 1),
+    (["detector.singles_1=4e13", "detector.singles_2=4e13"], 1),
+])
+def test_validate_gamma_and_count_mean_bounds(capsys, overrides, code):
+    # at the defaults the largest count mean is (0.36 pair_rate + 5) * integration_s;
+    # above 1e15 it is rejected, and so is gamma above 1e6
+    assert main(["validate", *(arg for item in overrides for arg in ("--set", item))]) == code
+    assert bool(capsys.readouterr().out) == bool(code)
+
+
+@pytest.mark.parametrize("override", ["source.gamma=1e6", "experiment.pair_rate=2.7e15"])
+@pytest.mark.parametrize("command", SAMPLING)
+def test_runs_at_gamma_and_count_mean_bounds(tmp_path, command, override):
+    assert main([command, "--set", override, "--out", str(tmp_path)]) == 0
 
 
 def per_cell(value) -> str:

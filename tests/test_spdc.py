@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oamsim.numerics import poisson_streams
 from oamsim.spdc import (
     CrystalConfig,
     DetectorConfig,
@@ -13,7 +17,8 @@ from oamsim.spdc import (
     sinc_ring_profile,
     transverse_mode_count,
 )
-from oracles import BeamGeometry, LGMode, PolarGrid, coincidence_amplitude, default_grid, offset_joint
+from oracles import (BeamGeometry, LGMode, PolarGrid, coincidence_amplitude, default_grid, offset_joint,
+                     per_setting_counts)
 
 PUMP = LGMode(ell=0, geometry=BeamGeometry(waist=1.0))
 GRID = default_grid(1.0, 0.5, n_r=192, n_phi=128)
@@ -320,3 +325,72 @@ class TestCountStream:
         other = sample_counts(changed, self.DET, seed=5)
         assert np.array_equal(np.delete(other, 2), np.delete(base, 2))
         assert other[2] != base[2]
+
+
+# means equal the ideal rates under this detector: (1 * rate + 0) * 1
+UNIT_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
+# the largest count mean config.validate accepts
+MEAN_BOUND = 1e15
+TEN_AND_NEIGHBOURS = [np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0)]
+means_st = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+    st.sampled_from(TEN_AND_NEIGHBOURS),
+    st.floats(10.0, 1e3),
+    st.floats(10.0, MEAN_BOUND),
+)
+
+
+class TestCountStreamOracle:
+    """``sample_counts`` against one numpy Generator per setting, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(means_st, min_size=1, max_size=80))
+    def test_matches_per_setting_generators(self, seed, means):
+        means = np.array(means)
+        assert np.array_equal(sample_counts(means, UNIT_DET, seed), per_setting_counts(means, UNIT_DET, seed))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**100 + 7])
+    def test_matches_over_blocks_and_seed_words(self, seed):
+        # 20k settings span several internal lane blocks; seeds of one to four
+        # 32-bit words, the last beyond SeedSequence's four-word pool
+        rng = np.random.default_rng(seed % 2**32)
+        means = np.concatenate([np.zeros(3), [5e-324, 1e-300], TEN_AND_NEIGHBOURS * 5,
+                                rng.uniform(0.0, 12.0, 12000), 10.0 ** rng.uniform(1.0, 15.0, 8000)])
+        assert np.array_equal(sample_counts(means, UNIT_DET, seed), per_setting_counts(means, UNIT_DET, seed))
+
+    def test_matches_with_accidentals_and_shape(self):
+        det = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9, efficiency=0.6,
+                             integration_time=1.0)
+        rates = np.random.default_rng(3).uniform(0.0, 50.0, (16, 24))
+        assert np.array_equal(sample_counts(rates, det, 671067976), per_setting_counts(rates, det, 671067976))
+
+    @pytest.mark.parametrize("rates", [[1.0, math.nan], [math.inf], [1e19], [5.0, math.nan, math.inf],
+                                       [5.0, math.inf, math.nan]],
+                             ids=["nan", "inf", "too-large", "nan-first", "inf-first"])
+    def test_invalid_means_raise_like_numpy(self, rates):
+        with pytest.raises(ValueError) as want:
+            per_setting_counts(np.array(rates), UNIT_DET, 0)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            sample_counts(np.array(rates), UNIT_DET, 0)
+
+    def test_negative_mean_or_seed_raises_like_numpy(self):
+        # a negative rate stops sample_counts first, so call the kernel
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng(0).poisson(-1e-300)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            poisson_streams(np.array([3.0, -1e-300]), 0)
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            poisson_streams(np.array([3.0]), -1)
+
+
+class TestDetectorConfig:
+    @pytest.mark.parametrize("kwargs", [{"singles_1": -1.0}, {"gate_time": 0.0}, {"efficiency": 0.0},
+                                        {"efficiency": 1.5}, {"integration_time": 0.0},
+                                        {"integration_time": -1.0}, {"integration_time": math.nan}])
+    def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            DetectorConfig(**kwargs)
