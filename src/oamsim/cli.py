@@ -49,6 +49,10 @@ from .tomography import (
 )
 
 
+# rows formatted and written at a time, so a long table is never held as text
+_BLOCK_ROWS = 8192
+
+
 def _format_column(values: np.ndarray) -> list[str]:
     """Cells of one column, from its dtype: floats by repr, integers as digits,
     booleans as true/false, text as is."""
@@ -81,16 +85,18 @@ class RunContext:
 
     def write_table(self, name: str, columns: dict):
         """Write one table: ``columns`` maps each header to a 1-D array or a
-        scalar, and a scalar repeats down the rows."""
+        scalar, and a scalar repeats down the rows.  The rows are formatted
+        and written ``_BLOCK_ROWS`` at a time."""
         values = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
         if values[0].ndim != 1:
             raise TypeError("table columns must be 1-D arrays or scalars")
-        cells = [_format_column(v) for v in values]
-        path = self.out_dir / name
-        lines = [f"# config_hash={self.config.hash()} seed={self.config.seed}"]
-        lines.append(",".join(columns))
-        lines.extend(map(",".join, zip(*cells)))
-        path.write_text("\n".join(lines) + "\n")
+        for v in values:
+            _format_column(v[:0])  # a dtype it cannot format raises before the file opens
+        with (self.out_dir / name).open("w") as out:
+            out.write(f"# config_hash={self.config.hash()} seed={self.config.seed}\n{','.join(columns)}\n")
+            for first in range(0, len(values[0]), _BLOCK_ROWS):
+                cells = [_format_column(v[first:first + _BLOCK_ROWS]) for v in values]
+                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
         self.files.append(name)
 
     def write_manifest(self):

@@ -196,15 +196,15 @@ def validate(config: ScenarioConfig) -> list[str]:
     for key in ("detector.singles_1", "detector.singles_2", "source.signal_offset_waists"):
         non_negative(key)
 
-    # an offset state's overlaps underflow from about 15 waists at gamma = 1e-3
-    # and ell_max = 20, and at any offset once gamma is far below 1e-3; inside
-    # these bounds every accepted ell window builds
+    # inside these bounds the offset state's closed form is checked against
+    # exact rational arithmetic at ell_max = 20 (tests/test_spdc.py); outside
+    # them its accuracy is untested
     if v["source.signal_offset_waists"] > 0:
         if v["source.signal_offset_waists"] > 10.0:
             problems.append(f"source.signal_offset_waists must not exceed 10 (got {v['source.signal_offset_waists']})")
         if v["source.gamma"] < 1e-3:
             problems.append(f"source.gamma must be at least 1e-3 when source.signal_offset_waists > 0 (got {v['source.gamma']})")
-    # the aligned closed form overflows to NaN amplitudes from about gamma = 8e76
+    # the state's closed form overflows to NaN amplitudes from about gamma = 8e76
     if v["source.gamma"] > 1e6:
         problems.append(f"source.gamma must not exceed 1e6 (got {v['source.gamma']})")
     # no ideal rate exceeds pair_rate, so this bounds every count mean; numpy's

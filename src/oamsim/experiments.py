@@ -261,47 +261,36 @@ def epr_reid(ell_profile, angle_profile) -> EprReidResult:
 
 @dataclass(frozen=True)
 class BellSettings:
-    """Analyzer orientations for the four-correlation Bell parameter.
+    """The ell-scaled analyzer orientations of the four-correlation Bell parameter.
 
-    Orientations are taken modulo pi/ell, the period of the two-photon
-    fringe in either analyzer angle.
+    theta_a = 0, theta_a' = pi / (4 ell), theta_b = pi / (8 ell) and
+    theta_b' = 3 pi / (8 ell), which give S = 2 sqrt(2) ideally.
     """
 
     ell: int
-    theta_a: float
-    theta_a_prime: float
-    theta_b: float
-    theta_b_prime: float
 
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError("ell must be a positive integer")
-        period = math.pi / self.ell
-        for name in ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"):
-            object.__setattr__(self, name, getattr(self, name) % period)
 
     @classmethod
     def canonical(cls, ell: int) -> "BellSettings":
-        """The ell-scaled optimal orientations, giving S = 2 sqrt(2) ideally."""
-        return cls(ell=ell, theta_a=0.0, theta_a_prime=math.pi / (4 * ell),
-                   theta_b=math.pi / (8 * ell), theta_b_prime=3 * math.pi / (8 * ell))
+        return cls(ell)
 
     @property
     def shift(self) -> float:
         """Orientation shift that flips a correlation: pi / (2 ell)."""
         return math.pi / (2 * self.ell)
 
-    def base_pairs(self):
-        return ((self.theta_a, self.theta_b), (self.theta_a, self.theta_b_prime),
-                (self.theta_a_prime, self.theta_b), (self.theta_a_prime, self.theta_b_prime))
-
     def orientations(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta_a, theta_b) of the 16 settings, each shaped (4, 4): entry (k, c)
-        is base pair k shifted by offset c, one of (0, 0), (shift, shift),
-        (shift, 0), (0, shift)."""
+        is base pair k, one of (a, b), (a, b'), (a', b), (a', b'), shifted by
+        offset c, one of (0, 0), (shift, shift), (shift, 0), (0, shift)."""
+        a, a_prime = 0.0, math.pi / (4 * self.ell)
+        b, b_prime = math.pi / (8 * self.ell), 3 * math.pi / (8 * self.ell)
         s = self.shift
         offsets = np.array(((0.0, 0.0), (s, s), (s, 0.0), (0.0, s)))
-        angles = np.array(self.base_pairs())[:, None, :] + offsets
+        angles = np.array(((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)))[:, None, :] + offsets
         return angles[..., 0], angles[..., 1]
 
 

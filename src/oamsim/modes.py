@@ -1,10 +1,11 @@
 """Transverse optical modes used for projective measurements.
 
 The p = 0 Laguerre-Gaussian modes at the waist plane, sampled for a whole
-window of azimuthal indices at once at the nodes of an exact Gaussian rule
-(``numerics.GaussPolarRule``) and optionally shifted laterally to model a
-misaligned measurement hologram, and the azimuthal Fourier coefficients of
-the angular-sector ("slice") holograms.
+window of azimuthal indices at once at any set of points in the plane and
+optionally shifted laterally to model a misaligned measurement hologram, and
+the azimuthal Fourier coefficients of the angular-sector ("slice")
+holograms.  The state build needs no samples (``spdc.build_state`` is a
+closed form); the samples serve field-level checks and tracing.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import GaussPolarRule
 
 
 @dataclass(frozen=True)
@@ -33,14 +32,14 @@ class TransverseMode:
         if self.waist <= 0:
             raise ValueError("waist must be positive")
 
-    def sample(self, rule: GaussPolarRule) -> np.ndarray:
-        """Field samples at the rule's nodes (``rule.points``), one row per ell.
+    def sample(self, grid) -> np.ndarray:
+        """Field samples at ``grid.points``, complex x + i y, one row per ell.
 
         With zeta = sqrt(2) ((x - dx) + i (y - dy)) / w: u_0 = sqrt(2 / pi) / w
         exp(-|zeta|^2 / 2), u_ell = u_{ell-1} zeta / sqrt(ell), u_{-ell} = conj(u_ell).
         """
         m, (dx, dy) = self.ell_max, self.offset
-        zeta = (math.sqrt(2.0) / self.waist) * (rule.points - complex(dx, dy))
+        zeta = (math.sqrt(2.0) / self.waist) * (grid.points - complex(dx, dy))
         rows = np.empty((2 * m + 1, zeta.size), dtype=complex)
         rows[m] = math.sqrt(2.0 / math.pi) / self.waist * np.exp(-0.5 * (zeta.real**2 + zeta.imag**2))
         for ell in range(1, m + 1):

@@ -4,16 +4,14 @@ The two-photon state over the orbital-angular-momentum basis pairs a Gaussian
 pump with p = 0 Laguerre-Gaussian measurement modes at the crystal plane
 (thin-crystal approximation).  It depends on the pump only through the ratio
 gamma of pump waist to measurement waist, so the state is built with every
-length in measurement waists: w = 1 and w_pump = gamma.  Aligned, the
-amplitudes are known in closed form.  A lateral signal offset needs the
-overlaps of the back-projected modes with the pump; each integrand is a
-Gaussian times a polynomial, which three small exact rules
-(``numerics.GaussPolarRule``) integrate without a grid, and the joint
-overlaps are one matrix product.  Crystal length and phase
-mismatch enter only through the far-field ring profile.  Coincidence counts
-are Poisson draws over an array of ideal rates, each count from a random
-stream seeded by the run seed and the setting's position in the array:
-numpy's ``default_rng([seed, k]).poisson``.  ``numerics.poisson_streams``
+length in measurement waists: w = 1 and w_pump = gamma.  The overlaps of the
+back-projected modes with the pump are Gaussians times polynomials, so the
+state has one closed form at every lateral signal offset, the aligned state
+included; ``build_state`` evaluates it with no quadrature.  Crystal length
+and phase mismatch enter only through the far-field ring profile.
+Coincidence counts are Poisson draws over an array of ideal rates, each count
+from a random stream seeded by the run seed and the setting's position in the
+array: numpy's ``default_rng([seed, k]).poisson``.  ``numerics.poisson_streams``
 runs all of these streams in lockstep as arrays, the same counts bit for
 bit; it takes exp and log from the C library through ``math``, as numpy's
 sampler does, since numpy's vectorised exp and log can differ from it in the
@@ -26,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import eval_genlaguerre
 
-from .modes import TransverseMode
-from .numerics import GaussPolarRule, poisson_streams
+from .numerics import poisson_streams
 
 
 @dataclass(frozen=True)
@@ -130,52 +128,47 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> TwoPh
     """Two-photon OAM state for p = 0 measurement modes, all lengths in measurement waists.
 
     The measurement modes have waist w = 1 and the Gaussian pump has waist
-    w_pump = gamma; the state depends on the pump only through this ratio.
-    Aligned, the pair amplitudes are the closed form q^|ell| with
-    q = sqrt(g (g + 2)) / (g + 1) and g = 2 gamma^2 (Torres et al., PRA 68,
-    050301, 2003; Miatto, Yao & Barnett, PRA 83, 033816, 2011), normalized to
-    unit total probability.  With the signal modes offset by d = offset_waists
-    along x, the full (ell_s, ell_i) coefficient matrix is the overlap of the
-    back-projected signal and idler modes with the pump, each pair normalized
-    by its signal-pump and idler-pump overlaps; it captures misalignment
-    crosstalk into conservation-forbidden pairs.  Each of the three integrands
-    is a Gaussian times a polynomial of degree at most 2 ell_max, integrated
-    exactly by a ``GaussPolarRule`` for its Gaussian: the joint overlaps by
-    rate a = 2 + 1 / gamma^2 centred at d / a, the signal-pump overlaps by
-    a' = 2 + 2 / gamma^2 centred at 2 d / a' and the idler-pump overlaps by
-    a' centred at the origin.  Each arm is sampled once per rule, and the
-    joint matrix is one product of the two arms' sample arrays.
+    w_pump = gamma; the state depends on the pump only through g = 2 gamma^2.
+    With the signal modes offset by d = offset_waists along x, coefficient
+    (ell_s, ell_i) is the overlap of the back-projected signal and idler modes
+    with the pump, divided by the fourth roots of its signal-pump and
+    idler-pump overlaps; the offset fills the pairs that OAM conservation
+    forbids.  Each overlap is a Gaussian times a polynomial: shifted to the
+    Gaussian's centre, it is a finite sum of the moments
+    int w^j conj(w)^k e^{-a |w|^2} d^2w = delta_jk pi j! / a^{j+1}.  With
+    m = |ell_s|, n = |ell_i|, k = min(m, n) and
+
+        q = sqrt(g (g + 2)) / (g + 1),    kappa = (4 (g + 2))^(1/4) / (2 (g + 1)),
+        s = -d g^(-1/4) (g + 2) kappa,    t = d g^(3/4) kappa,
+        x = d^2 (g + 2) / (2 (g + 1)),    y = 8 d^2 / (g (g + 2)),
+
+    the coefficient is T / sqrt(m! n!) / L_m(-y)^(1/4), where T = s^m t^n when
+    ell_s ell_i > 0 and otherwise T = s^(m-n) or t^(n-m), whichever power is
+    non-negative, times q^k k! L_k^(|m-n|)(x).  L are the generalised Laguerre
+    polynomials.  At d = 0 only T = q^|ell| on the anti-diagonal survives: the
+    aligned closed form (Torres et al., PRA 68, 050301, 2003; Miatto, Yao &
+    Barnett, PRA 83, 033816, 2011).  Written in g rather than 1 / gamma^2, and
+    with s and y set to 0 at d = 0, it is finite for every gamma > 0.  The
+    matrix is normalized to unit total probability.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not 0 <= ell_max <= 20:
         raise ValueError("ell_max must lie in [0, 20]")
-    if offset_waists == 0.0:
-        g = 2.0 * gamma * gamma
-        amps = (math.sqrt(g * (g + 2.0)) / (g + 1.0)) ** np.abs(np.arange(-ell_max, ell_max + 1))
-        return TwoPhotonState(np.fliplr(np.diag(amps / np.linalg.norm(amps))))
-
-    def sampled(a, shift, offset):
-        # the rule for rate a centred at shift * offset, with the modes centred
-        # at offset and the pump sampled at its nodes
-        rule = GaussPolarRule(a, (shift * offset, 0.0), ell_max)
-        return (rule, TransverseMode(1.0, ell_max, (offset, 0.0)).sample(rule),
-                TransverseMode(gamma, 0).sample(rule)[0])
-
-    def denominators(offset):
-        # overlaps of |u_ell|^2 with |u_p|^2, one per ell, for modes centred at offset
-        a = 2.0 + 2.0 / gamma**2
-        rule, rows, u_p = sampled(a, 2.0 / a, offset)
-        denoms = np.abs(rows) ** 2 @ (np.abs(u_p) ** 2 * rule.weights)
-        if denoms.min() <= 0:
-            raise ValueError("degenerate mode choice: a measurement mode has no overlap with the pump")
-        return denoms
-
-    a = 2.0 + 1.0 / gamma**2
-    rule, u_s, u_p = sampled(a, 1.0 / a, offset_waists)
-    u_i = TransverseMode(1.0, ell_max).sample(rule)
-    joint = (np.conjugate(u_s) * (u_p * rule.weights)) @ np.conjugate(u_i).T
-    joint /= np.outer(denominators(offset_waists), denominators(0.0)) ** 0.25
+    g, d = 2.0 * gamma * gamma, offset_waists
+    q = math.sqrt(g * (g + 2.0)) / (g + 1.0)
+    kappa = (4.0 * (g + 2.0)) ** 0.25 / (2.0 * (g + 1.0))
+    s = (d and -d / g**0.25) * (g + 2.0) * kappa
+    t = d * g**0.75 * kappa
+    x = d * d * (g + 2.0) / (2.0 * (g + 1.0))
+    y = d and 8.0 * d * d / (g * (g + 2.0))
+    ells = np.arange(-ell_max, ell_max + 1)
+    m, n = np.abs(ells)[:, None], np.abs(ells)[None, :]
+    k, gap = np.minimum(m, n), np.abs(m - n)
+    factorial = np.cumprod(np.r_[1.0, np.arange(1.0, ell_max + 1)])
+    crossed = np.where(m >= n, s, t) ** gap * q**k * factorial[k] * eval_genlaguerre(k, gap, x)
+    joint = np.where(np.outer(ells, ells) > 0, s**m * t**n, crossed)
+    joint /= np.sqrt(factorial[m] * factorial[n]) * eval_genlaguerre(m, 0, -y) ** 0.25
     return TwoPhotonState(joint / np.linalg.norm(joint))
 
 

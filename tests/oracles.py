@@ -1,21 +1,24 @@
 """Independent reference implementations that the tests check shipped paths against.
 
 None of these is used by the library.  Each one computes a quantity a second
-way: by quadrature on a brute-force polar grid where the library uses a
-closed form or an exact Gaussian rule, by the general Laguerre-Gaussian mode
-(any radial index, any propagation distance, one mode at a time) where the
-library samples the p = 0 modes at the waist by recurrence, one setting at
-a time where the library forms the rates of all settings as one array, one
-numpy Generator per count where the library runs every count's random stream
-in lockstep, by brute-force evaluation where the library uses a frozen
-table, or by the general Uhlmann fidelity through a matrix square root where
-the library applies the Born rule to a pure target.
+way: by quadrature on a brute-force polar grid or by the Gaussian moments in
+exact rational arithmetic where the library uses a closed form, by the
+general Laguerre-Gaussian mode (any radial index, any propagation distance,
+one mode at a time) where the library samples the p = 0 modes at the waist
+by recurrence, one setting at a time where the library forms the rates of
+all settings as one array, one numpy Generator per count where the library
+runs every count's random stream in lockstep, by brute-force evaluation
+where the library uses a frozen table, or by the general Uhlmann fidelity
+through a matrix square root where the library applies the Born rule to a
+pure target.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -57,8 +60,7 @@ class PolarGrid:
     uniform azimuthal rule is exact for integrands whose azimuthal content is
     band-limited below n_phi/2, which covers every e^{i ell phi} mode used
     here as long as n_phi > 2*ell_max.  ``points`` flattens the nodes to
-    complex x + i y like ``numerics.GaussPolarRule``, so
-    ``modes.TransverseMode.sample`` takes either.
+    complex x + i y, the form ``modes.TransverseMode.sample`` takes.
     """
 
     r_max: float
@@ -281,8 +283,8 @@ def coincidence_amplitude(signal: FieldMode, idler: FieldMode,
     The magnitude squared is the relative coincidence rate: the squared
     overlap of the back-projected signal and idler modes with the pump,
     normalized by the individual signal-pump and idler-pump overlaps.  One
-    mode pair at a time, so it checks both paths of ``spdc.build_state``:
-    the closed form and the offset matrix product.
+    mode pair at a time, so it checks ``spdc.build_state`` entry by entry,
+    aligned and offset.
     """
     if grid is None:
         grid = default_grid(signal.geometry.spot_size, idler.geometry.spot_size,
@@ -302,9 +304,9 @@ def offset_joint(pump_waist: float, gamma: float, ell_max: int, signal_offset,
                  grid: PolarGrid | None = None) -> np.ndarray:
     """The offset joint matrix of ``spdc.build_state``, on a polar grid.
 
-    The same overlaps, normalizations and matrix product, but every integral
-    is a sum over one brute-force grid (65,536 nodes by default) in place of
-    the library's three exact Gauss rules, and every length (the pump waist,
+    The same overlaps and normalizations as one matrix product, every integral
+    a sum over one brute-force grid (65,536 nodes by default) in place of the
+    library's closed form, and every length (the pump waist,
     the measurement waist pump_waist / gamma and the (dx, dy) signal offset)
     is in one unit of the caller's choice, not in measurement waists.
     """
@@ -321,6 +323,52 @@ def offset_joint(pump_waist: float, gamma: float, ell_max: int, signal_offset,
     u_s, d_s = sampled(signal_offset)
     u_i, d_i = sampled((0.0, 0.0))
     joint = (np.conj(u_s) * (u_p * weights)) @ np.conj(u_i).T / np.outer(d_s, d_i) ** 0.25
+    return joint / np.linalg.norm(joint)
+
+
+def exact_offset_joint(gamma: Fraction, ell_max: int, offset_waists: Fraction) -> np.ndarray:
+    """The joint matrix of ``spdc.build_state`` from the Gaussian moments, in exact arithmetic.
+
+    gamma and the signal offset d are rationals, every length in measurement
+    waists.  Each overlap is shifted to the centre c of its Gaussian
+    e^{-a |w|^2} and its two polynomial factors, (w + alpha)^m or
+    (conj(w) + alpha)^m, are expanded term by term; the moments
+    int w^j conj(w)^k e^{-a |w|^2} d^2w = delta_jk pi j! / a^{j+1} leave a
+    finite sum of rationals.  The joint overlap has a = 2 + 1 / gamma^2 and
+    c = d / a, the signal-pump and idler-pump overlaps a' = 2 + 2 / gamma^2
+    and c = 2 d / a' or 0.  Factors shared by every entry are dropped, each
+    entry's fourth power relative to the largest is a Fraction, and only its
+    fourth root and the normalization are taken in float.
+    """
+
+    def moment(inv_a, alpha, m, beta, n, crossed):
+        # int e^{-a |w|^2} (v + alpha)^m (v' + beta)^n d^2w * a / pi, where v'
+        # is conj(v) when crossed and v otherwise: only w^j conj(w)^j survives
+        if not crossed:
+            return alpha**m * beta**n
+        return sum(math.comb(m, j) * math.comb(n, j) * math.factorial(j) * alpha ** (m - j) * beta ** (n - j)
+                   * inv_a**j for j in range(min(m, n) + 1))
+
+    d = Fraction(offset_waists)
+    inv_a, inv_a_pump = 1 / (2 + 1 / gamma**2), 1 / (2 + 2 / gamma**2)
+    shift = 2 * d * inv_a_pump - d
+    ms = range(ell_max + 1)
+    d_s = [2**m * moment(inv_a_pump, shift, m, shift, m, True) / math.factorial(m) for m in ms]
+    d_i = [2**n * moment(inv_a_pump, 0, n, 0, n, True) / math.factorial(n) for n in ms]
+    # the entry at |ell_s| = m, |ell_i| = n, and its fourth power; conj(u_ell)
+    # carries conj(w)^|ell| for ell >= 0 and w^|ell| for ell < 0
+    fourth = {}
+    for m, n, crossed in itertools.product(ms, ms, (False, True)):
+        amp = moment(inv_a, d * inv_a - d, m, d * inv_a, n, crossed)
+        fourth[m, n, crossed] = (amp, 2 ** (2 * (m + n)) * amp**4
+                                 / ((math.factorial(m) * math.factorial(n)) ** 2 * d_s[m] * d_i[n]))
+    largest = max(f for _, f in fourth.values())
+    # int / int rounds correctly without reducing the fraction first
+    entry = {key: (-1 if amp < 0 else 1) * (f.numerator * largest.denominator
+                                            / (f.denominator * largest.numerator)) ** 0.25
+             for key, (amp, f) in fourth.items()}
+    ells = range(-ell_max, ell_max + 1)
+    joint = np.array([[entry[abs(ls), abs(li), (ls >= 0) != (li >= 0)] for li in ells] for ls in ells])
     return joint / np.linalg.norm(joint)
 
 

@@ -1,8 +1,8 @@
 """Golden tests for the command-line runner.
 
 Every subcommand runs twice at the default config through ``oamsim.cli.main``,
-and so do four runs with a misaligned signal arm, which take the quadrature
-path of the state build.  The two runs must write byte-identical tables (the
+and so do four runs with a misaligned signal arm, which fill the pairs that
+OAM conservation forbids.  The two runs must write byte-identical tables (the
 manifest records timings and is the one file exempt), every table must have
 its expected number of rows, and every summary value must match the
 expectation checked in below.
@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from oamsim import experiments
+from oamsim import cli, experiments
 from oamsim.cli import RUNNERS, RunContext, main
 from oamsim.config import build_config
 
@@ -273,7 +273,7 @@ def test_validate_rejects_removed_grid_keys(capsys, key):
 
 
 def test_validate_accepts_offset_at_largest_windows(capsys):
-    # the exact rule has no aliasing bound to enforce at any ell window validate accepts
+    # the closed form has no aliasing bound to enforce at any ell window validate accepts
     assert main(["validate", "--set", "source.signal_offset_waists=0.1", "--set", "source.ell_max=20",
                  "--set", "experiment.epr_ell_max=20"]) == 0
     assert capsys.readouterr().out == ""
@@ -380,6 +380,16 @@ def test_write_table_matches_per_cell_format(tmp_path):
     lines = (tmp_path / "t.csv").read_text().splitlines()
     cells = [values if np.ndim(values) else [values] * 3 for values in columns.values()]
     assert lines[1:] == [",".join(columns)] + [",".join(map(per_cell, row)) for row in zip(*cells)]
+
+
+def test_write_table_rows_run_on_across_blocks(tmp_path):
+    # a table two blocks and three rows long reads as one text, row for row
+    n = 2 * cli._BLOCK_ROWS + 3
+    columns = {"i": np.arange(n), "x": np.arange(n) / 7.0, "flag": np.arange(n) % 3 == 0, "c": 1.5}
+    ctx = RunContext(build_config(), tmp_path, "test")
+    ctx.write_table("t.csv", columns)
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert lines[1:] == ["i,x,flag,c"] + [f"{i},{i / 7.0!r},{str(i % 3 == 0).lower()},1.5" for i in range(n)] + [""]
 
 
 @pytest.mark.parametrize("values", [

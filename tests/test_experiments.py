@@ -324,11 +324,6 @@ class TestBell:
         with pytest.raises(ValueError):
             bell_parameter(np.zeros((4, 4)), settings)
 
-    def test_settings_wrap_modulo_period(self):
-        settings = BellSettings(ell=2, theta_a=math.pi, theta_a_prime=0.1,
-                                theta_b=0.2, theta_b_prime=0.3)
-        assert settings.theta_a == pytest.approx(0.0)
-
     def test_analyzer_rotation_phase_convention(self):
         # rotating analyzer A by theta advances its relative phase by 2 ell theta,
         # so a pair phase of 1.5 at ell = 3 moves the fringe peak to theta_a = 0.25

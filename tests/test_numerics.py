@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.numerics import GaussPolarRule
 from oracles import PolarGrid, hermitian_eigen, integrate_polar, laguerre, polar_mesh, psd_sqrt, su_basis
 
 
@@ -58,36 +57,6 @@ class TestPolarGrid:
             PolarGrid(r_max=-1.0)
         with pytest.raises(ValueError):
             PolarGrid(r_max=1.0, n_r=0)
-
-
-class TestGaussPolarRule:
-    @pytest.mark.parametrize("ell_max", [0, 1, 5, 20])
-    def test_gaussian_moments_are_exact(self, ell_max):
-        # the integral of e^{-a |xi|^2} xi^j conj(xi)^k over the plane, xi = r - c,
-        # is j! pi / a^{j+1} when j = k and zero otherwise; the scale of each
-        # check is the integral of its absolute value, pi Gamma(n/2 + 1) / a^{n/2 + 1}
-        a, centre = 2.7, (0.4, -1.3)
-        rule = GaussPolarRule(a, centre, ell_max)
-        assert rule.points.shape == rule.weights.shape == (rule.n_r * rule.n_phi,)
-        xi = rule.points - complex(*centre)
-        gauss = np.exp(-a * np.abs(xi) ** 2) * rule.weights
-        for j in range(2 * ell_max + 1):
-            for k in range(2 * ell_max + 1 - j):
-                got = np.sum(gauss * xi**j * np.conj(xi) ** k)
-                want = math.factorial(j) * math.pi / a ** (j + 1) if j == k else 0.0
-                n = j + k
-                scale = math.pi * math.gamma(n / 2 + 1) / a ** (n / 2 + 1)
-                assert abs(got - want) <= 1e-12 * scale, (j, k)
-
-    def test_node_counts(self):
-        rule = GaussPolarRule(1.0, (0.0, 0.0), 20)
-        assert (rule.n_r, rule.n_phi) == (11, 41)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            GaussPolarRule(0.0, (0.0, 0.0), 2)
-        with pytest.raises(ValueError):
-            GaussPolarRule(1.0, (0.0, 0.0), -1)
 
 
 class TestIntegratePolar:

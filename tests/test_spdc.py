@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from oamsim.spdc import (
     sinc_ring_profile,
     transverse_mode_count,
 )
-from oracles import (BeamGeometry, LGMode, PolarGrid, coincidence_amplitude, default_grid, offset_joint,
-                     per_setting_counts)
+from oracles import (BeamGeometry, LGMode, PolarGrid, coincidence_amplitude, default_grid, exact_offset_joint,
+                     offset_joint, per_setting_counts)
 
 PUMP = LGMode(ell=0, geometry=BeamGeometry(waist=1.0))
 GRID = default_grid(1.0, 0.5, n_r=192, n_phi=128)
@@ -108,7 +109,7 @@ class TestBuildState:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_tiny_offset_reduces_to_closed_form(self, gamma):
-        # a 1e-9 waist offset takes the quadrature path, which must reproduce the closed form
+        # a 1e-9 waist offset must reproduce the aligned closed form
         aligned = build_state(gamma=gamma, ell_max=20)
         offset = build_state(gamma=gamma, ell_max=20, offset_waists=1e-9)
         anti = np.fliplr(np.eye(41, dtype=bool))
@@ -161,6 +162,29 @@ class TestBuildState:
             ratios.append(off / peak)
         assert ratios[0] < 1e-20
         assert ratios[0] < ratios[1] < ratios[2]
+
+    @pytest.mark.parametrize("gamma, ell_max, offset_waists", [
+        (1e-3, 20, 10.0), (1e6, 20, 10.0), (2.0, 20, 10.0), (2.0, 3, 20.0),
+        (1e-10, 20, 0.0), (1e-300, 20, 0.0),
+    ])
+    def test_matches_exact_moments(self, gamma, ell_max, offset_waists):
+        # the float closed form against the same overlaps summed in rationals at
+        # the exact values of the float arguments
+        state = build_state(gamma=gamma, ell_max=ell_max, offset_waists=offset_waists)
+        want = exact_offset_joint(Fraction(gamma), ell_max, Fraction(offset_waists))
+        large = np.abs(want) > 1e-6
+        assert np.all(np.abs(state.joint[large] - want[large]) <= 1e-13 * np.abs(want[large]))
+        assert np.max(np.abs(state.joint - want)) <= 1e-13
+
+    # validate accepts gamma in (0, 1e6] aligned, in [1e-3, 1e6] with an offset up to 10 waists
+    @pytest.mark.parametrize("gamma, offset_waists", [
+        *((gamma, 0.0) for gamma in (5e-324, 1e-300, 1e-10, 1e-3, 1.0, 1e6)),
+        *((gamma, d) for gamma in (1e-3, 1.0, 1e6) for d in (1e-9, 10.0)),
+    ])
+    def test_finite_and_quiet_wherever_validate_accepts(self, gamma, offset_waists):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            state = build_state(gamma=gamma, ell_max=20, offset_waists=offset_waists)
+        assert np.all(np.isfinite(state.joint))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
