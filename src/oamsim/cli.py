@@ -2,9 +2,10 @@
 
 Every run writes its tables plus a manifest into the configured output
 directory.  A table is a dict of columns, each header mapped to a 1-D array
-or a scalar, and ``RunContext.write_table`` formats each column from its
-dtype.  All tables carry the config hash and seed on their first line;
-rerunning with the same config and seed reproduces them byte for byte, which
+or a scalar, and ``RunContext.write_table``, the one writer, formats each
+column from its dtype.  Every table, the density matrix ``tomo_rho.csv``
+included, carries the config hash and seed on its first line; rerunning with
+the same config and seed reproduces it byte for byte, which
 ``tests/test_cli.py`` checks for every subcommand.  The manifest additionally
 records versions and wall-clock timings, so it is the one file excluded from
 the byte-identity guarantee.
@@ -38,13 +39,13 @@ from .experiments import (
     tomography_settings,
     angular_scan,
 )
-from .spdc import build_state, sinc_ring_profile, transverse_mode_count
+from .spdc import build_state, restricted_ket, sinc_ring_profile, transverse_mode_count
 from .tomography import (
     born_probabilities,
     concurrence,
+    density_matrix_columns,
     linear_entropy,
     reconstruct,
-    save_density_matrix,
     threshold_fidelity,
 )
 
@@ -126,10 +127,10 @@ def _state(config: ScenarioConfig, ell_max: int):
 
 def run_spiral(config: ScenarioConfig, ctx: RunContext):
     ell_max = config["source.ell_max"]
-    state = _state(config, ell_max)
+    joint = _state(config, ell_max)
     ctx.mark("build_state")
     ells = np.arange(-ell_max, ell_max + 1)
-    scan = spiral_scan(state, ells, ells, config.detector(), _stage_seed(config, 0),
+    scan = spiral_scan(joint, ells, ells, config.detector(), _stage_seed(config, 0),
                        pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
     ctx.write_table("spiral_matrix.csv", scan.columns())
@@ -143,11 +144,11 @@ def run_spiral(config: ScenarioConfig, ctx: RunContext):
 
 
 def run_angular(config: ScenarioConfig, ctx: RunContext):
-    state = _state(config, config["experiment.epr_ell_max"])
+    joint = _state(config, config["experiment.epr_ell_max"])
     ctx.mark("build_state")
     n = config["experiment.angular_points"]
     betas = np.linspace(-math.pi, math.pi, n, endpoint=False)
-    scan = angular_scan(state, config["experiment.sector_width_rad"], betas, betas,
+    scan = angular_scan(joint, config["experiment.sector_width_rad"], betas, betas,
                         config.detector(), _stage_seed(config, 1),
                         pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
@@ -159,15 +160,15 @@ def run_angular(config: ScenarioConfig, ctx: RunContext):
 
 def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
     ell_max = config["experiment.epr_ell_max"]
-    state = _state(config, ell_max)
+    joint = _state(config, ell_max)
     ctx.mark("build_state")
     det = config.detector()
     rate = config["experiment.pair_rate"]
     ells = np.arange(-ell_max, ell_max + 1)
-    spiral = spiral_scan(state, ells, np.array([0]), det, _stage_seed(config, 0),
+    spiral = spiral_scan(joint, ells, np.array([0]), det, _stage_seed(config, 0),
                          pair_rate=rate)
     betas = np.linspace(-math.pi, math.pi, config["experiment.angular_points"], endpoint=False)
-    angular = angular_scan(state, config["experiment.sector_width_rad"], betas,
+    angular = angular_scan(joint, config["experiment.sector_width_rad"], betas,
                            np.array([0.0]), det, _stage_seed(config, 1), pair_rate=rate)
     ctx.mark("scan")
     ell_profile = conditional_profile(spiral)
@@ -188,14 +189,14 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
 
 def run_bell(config: ScenarioConfig, ctx: RunContext):
     ell = config["bell.ell"]
-    state = _state(config, ell)
+    joint = _state(config, ell)
     ctx.mark("build_state")
     det = config.detector()
     rate = config["experiment.pair_rate"]
     thetas = np.linspace(0.0, math.pi / ell, config["bell.curve_points"], endpoint=False)
-    curve = bell_curve(state, ell, 0.0, thetas, det, _stage_seed(config, 0), pair_rate=rate)
+    curve = bell_curve(joint, ell, 0.0, thetas, det, _stage_seed(config, 0), pair_rate=rate)
     settings = BellSettings.canonical(ell)
-    counts, rates = bell_counts(state, settings, det, _stage_seed(config, 1), pair_rate=rate)
+    counts, rates = bell_counts(joint, settings, det, _stage_seed(config, 1), pair_rate=rate)
     s_value, sigma = bell_parameter(counts, settings)
     ctx.mark("scan")
     ctx.write_table("bell_curve.csv", curve.columns())
@@ -213,9 +214,9 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
 def run_tomo(config: ScenarioConfig, ctx: RunContext):
     d = config["tomo.d"]
     ell_values = list(config["tomo.ell_values"])
-    state = _state(config, max(abs(e) for e in ell_values))
+    joint = _state(config, max(abs(e) for e in ell_values))
     ctx.mark("build_state")
-    target_ket = state.restricted_ket(ell_values)
+    target_ket = restricted_ket(joint, ell_values)
     rho_true = np.outer(target_ket, target_ket.conj())
     settings = tomography_settings(d, ell_values)
     scan = run_tomography_experiment(rho_true, settings, config.detector(),
@@ -230,8 +231,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     ctx.write_table("tomo_counts.csv", {"index": columns.pop("setting"),
                                         "arm_a": np.repeat(labels, len(labels)),
                                         "arm_b": np.tile(labels, len(labels)), **columns})
-    save_density_matrix(ctx.out_dir / "tomo_rho.csv", report.rho)
-    ctx.files.append("tomo_rho.csv")
+    ctx.write_table("tomo_rho.csv", density_matrix_columns(report.rho))
     # the target is pure, so its fidelity with rho is the Born rule <target|rho|target>
     fid = min(max(float(born_probabilities(target_ket[None], report.rho)[0]), 0.0), 1.0)
     entropy = linear_entropy(report.rho)

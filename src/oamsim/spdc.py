@@ -1,14 +1,17 @@
 """Down-conversion source model: two-photon state, phase matching and counting.
 
-The two-photon state over the orbital-angular-momentum basis pairs a Gaussian
-pump with p = 0 Laguerre-Gaussian measurement modes at the crystal plane
-(thin-crystal approximation).  It depends on the pump only through the ratio
-gamma of pump waist to measurement waist, so the state is built with every
-length in measurement waists: w = 1 and w_pump = gamma.  The overlaps of the
-back-projected modes with the pump are Gaussians times polynomials, so the
-state has one closed form at every lateral signal offset, the aligned state
-included; ``build_state`` evaluates it with no quadrature.  Crystal length
-and phase mismatch enter only through the far-field ring profile.
+The two-photon state is a plain complex matrix over the orbital angular
+momenta ells = -ell_max, ..., ell_max: ``joint[i, j]`` is the amplitude of
+|ells[i]>|ells[j]>, with unit total probability; ``restricted_ket`` cuts a
+subspace's ket out of it.  Aligned, only the pairs |ell>|-ell> are
+populated; a lateral signal offset fills the ones OAM conservation forbids.
+It pairs a Gaussian pump with p = 0 Laguerre-Gaussian measurement modes at
+the crystal plane (thin-crystal approximation) and depends on the pump only
+through gamma, the pump waist in measurement waists.  The overlaps of the
+back-projected modes with the pump are Gaussians times polynomials, so
+``build_state`` evaluates one closed form at every lateral signal offset,
+the aligned state included.  Crystal length and phase mismatch enter only
+through the far-field ring profile.
 Coincidence counts are Poisson draws over an array of ideal rates, each count
 from a random stream seeded by the run seed and the setting's position in the
 array: numpy's ``default_rng([seed, k]).poisson``.  ``numerics.poisson_streams``
@@ -76,56 +79,8 @@ class DetectorConfig:
             raise ValueError("integration time must be positive")
 
 
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """Joint OAM state of the photon pair over ells = -ell_max, ..., ell_max.
-
-    ``joint[i, j]`` is the coefficient of |ells[i]>|ells[j]>.  Aligned, only
-    the anti-diagonal pairs |ell>|-ell> are populated; lateral misalignment
-    relaxes OAM conservation and fills the conservation-forbidden pairs too.
-    """
-
-    joint: np.ndarray
-
-    def __post_init__(self):
-        joint = np.asarray(self.joint, dtype=complex)
-        if joint.ndim != 2 or joint.shape[0] != joint.shape[1] or joint.shape[0] % 2 == 0:
-            raise ValueError("joint must be a square matrix over ells = -ell_max, ..., ell_max")
-        total = np.sum(np.abs(joint) ** 2)
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"state norm {total} is not 1")
-        object.__setattr__(self, "joint", joint)
-
-    @property
-    def ells(self) -> np.ndarray:
-        m = len(self.joint) // 2
-        return np.arange(-m, m + 1)
-
-    def index_of(self, ell):
-        """Position of ell in ``ells``; elementwise for an array of ells."""
-        ell = np.asarray(ell)
-        m = len(self.joint) // 2
-        if np.any(np.abs(ell) > m):
-            raise ValueError(f"ell={ell} not in state support")
-        return ell + m
-
-    def restricted_ket(self, ell_values) -> np.ndarray:
-        """Joint ket over the subspace spanned by ell_values in each arm.
-
-        Index order matches kron: entry i*d + j is |ell_values[i]>_signal
-        |ell_values[j]>_idler.  Normalized over the subspace.  With
-        ell_values = [ell, -ell] it is the sector that the Bell analyzers see.
-        """
-        idx = self.index_of(list(ell_values))
-        ket = self.joint[np.ix_(idx, idx)].ravel()
-        norm = np.linalg.norm(ket)
-        if norm == 0:
-            raise ValueError("state has no support on the requested subspace")
-        return ket / norm
-
-
-def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> TwoPhotonState:
-    """Two-photon OAM state for p = 0 measurement modes, all lengths in measurement waists.
+def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.ndarray:
+    """Joint OAM matrix of the pair for p = 0 measurement modes, all lengths in measurement waists.
 
     The measurement modes have waist w = 1 and the Gaussian pump has waist
     w_pump = gamma; the state depends on the pump only through g = 2 gamma^2.
@@ -149,7 +104,8 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> TwoPh
     aligned closed form (Torres et al., PRA 68, 050301, 2003; Miatto, Yao &
     Barnett, PRA 83, 033816, 2011).  Written in g rather than 1 / gamma^2, and
     with s and y set to 0 at d = 0, it is finite for every gamma > 0.  The
-    matrix is normalized to unit total probability.
+    matrix is normalized to unit total probability; ValueError is raised
+    rather than a matrix returned that is not finite and normalized.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -169,7 +125,34 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> TwoPh
     crossed = np.where(m >= n, s, t) ** gap * q**k * factorial[k] * eval_genlaguerre(k, gap, x)
     joint = np.where(np.outer(ells, ells) > 0, s**m * t**n, crossed)
     joint /= np.sqrt(factorial[m] * factorial[n]) * eval_genlaguerre(m, 0, -y) ** 0.25
-    return TwoPhotonState(joint / np.linalg.norm(joint))
+    joint = (joint / np.linalg.norm(joint)).astype(complex)
+    if not abs(np.sum(np.abs(joint) ** 2) - 1.0) <= 1e-10:
+        raise ValueError("state norm is not 1: the closed form overflowed or underflowed")
+    return joint
+
+
+def ell_index(joint: np.ndarray, ells) -> np.ndarray:
+    """Positions of ``ells`` along either axis of ``joint``; raises ValueError outside its window."""
+    ells = np.asarray(ells)
+    m = len(joint) // 2
+    if np.any(np.abs(ells) > m):
+        raise ValueError(f"ell={ells} not in state support")
+    return ells + m
+
+
+def restricted_ket(joint: np.ndarray, ell_values) -> np.ndarray:
+    """Joint ket over the subspace spanned by ell_values in each arm.
+
+    Index order matches kron: entry i*d + j is |ell_values[i]>_signal
+    |ell_values[j]>_idler.  Normalized over the subspace.  With
+    ell_values = [ell, -ell] it is the sector that the Bell analyzers see.
+    """
+    idx = ell_index(joint, list(ell_values))
+    ket = joint[np.ix_(idx, idx)].ravel()
+    norm = np.linalg.norm(ket)
+    if norm == 0:
+        raise ValueError("state has no support on the requested subspace")
+    return ket / norm
 
 
 def sinc_ring_profile(r, config: CrystalConfig):

@@ -2,20 +2,23 @@
 
 A density matrix is a (d^2, d^2) complex ndarray in kron order, from
 ``reconstruct`` to ``tomo_rho.csv``; ``check_density_matrix`` is the one
-test that an array is a physical state.  A setting is a joint ket |k>, one
-row of an array of kets, and its rate is <k|rho|k> = vec(|k><k|)^* . vec(rho).
-``born_probabilities`` forms the rates from the design matrix whose rows are
-vec(|k><k|), and the fidelity with a pure target is the same call on the
-target ket.  ``reconstruct`` inverts that design: it minimizes the
-count-weighted chi-square between measured and predicted coincidences over
-the unnormalized state sigma = N rho (flux times density matrix).  In sigma
-the problem is convex: a quadratic on the cone of positive-semidefinite
-matrices, solved by accelerated projected gradient (FISTA with adaptive
-restart; Beck & Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose
-projection clips eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502,
-2012).  The flux and the unit-trace state are read off the optimum.  The
-metrics are closed forms: the linear entropy is a trace, and the two-qubit
-concurrence one eigendecomposition and one singular-value decomposition.
+test that an array is a physical state.  On disk it is an ordinary table,
+one row,col,real,imag row per entry (``density_matrix_columns``), written by
+the runner's one table writer and read back by ``load_density_matrix``.  A
+setting is a joint ket |k>, one row of an array of kets, and its rate is
+<k|rho|k> = vec(|k><k|)^* . vec(rho).  ``born_probabilities`` forms the
+rates from the design matrix whose rows are vec(|k><k|), and the fidelity
+with a pure target is the same call on the target ket.  ``reconstruct``
+inverts that design: it minimizes the count-weighted chi-square between
+measured and predicted coincidences over the unnormalized state
+sigma = N rho (flux times density matrix).  In sigma the problem is convex:
+a quadratic on the cone of positive-semidefinite matrices, solved by
+accelerated projected gradient (FISTA with adaptive restart; Beck &
+Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose projection clips
+eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).  The flux
+and the unit-trace state are read off the optimum.  The metrics are closed
+forms: the linear entropy is a trace, and the two-qubit concurrence one
+eigendecomposition and one singular-value decomposition.
 """
 
 from __future__ import annotations
@@ -208,37 +211,36 @@ def concurrence(rho) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def save_density_matrix(path, rho) -> None:
-    """Write the delimited-text form: header with d, then row,col,real,imag."""
+def density_matrix_columns(rho) -> dict[str, np.ndarray]:
+    """The table of a density matrix, one row per entry in C order: row, col, real, imag."""
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    lines = [f"d,{math.isqrt(dim)}"]
-    for i in range(dim):
-        for j in range(dim):
-            value = rho[i, j]
-            lines.append(f"{i},{j},{float(value.real)!r},{float(value.imag)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row, col = np.indices(rho.shape)
+    return {"row": row.ravel(), "col": col.ravel(), "real": rho.real.ravel(), "imag": rho.imag.ravel()}
 
 
 def load_density_matrix(path) -> np.ndarray:
-    """Read the delimited-text form, rejecting malformed or non-physical matrices.
+    """Read a density-matrix table, rejecting malformed or non-physical matrices.
 
-    Every (row, col) in [0, d^2) must appear exactly once.  Invariant
-    violations (hermiticity, unit trace, negative eigenvalues) beyond 1e-6
-    are rejected.
+    The table is what ``RunContext.write_table`` makes of
+    :func:`density_matrix_columns`: a ``# config_hash=... seed=...`` line,
+    the header ``row,col,real,imag`` and one row per entry.  There are d^4
+    rows for local dimension d, and every (row, col) in [0, d^2) must appear
+    exactly once.  Invariant violations (hermiticity, unit trace, negative
+    eigenvalues) beyond 1e-6 are rejected.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("d,"):
-        raise ValueError("missing dimension header")
-    d = int(lines[0].split(",")[1])
+    if len(lines) < 2 or not lines[0].startswith("# config_hash=") or lines[1] != "row,col,real,imag":
+        raise ValueError("missing '# config_hash=...' line or 'row,col,real,imag' header"
+                         " (the older 'd,N' header is no longer read)")
+    entries = lines[2:]
+    d = math.isqrt(math.isqrt(len(entries)))
+    if d == 0 or d**4 != len(entries):
+        raise ValueError(f"found {len(entries)} entries, which is not d^4 for any local dimension d >= 1")
     dim = d * d
-    if len(lines) - 1 != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, found {len(lines) - 1}")
     matrix = np.zeros((dim, dim), dtype=complex)
     seen = np.zeros((dim, dim), dtype=bool)
-    for line in lines[1:]:
+    for line in entries:
         row_s, col_s, re_s, im_s = line.split(",")
         row, col = int(row_s), int(col_s)
         if not (0 <= row < dim and 0 <= col < dim):

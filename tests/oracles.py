@@ -381,15 +381,17 @@ def analyzer_ket(ell: int, theta: float) -> np.ndarray:
     return np.array([1.0, np.exp(2j * ell * theta)]) / math.sqrt(2.0)
 
 
-def bell_probability(state, ell: int, theta_a: float, theta_b: float) -> float:
+def bell_probability(joint, ell: int, theta_a: float, theta_b: float) -> float:
     """Joint projection probability onto rotated analyzers for one orientation pair.
 
-    Built from the state's pair amplitudes of |ell, -ell> and |-ell, ell>,
-    normalized over the two, one orientation at a time.  Checks the array
-    ``experiments.bell_probability`` on aligned states.
+    Built from the pair amplitudes of |ell, -ell> and |-ell, ell> in the joint
+    matrix over ells = -ell_max, ..., ell_max, normalized over the two, one
+    orientation at a time.  Checks the array ``experiments.bell_probability``
+    on aligned states.
     """
-    i, j = state.index_of(np.array([ell, -ell]))
-    pair = np.array([state.joint[i, j], state.joint[j, i]])
+    m = len(joint) // 2
+    i, j = m + ell, m - ell
+    pair = np.array([joint[i, j], joint[j, i]])
     a_plus, a_minus = pair / np.linalg.norm(pair)
     va = analyzer_ket(ell, theta_a)
     vb = analyzer_ket(ell, theta_b)

@@ -166,9 +166,8 @@ def tables(out_dir):
 
 
 def data_rows(path):
-    # line 1 is the config-hash header; tomo_rho.csv has a dimension line instead
-    # of a column header
-    return path.read_text().splitlines()[2 if path.name != "tomo_rho.csv" else 1:]
+    # line 1 is the config-hash header, line 2 the column header
+    return path.read_text().splitlines()[2:]
 
 
 def test_every_runner_is_covered():
@@ -254,6 +253,22 @@ def test_validate_epr_ell_max_bound(capsys, ell_max, code):
     assert main(["validate", "--set", f"experiment.epr_ell_max={ell_max}"]) == code
     out = capsys.readouterr().out
     assert ("experiment.epr_ell_max" in out) == bool(code)
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("experiment.angular_points", 7, 1), ("experiment.angular_points", 8, 0),
+    ("experiment.angular_points", 1024, 0), ("experiment.angular_points", 1025, 1),
+    ("experiment.angular_points", 100000, 1),
+    ("bell.curve_points", 3, 1), ("bell.curve_points", 2**20, 0),
+    ("bell.curve_points", 2**20 + 1, 1), ("bell.curve_points", 10**9, 1),
+    ("ring.points", 1, 1), ("ring.points", 2**20, 0), ("ring.points", 2**20 + 1, 1),
+    ("ring.points", 10**9, 1),
+])
+def test_validate_grid_bounds(capsys, key, value, code):
+    # no accepted grid writes a table of more than 2^20 rows, the size of a
+    # 1024 x 1024 angular map, so every accepted run finishes in bounded time
+    assert main(["validate", "--set", f"{key}={value}"]) == code
+    assert (key in capsys.readouterr().out) == bool(code)
 
 
 @pytest.mark.parametrize("seconds, code", [("0", 1), ("1e-3", 0)])

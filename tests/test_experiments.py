@@ -25,7 +25,7 @@ from oamsim.experiments import (
     spiral_spectrum,
     tomography_settings,
 )
-from oamsim.spdc import DetectorConfig, TwoPhotonState
+from oamsim.spdc import DetectorConfig
 from oracles import analyzer_ket
 from oracles import bell_probability as bell_probability_oracle
 
@@ -35,8 +35,8 @@ NOISY_DET = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9,
 
 
 def pair_state(amps):
-    """The state sum_i amps[i] |ells[i]>|-ells[i]>."""
-    return TwoPhotonState(np.fliplr(np.diag(amps)))
+    """The joint matrix of the state sum_i amps[i] |ells[i]>|-ells[i]>."""
+    return np.fliplr(np.diag(amps)).astype(complex)
 
 
 def geometric_state(ell_max, ratio=0.9):
@@ -100,7 +100,7 @@ class TestSpiralScan:
     def test_aligned_scan_has_no_forbidden_rates(self):
         state = geometric_state(3)
         ells = np.arange(-3, 4)
-        scan = spiral_scan(state, ells, ells, QUIET_DET, seed=0)
+        scan = spiral_scan(state, ells, ells, QUIET_DET, seed=0, pair_rate=1e4)
         ideal = scan.ideal
         anti = np.fliplr(np.eye(7, dtype=bool))
         assert np.max(ideal[~anti]) <= 1e-10 * ideal[anti].max()
@@ -108,7 +108,7 @@ class TestSpiralScan:
     def test_symmetry_under_joint_sign_flip(self):
         state = geometric_state(3)
         ells = np.arange(-3, 4)
-        ideal = spiral_scan(state, ells, ells, QUIET_DET, seed=0).ideal
+        ideal = spiral_scan(state, ells, ells, QUIET_DET, seed=0, pair_rate=1e4).ideal
         assert np.allclose(ideal, ideal[::-1, ::-1], rtol=1e-10)
 
     def test_spectrum_extraction_and_row_count(self):
@@ -118,7 +118,10 @@ class TestSpiralScan:
         s_ells, s_ideal, s_counts = spiral_spectrum(scan)
         assert np.array_equal(s_ells, ells)
         assert s_ideal[2] == s_ideal.max()
-        assert [len(c) for c in scan.columns().values()] == [25] * 5
+        columns = scan.columns()
+        accidental = columns.pop("accidental")
+        assert [len(c) for c in columns.values()] == [25] * 4
+        assert np.ndim(accidental) == 0
 
     @pytest.mark.parametrize("ells_a, ells_b", [
         ([-2, -1, 0, 1, 2], [-2, -1, 0, 1]),  # not square
@@ -126,28 +129,31 @@ class TestSpiralScan:
         ([0, 1, 2], [0, 1, 2]),  # one-sided window
     ])
     def test_spectrum_rejects_non_symmetric_scan(self, ells_a, ells_b):
-        scan = spiral_scan(geometric_state(2), ells_a, ells_b, QUIET_DET, seed=1)
+        scan = spiral_scan(geometric_state(2), ells_a, ells_b, QUIET_DET, seed=1, pair_rate=1e4)
         with pytest.raises(ValueError, match="ells"):
             spiral_spectrum(scan)
 
     def test_rejects_ells_outside_support(self):
+        # without the check ell = -3 would wrap to a row of the window
         state = geometric_state(2)
         with pytest.raises(ValueError):
-            spiral_scan(state, [-3, 0, 3], [0], QUIET_DET, seed=0)
+            spiral_scan(state, [-3, 0, 3], [0], QUIET_DET, seed=0, pair_rate=1e4)
+        with pytest.raises(ValueError):
+            spiral_scan(state, [0], [-3], QUIET_DET, seed=0, pair_rate=1e4)
 
 
 class TestScanResultColumns:
     def test_axis_headers_come_from_axis_names(self):
         axes = (np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]))
         ideal = np.arange(6.0).reshape(2, 3)
-        scan = ScanResult(("u", "v"), axes, ideal, np.arange(6).reshape(2, 3), ideal / 10.0)
+        scan = ScanResult(("u", "v"), axes, ideal, np.arange(6).reshape(2, 3), 0.5)
         columns = scan.columns()
         assert list(columns) == ["u", "v", "ideal_rate", "count", "accidental"]
         assert np.array_equal(columns["u"], [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
         assert np.array_equal(columns["v"], [3.0, 4.0, 5.0, 3.0, 4.0, 5.0])
         assert np.array_equal(columns["ideal_rate"], np.arange(6.0))
         assert np.array_equal(columns["count"], np.arange(6))
-        assert np.array_equal(columns["accidental"], np.arange(6.0) / 10.0)
+        assert columns["accidental"] == 0.5
 
 
 class TestSpectrumFwhm:
@@ -172,21 +178,24 @@ class TestAngularScan:
     def test_peak_at_matching_orientations(self):
         state = geometric_state(6, ratio=0.95)
         betas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-        scan = angular_scan(state, math.pi / 8, betas, np.array([0.0]), QUIET_DET, seed=0)
+        scan = angular_scan(state, math.pi / 8, betas, np.array([0.0]), QUIET_DET, seed=0, pair_rate=1e4)
         ideal = scan.ideal[:, 0]
         assert betas[np.argmax(ideal)] == pytest.approx(0.0, abs=1e-12)
 
     def test_depends_only_on_orientation_difference(self):
         state = geometric_state(4, ratio=0.9)
         beta = np.array([0.3])
-        r1 = angular_scan(state, math.pi / 6, beta + 0.5, np.array([0.5]), QUIET_DET, seed=0).ideal
-        r2 = angular_scan(state, math.pi / 6, beta + 1.7, np.array([1.7]), QUIET_DET, seed=0).ideal
+        r1 = angular_scan(state, math.pi / 6, beta + 0.5, np.array([0.5]), QUIET_DET, seed=0,
+                          pair_rate=1e4).ideal
+        r2 = angular_scan(state, math.pi / 6, beta + 1.7, np.array([1.7]), QUIET_DET, seed=0,
+                          pair_rate=1e4).ideal
         assert r1[0, 0] == pytest.approx(r2[0, 0], rel=1e-10)
 
     def test_full_aperture_is_flat(self):
         state = geometric_state(3)
         betas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
-        ideal = angular_scan(state, 2 * math.pi, betas, np.array([0.0]), QUIET_DET, seed=0).ideal
+        ideal = angular_scan(state, 2 * math.pi, betas, np.array([0.0]), QUIET_DET, seed=0,
+                             pair_rate=1e4).ideal
         assert np.ptp(ideal) < 1e-12 * ideal.max()
 
     def test_conditional_profile_normalized(self):
@@ -227,7 +236,7 @@ class TestEprReid:
 
     def test_simulated_pipeline_violates(self):
         state = geometric_state(10, ratio=0.99)
-        ells = state.ells
+        ells = np.arange(-10, 11)
         spiral = spiral_scan(state, ells, np.array([0]), NOISY_DET, seed=11, pair_rate=1e4)
         betas = np.linspace(-math.pi, math.pi, 128, endpoint=False)
         angular = angular_scan(state, math.pi / 8, betas, np.array([0.0]), NOISY_DET,
@@ -383,8 +392,8 @@ class TestRunTomographyExperiment:
         assert scan.axis_names == ("setting",)
         assert np.array_equal(scan.axis_values[0], np.arange(36))
         assert len(scan) == 36
-        assert scan.counts.shape == scan.ideal.shape == scan.accidental.shape == (36,)
-        assert scan.accidental == pytest.approx(np.full(36, 2e4 * 2e4 * 12.5e-9))
+        assert scan.counts.shape == scan.ideal.shape == (36,)
+        assert scan.accidental == pytest.approx(2e4 * 2e4 * 12.5e-9)
 
     def test_orthogonal_setting_sees_only_accidentals(self):
         # (|l>, |l>) projects onto |00>, orthogonal to the pair state

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from oamsim.cli import main
+from oamsim.cli import RunContext, main
 from oamsim.config import build_config, validate
 from oamsim.experiments import arm_projectors, run_tomography_experiment, tomography_settings
-from oamsim.spdc import DetectorConfig, build_state
+from oamsim.spdc import DetectorConfig, build_state, restricted_ket
 from oamsim.tomography import (
     BELL_VIOLATION_THRESHOLDS,
     ReconstructionReport,
     born_probabilities,
     check_density_matrix,
     concurrence,
+    density_matrix_columns,
     linear_entropy,
     load_density_matrix,
     reconstruct,
-    save_density_matrix,
     threshold_fidelity,
 )
 from oracles import (
@@ -272,8 +272,8 @@ class TestFidelity:
         assert main(["tomo", "--set", f"tomo.d={d}", "--set", f"tomo.ell_values={ells}",
                      "--out", str(tmp_path)]) == 0
         config = build_config(overrides={"tomo.d": str(d), "tomo.ell_values": ells})
-        state = build_state(config["source.gamma"], ell_max=2)
-        ket = state.restricted_ket([int(e) for e in ells.split(",")])
+        joint = build_state(config["source.gamma"], ell_max=2)
+        ket = restricted_ket(joint, [int(e) for e in ells.split(",")])
         want = fidelity(np.outer(ket, ket.conj()), load_density_matrix(tmp_path / "tomo_rho.csv"))
         lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
@@ -416,41 +416,63 @@ class TestBellThresholds:
         assert p * bell_inequality_value(d) == pytest.approx(2.0, abs=1e-9)
 
 
+def write_rho(tmp_path, rho):
+    """The path of ``rho`` written as the tomo runner writes tomo_rho.csv."""
+    RunContext(build_config(), tmp_path, "tomo").write_table("state.csv", density_matrix_columns(rho))
+    return tmp_path / "state.csv"
+
+
 class TestSerialization:
+    """tomo_rho.csv is an ordinary table: hash line, column header, one row per entry."""
+
     def test_round_trip(self, tmp_path):
-        rho = check_density_matrix(isotropic_state(2, 0.8), 2)
-        path = tmp_path / "state.csv"
-        save_density_matrix(path, rho)
-        assert path.read_text().splitlines()[0] == "d,2"
-        loaded = load_density_matrix(path)
-        assert loaded.shape == (4, 4)
-        assert np.max(np.abs(loaded - rho)) < 1e-15
+        for d in (2, 3):
+            rho = check_density_matrix(isotropic_state(d, 0.8), d)
+            path = write_rho(tmp_path, rho)
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# config_hash=")
+            assert lines[1] == "row,col,real,imag"
+            assert len(lines) == 2 + d**4
+            loaded = load_density_matrix(path)
+            assert loaded.shape == (d * d, d * d)
+            assert np.max(np.abs(loaded - rho)) < 1e-15
 
     def test_rejects_tampered_trace(self, tmp_path):
-        path = tmp_path / "state.csv"
-        save_density_matrix(path, isotropic_state(2, 0.5))
+        path = write_rho(tmp_path, isotropic_state(2, 0.5))
         text = path.read_text().splitlines()
         # corrupt a diagonal entry well beyond the 1e-6 reader tolerance
-        row = text[1].split(",")
+        row = text[2].split(",")
         row[2] = repr(float(row[2]) + 0.01)
-        text[1] = ",".join(row)
+        text[2] = ",".join(row)
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ValueError):
             load_density_matrix(path)
 
     def test_rejects_missing_header(self, tmp_path):
+        # a one-entry 1x1 unit matrix, physical if it were read; "d,1" is the
+        # header tomo_rho.csv had before it became an ordinary table
         path = tmp_path / "state.csv"
-        path.write_text("0,0,1.0,0.0\n")
-        with pytest.raises(ValueError):
+        for text in ("0,0,1.0,0.0\n", "d,1\n0,0,1.0,0.0\n", "# config_hash=0 seed=0\n0,0,1.0,0.0\n",
+                     "row,col,real,imag\n0,0,1.0,0.0\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="header"):
+                load_density_matrix(path)
+
+    @pytest.mark.parametrize("rows", [0, 15, 17, 80])
+    def test_rejects_entry_count_not_a_fourth_power(self, tmp_path, rows):
+        path = write_rho(tmp_path, np.eye(4) / 4.0)
+        text = path.read_text().splitlines()
+        extra = ["0,0,0.0,0.0"] * max(rows - 16, 0)
+        path.write_text("\n".join(text[:2 + min(rows, 16)] + extra) + "\n")
+        with pytest.raises(ValueError, match="d\\^4"):
             load_density_matrix(path)
 
-    @pytest.mark.parametrize("line, entry", [(2, "0,-3"), (2, "0,4"), (5, "4,0"), (3, "0,1")],
+    @pytest.mark.parametrize("line, entry", [(3, "0,-3"), (3, "0,4"), (6, "4,0"), (4, "0,1")],
                              ids=["negative", "column-past-end", "row-past-end", "repeated"])
     def test_rejects_malformed_index(self, tmp_path, line, entry):
         # each bad line displaces an off-diagonal zero of the maximally mixed state,
         # so the matrix read stays physical and only the index check can reject it
-        path = tmp_path / "state.csv"
-        save_density_matrix(path, np.eye(4) / 4.0)
+        path = write_rho(tmp_path, np.eye(4) / 4.0)
         text = path.read_text().splitlines()
         text[line] = ",".join([entry, *text[line].split(",")[2:]])
         path.write_text("\n".join(text) + "\n")
