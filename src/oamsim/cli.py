@@ -39,7 +39,8 @@ from .experiments import (
     tomography_settings,
     angular_scan,
 )
-from .spdc import build_state, restricted_ket, sinc_ring_profile, transverse_mode_count
+from .spdc import (build_state, maximally_entangled_ket, restricted_ket, sinc_ring_profile,
+                   transverse_mode_count)
 from .tomography import (
     born_probabilities,
     concurrence,
@@ -52,19 +53,42 @@ from .tomography import (
 
 # rows formatted and written at a time, so a long table is never held as text
 _BLOCK_ROWS = 8192
+# shortest column formatted once per distinct value; np.unique costs about
+# 20 us a call, more than the repr calls it saves on shorter columns
+_DISTINCT_MIN_ROWS = 64
 
 
 def _format_column(values: np.ndarray) -> list[str]:
     """Cells of one column, from its dtype: floats by repr, integers as digits,
-    booleans as true/false, text as is."""
+    booleans as true/false, text as is.
+
+    A float or integer column of at least ``_DISTINCT_MIN_ROWS`` cells is
+    formatted once per distinct value and spread to the rows by index.
+    Table columns repeat heavily (the orientation columns of a 256 x 256
+    angular map hold 256 values over 65,536 rows), and one repr per cell
+    would take most of the time of a large write; below that length the
+    fixed cost of ``np.unique`` exceeds what it saves.  Floats are told apart by their bit
+    patterns, not by value: ``0.0 == -0.0`` but the two print differently,
+    and NaN equals nothing, so value equality would merge the first pair and
+    keep every NaN apart.  Each bit pattern prints as repr does, every NaN as
+    ``nan``."""
     kind = values.dtype.kind
     if kind == "f":
-        return list(map(repr, values.astype(float).tolist()))
-    if kind in "iuU":
+        values = values.astype(float)
+        keys, fmt = values.view(np.uint64), repr
+    elif kind in "iu":
+        keys, fmt = values, str
+    elif kind == "U":
         return list(map(str, values.tolist()))
-    if kind == "b":
+    elif kind == "b":
         return ["true" if v else "false" for v in values.tolist()]
-    raise TypeError(f"cannot format a column of dtype {values.dtype}")
+    else:
+        raise TypeError(f"cannot format a column of dtype {values.dtype}")
+    if len(values) < _DISTINCT_MIN_ROWS:
+        return list(map(fmt, values.tolist()))
+    distinct, index = np.unique(keys, return_inverse=True)
+    texts = list(map(fmt, distinct.view(values.dtype).tolist()))
+    return np.array(texts, dtype=object)[index].tolist()
 
 
 class RunContext:
@@ -87,7 +111,10 @@ class RunContext:
     def write_table(self, name: str, columns: dict):
         """Write one table: ``columns`` maps each header to a 1-D array or a
         scalar, and a scalar repeats down the rows.  The rows are formatted
-        and written ``_BLOCK_ROWS`` at a time."""
+        and written ``_BLOCK_ROWS`` at a time.  Within a block, a long
+        number column is formatted once per distinct value
+        (``_format_column``), so neither the text nor the distinct values
+        outlive a block."""
         values = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
         if values[0].ndim != 1:
             raise TypeError("table columns must be 1-D arrays or scalars")
@@ -232,15 +259,22 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
                                         "arm_a": np.repeat(labels, len(labels)),
                                         "arm_b": np.tile(labels, len(labels)), **columns})
     ctx.write_table("tomo_rho.csv", density_matrix_columns(report.rho))
-    # the target is pure, so its fidelity with rho is the Born rule <target|rho|target>
-    fid = min(max(float(born_probabilities(target_ket[None], report.rho)[0]), 0.0), 1.0)
+    # both kets are pure, so each fidelity with rho is the Born rule <ket|rho|ket>.
+    # The isotropic threshold and the Schmidt-number witness are stated for
+    # F_phi, the fidelity with |Phi>, not for the restricted target.
+    fid, fid_phi = (min(max(float(born_probabilities(ket[None], report.rho)[0]), 0.0), 1.0)
+                    for ket in (target_ket, maximally_entangled_ket(ell_values)))
     entropy = linear_entropy(report.rho)
     threshold_p = config.threshold_fraction()
     threshold_fid = threshold_fidelity(threshold_p, d)
     summary = {"d": d, "chi_squared": report.chi_squared, "flux": report.flux,
                "converged": report.converged, "fidelity_vs_target": fid,
-               "linear_entropy": entropy, "threshold_p": threshold_p,
-               "threshold_fidelity": threshold_fid, "above_threshold": fid > threshold_fid}
+               "fidelity_vs_phi": fid_phi, "linear_entropy": entropy,
+               "threshold_p": threshold_p, "threshold_fidelity": threshold_fid,
+               "above_threshold": fid_phi > threshold_fid,
+               # F_phi > k/d certifies Schmidt number k + 1 (Terhal & Horodecki,
+               # PRA 61, 040301(R), 2000)
+               "schmidt_number_bound": int(np.count_nonzero(fid_phi > np.arange(d) / d))}
     if d == 2:
         summary["concurrence"] = concurrence(report.rho)
     ctx.write_table("tomo_summary.csv", summary)

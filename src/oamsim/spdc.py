@@ -155,6 +155,17 @@ def restricted_ket(joint: np.ndarray, ell_values) -> np.ndarray:
     return ket / norm
 
 
+def maximally_entangled_ket(ell_values) -> np.ndarray:
+    """|Phi> = sum_i |ell_values[i]>|-ell_values[i]> / sqrt(d) in the index order
+    of ``restricted_ket``: the state the isotropic thresholds are stated for.
+    Raises ValueError unless ell_values is closed under negation."""
+    ells = list(ell_values)
+    d = len(ells)
+    ket = np.zeros(d * d, dtype=complex)
+    ket[np.arange(d) * d + [ells.index(-ell) for ell in ells]] = 1.0 / math.sqrt(d)
+    return ket
+
+
 def sinc_ring_profile(r, config: CrystalConfig):
     """Far-field intensity profile sinc^2(a r^2 / f^2 + alpha).
 

@@ -11,9 +11,12 @@ expectation checked in below.
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamsim import cli, experiments
 from oamsim.cli import RUNNERS, RunContext, main
@@ -69,10 +72,12 @@ SUMMARIES = {
         "flux": (10783.398315604822, SOLVER),
         "converged": ("true", None),
         "fidelity_vs_target": (0.9990512323180293, SOLVER),
+        "fidelity_vs_phi": (0.9990512322557217, SOLVER),
         "linear_entropy": (0.0024490075745453588, SOLVER),
         "threshold_p": (0.7071067811865476, EXACT),
         "threshold_fidelity": (0.7803300858899107, EXACT),
         "above_threshold": ("true", None),
+        "schmidt_number_bound": (2, 0.0),
         "concurrence": (0.9982996936365166, SOLVER),
     },
     "modes_summary.csv": {
@@ -120,10 +125,12 @@ OFFSET_SUMMARIES = {
         "flux": (10779.98831778931, SOLVER),
         "converged": ("true", None),
         "fidelity_vs_target": (0.9993210432227265, SOLVER),
+        "fidelity_vs_phi": (0.9743035346310633, SOLVER),
         "linear_entropy": (0.0017285269203382765, SOLVER),
         "threshold_p": (0.7071067811865476, EXACT),
         "threshold_fidelity": (0.7803300858899107, EXACT),
         "above_threshold": ("true", None),
+        "schmidt_number_bound": (2, 0.0),
         "concurrence": (0.9487178402493697, SOLVER),
     },
 }
@@ -397,14 +404,73 @@ def test_write_table_matches_per_cell_format(tmp_path):
     assert lines[1:] == [",".join(columns)] + [",".join(map(per_cell, row)) for row in zip(*cells)]
 
 
+# float64 cells that a value-keyed dedup would get wrong: signed zeros, NaNs
+# with other payloads and signs, infinities, subnormals and the smallest one
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072e-308,
+                  *np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                             0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(float)]
+
+
 def test_write_table_rows_run_on_across_blocks(tmp_path):
-    # a table two blocks and three rows long reads as one text, row for row
+    # a table two blocks and three rows long reads as one text, row for row,
+    # with the special floats repeating down a long column
     n = 2 * cli._BLOCK_ROWS + 3
-    columns = {"i": np.arange(n), "x": np.arange(n) / 7.0, "flag": np.arange(n) % 3 == 0, "c": 1.5}
+    special = np.resize(SPECIAL_FLOATS, n)
+    columns = {"i": np.arange(n), "x": np.arange(n) / 7.0, "flag": np.arange(n) % 3 == 0, "c": 1.5,
+               "special": special}
     ctx = RunContext(build_config(), tmp_path, "test")
     ctx.write_table("t.csv", columns)
     lines = (tmp_path / "t.csv").read_text().split("\n")
-    assert lines[1:] == ["i,x,flag,c"] + [f"{i},{i / 7.0!r},{str(i % 3 == 0).lower()},1.5" for i in range(n)] + [""]
+    assert lines[1:] == ["i,x,flag,c,special"] + [
+        f"{i},{i / 7.0!r},{str(i % 3 == 0).lower()},1.5,{per_cell(special[i])}" for i in range(n)] + [""]
+
+
+def pooled(pool, size, seed, dtype):
+    """A column of ``size`` cells drawn from ``pool``, so that values repeat."""
+    return np.array(pool, dtype=dtype)[np.random.default_rng(seed).integers(len(pool), size=size)]
+
+
+# a block size for the property test below, so that its tables span several
+# blocks cheaply; the blocks hold both short and long columns, and the tail
+# block of a table can fall below _DISTINCT_MIN_ROWS
+SHORT_BLOCK_ROWS = 2 * cli._DISTINCT_MIN_ROWS + 5
+
+
+@st.composite
+def repeating_tables(draw):
+    n = draw(st.integers(0, 2 * SHORT_BLOCK_ROWS + 40))
+
+    def column(elements, dtype):
+        pool = draw(st.lists(elements, min_size=1, max_size=12))
+        return pooled(pool, n, draw(st.integers(0, 2**32 - 1)), dtype)
+
+    return {
+        "f64": column(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), np.float64),
+        "f32": column(st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, 1e-45]),
+                                st.floats(width=32)), np.float32),
+        "i64": column(st.one_of(st.sampled_from([-2**63, 2**63 - 1, 0, -1]),
+                                st.integers(-2**63, 2**63 - 1)), np.int64),
+        "u64": column(st.one_of(st.sampled_from([2**63, 2**64 - 1, 0]), st.integers(0, 2**64 - 1)),
+                      np.uint64),
+        "flag": column(st.booleans(), bool),
+        "text": column(st.sampled_from(["a", "b", ""]), str),
+        "scalar": draw(st.sampled_from([-0.0, 0.1, math.nan])),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=repeating_tables())
+def test_write_table_formats_repeating_cells_as_per_cell(tmp_path_factory, columns):
+    # a long column is formatted once per distinct value in each block and
+    # spread to its rows; the text must still equal per_cell cell by cell
+    out = tmp_path_factory.getbasetemp() / "repeating"  # one directory, rewritten by each example
+    out.mkdir(exist_ok=True)
+    with mock.patch.object(cli, "_BLOCK_ROWS", SHORT_BLOCK_ROWS):
+        RunContext(build_config(), out, "test").write_table("t.csv", columns)
+    n = len(columns["f64"])
+    cells = [values if np.ndim(values) else [values] * n for values in columns.values()]
+    rows = "".join(",".join(map(per_cell, row)) + "\n" for row in zip(*cells))
+    assert (out / "t.csv").read_text().split("\n", 2)[2] == rows
 
 
 @pytest.mark.parametrize("values", [

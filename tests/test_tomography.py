@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oamsim.cli import RunContext, main
 from oamsim.config import build_config, validate
 from oamsim.experiments import arm_projectors, run_tomography_experiment, tomography_settings
-from oamsim.spdc import DetectorConfig, build_state, restricted_ket
+from oamsim.spdc import DetectorConfig, build_state, maximally_entangled_ket, restricted_ket
 from oamsim.tomography import (
     BELL_VIOLATION_THRESHOLDS,
     ReconstructionReport,
@@ -398,6 +398,49 @@ class TestThresholdState:
     def test_rejects_bad_fraction(self):
         problems = validate(build_config(overrides={"tomo.threshold_p": "1.5"}))
         assert any(p.startswith("tomo.threshold_p") for p in problems)
+
+
+class TestEntanglementWitness:
+    """|Phi>, its fidelity F_phi and the thresholds stated for it."""
+
+    @pytest.mark.parametrize("ells", [(1, -1), (2, 1, 0, -1, -2), (3, 1, -1, -3)])
+    def test_phi_pairs_opposite_helicities(self, ells):
+        # listed as (+ell, ..., -ell), |ell_i>|-ell_i> is |i, d-1-i>
+        assert np.array_equal(maximally_entangled_ket(ells), cross_entangled_ket(len(ells)))
+
+    def test_phi_follows_the_listed_order(self):
+        ket = maximally_entangled_ket([2, -2, 0]).reshape(3, 3)
+        assert np.array_equal(ket * math.sqrt(3), [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+    def test_phi_rejects_values_not_closed_under_negation(self):
+        with pytest.raises(ValueError):
+            maximally_entangled_ket([1, 2])
+
+    @pytest.mark.parametrize("d, ells, gamma, f_target, f_phi, above, bound", [
+        (2, "1,-1", "2.0", 0.9990512323180293, 0.9990512322557217, "true", 2),
+        # the restricted target is nearly a product state here: the fidelity
+        # with it is 0.9946, but F_phi is 0.521, below the threshold 0.730
+        (3, "2,-2,0", "0.2", 0.9946439609284955, 0.52100007121031, "false", 2),
+        (3, "2,-2,0", "2.0", 0.9962621403135405, 0.9962380521108638, "true", 3),
+    ])
+    def test_cli_threshold_and_schmidt_bound_use_phi(self, tmp_path, d, ells, gamma, f_target,
+                                                     f_phi, above, bound):
+        sets = {"tomo.d": str(d), "tomo.ell_values": ells, "source.gamma": gamma}
+        assert main(["tomo", *(a for k, v in sets.items() for a in ("--set", f"{k}={v}")),
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        reported = float(row["fidelity_vs_phi"])
+        assert float(row["fidelity_vs_target"]) == pytest.approx(f_target, rel=1e-6)
+        assert reported == pytest.approx(f_phi, rel=1e-6)
+        phi = maximally_entangled_ket([int(e) for e in ells.split(",")])
+        want = fidelity(np.outer(phi, phi.conj()), load_density_matrix(tmp_path / "tomo_rho.csv"))
+        assert reported == pytest.approx(want, rel=1e-12)
+        assert row["above_threshold"] == above
+        assert (reported > float(row["threshold_fidelity"])) == (above == "true")
+        # F_phi > k/d certifies Schmidt number k + 1, and no larger k passes
+        assert int(row["schmidt_number_bound"]) == bound
+        assert (bound - 1) / d < reported and (bound == d or reported <= bound / d)
 
 
 class TestBellThresholds:
