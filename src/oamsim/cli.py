@@ -165,8 +165,10 @@ def run_spiral(config: ScenarioConfig, ctx: RunContext):
     # this table has always written its counts as floats
     ctx.write_table("spiral_spectrum.csv",
                     {"ell": s_ells, "ideal_rate": s_ideal, "count": s_counts.astype(float)})
-    fwhm = spectrum_fwhm(s_ells.astype(float), s_counts.astype(float))
-    ctx.write_table("spiral_summary.csv", {"fwhm": fwhm, "peak_count": s_counts.max()})
+    fwhm = spectrum_fwhm(s_ells, s_counts, scan.accidental)
+    # a half width past the window is an extrapolation; an inf or nan width is limited too
+    ctx.write_table("spiral_summary.csv", {"fwhm": fwhm, "peak_count": s_counts.max(),
+                                           "window_limited": not fwhm / 2 <= ell_max})
     ctx.mark("write")
 
 
@@ -202,15 +204,19 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
     phi_profile = conditional_profile(angular)
     result = epr_reid(ell_profile, phi_profile)
     (ell_xs, ell_ps), (phi_xs, phi_ps) = ell_profile, phi_profile
+    # a profile whose Gaussian fit failed has no fitted curve
+    fits = [np.full(len(xs), math.nan) if fit is None else fit(xs)
+            for fit, xs in ((result.ell_fit, ell_xs), (result.angle_fit, phi_xs))]
     ctx.write_table("epr_profiles.csv", {
         "profile": np.repeat(["ell", "phi"], [len(ell_xs), len(phi_xs)]),
         "x": np.concatenate([ell_xs, phi_xs]),
         "probability": np.concatenate([ell_ps, phi_ps]),
-        "fit": np.concatenate([result.ell_fit(ell_xs), result.angle_fit(phi_xs)])})
+        "fit": np.concatenate(fits)})
     ctx.write_table("epr_summary.csv", {
         "delta_ell_sq": result.delta_ell_sq, "delta_phi_sq": result.delta_phi_sq,
         "product": result.product, "violated": result.violated,
-        "discrete_ell_var": result.discrete_ell_var, "discrete_phi_var": result.discrete_phi_var})
+        "discrete_ell_var": result.discrete_ell_var, "discrete_phi_var": result.discrete_phi_var,
+        "ell_fitted": result.ell_fit is not None, "phi_fitted": result.angle_fit is not None})
     ctx.mark("write")
 
 

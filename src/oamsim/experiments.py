@@ -7,9 +7,10 @@ and samples every count with one ``sample_counts`` call; a count depends only
 on the seed and its setting's position.  Bell analyzers and tomography
 superpositions are rows of ``analyzer_kets``; the tomography settings are an
 array of joint kets, with rates from ``tomography.born_probabilities``.  The
-statistics helpers (Gaussian fitting, conditional-variance products, Bell
-parameter with error propagation) operate on counts and are reused by the
-command-line runner.
+statistics helpers operate on counts and are reused by the command-line
+runner: the spiral width from a closed-form fit of the geometric spectrum,
+the conditional-variance product from Gaussian fits of the two profiles, and
+the Bell parameter with error propagation.
 """
 
 from __future__ import annotations
@@ -147,8 +148,6 @@ def angular_scan(joint: np.ndarray, width: float, orientations_a, orientations_b
     through their azimuthal Fourier coefficients, truncated to the state
     support and normalized to unit vectors there, one row per orientation.
     """
-    if not 0.0 < width <= 2.0 * math.pi:
-        raise ValueError("sector width must lie in (0, 2*pi]")
     orientations_a = np.asarray(orientations_a, dtype=float)
     orientations_b = np.asarray(orientations_b, dtype=float)
     ells = np.arange(len(joint)) - len(joint) // 2
@@ -189,42 +188,45 @@ def spiral_spectrum(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return ells_a, scan.ideal[rows, rows[::-1]], scan.counts[rows, rows[::-1]]
 
 
-def spectrum_fwhm(xs, ys) -> float:
-    """Full width at half maximum of a sampled peak.
+def spectrum_fwhm(ells, counts, accidental: float) -> float:
+    """FWHM of the spiral spectrum P(ell) ∝ q^(2|ell|) (Gaussian pump, p = 0 modes).
 
-    Uses linear interpolation of the half-maximum crossings when both lie
-    inside the sampled window; otherwise falls back to the width of a fitted
-    Gaussian, which extrapolates sensibly for spectra wider than the window.
+    ln(count - accidental) is fitted as a line in |ell| of slope 2 ln q by
+    weighted least squares, each bin weighted by (count - accidental)^2 /
+    count, the inverse Poisson variance of its logarithm; the width is
+    ln 2 / ln(1/q) = -2 ln 2 / slope, within the ell window or beyond it.
+    Only the |ell| below the first bin, on either side, with a count at or
+    below the accidental level are fitted.  Returns inf when the slope is
+    not negative and nan when fewer than two |ell| values are kept.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if np.max(ys) <= 0:
-        raise ValueError("spectrum must have positive values")
-    y = ys / np.max(ys)
-    peak = int(np.argmax(y))
-    above = y >= 0.5
-    if not above[0] and not above[-1]:
-        left = np.nonzero(~above[:peak])[0]
-        right = np.nonzero(~above[peak:])[0]
-        if len(left) and len(right):
-            li = left[-1]
-            ri = peak + right[0]
-            xl = xs[li] + (0.5 - y[li]) / (y[li + 1] - y[li]) * (xs[li + 1] - xs[li])
-            xr = xs[ri - 1] + (0.5 - y[ri - 1]) / (y[ri] - y[ri - 1]) * (xs[ri] - xs[ri - 1])
-            return float(xr - xl)
-    return fit_gaussian(xs, ys).fwhm
+    x = np.abs(np.asarray(ells, dtype=float))
+    counts = np.asarray(counts, dtype=float)
+    signal = counts - accidental
+    keep = x < np.min(x[signal <= 0], initial=np.inf)
+    x, signal, counts = x[keep], signal[keep], counts[keep]
+    if len(np.unique(x)) < 2:
+        return math.nan
+    w = signal**2 / counts
+    y = np.log(signal)
+    dx = x - np.average(x, weights=w)
+    slope = np.sum(w * dx * (y - np.average(y, weights=w))) / np.sum(w * dx * dx)
+    return float(-2.0 * math.log(2.0) / slope) if slope < 0 else math.inf
 
 
 @dataclass(frozen=True)
 class EprReidResult:
-    """Conditional-variance product for the OAM / angular-position pair."""
+    """Conditional-variance product for the OAM / angular-position pair.
+
+    A profile whose Gaussian fit failed has ``None`` for its fit, and its
+    discrete variance stands in as its squared width.
+    """
 
     delta_ell_sq: float
     delta_phi_sq: float
     product: float
     violated: bool
-    ell_fit: GaussianFit
-    angle_fit: GaussianFit
+    ell_fit: GaussianFit | None
+    angle_fit: GaussianFit | None
     discrete_ell_var: float
     discrete_phi_var: float
 
@@ -234,9 +236,11 @@ def epr_reid(ell_profile, angle_profile) -> EprReidResult:
 
     Both profiles are (values, probabilities) pairs normalized to unit sum;
     the widths are the variances of fitted Gaussians, following the
-    profile-fitting analysis of the measured spectra.  The correlations are
-    nonclassical when the product falls below Reid's bound 1/4.  The raw discrete
-    variances are reported alongside for comparison.
+    profile-fitting analysis of the measured spectra.  A profile the fit
+    cannot follow (``fit_gaussian`` raises ``FitError``) takes its discrete
+    variance instead.  The correlations are nonclassical when the product
+    falls below Reid's bound 1/4.  The raw discrete variances are reported
+    alongside for comparison.
     """
     results = []
     for xs, ps in (ell_profile, angle_profile):
@@ -244,14 +248,18 @@ def epr_reid(ell_profile, angle_profile) -> EprReidResult:
         ps = np.asarray(ps, dtype=float)
         if abs(ps.sum() - 1.0) > 1e-6:
             raise ValueError("profiles must be normalized to unit sum")
-        fit = fit_gaussian(xs, ps)
         mean = np.sum(xs * ps)
-        results.append((fit, float(np.sum((xs - mean) ** 2 * ps))))
-    (ell_fit, ell_disc), (angle_fit, angle_disc) = results
-    product = ell_fit.variance * angle_fit.variance
+        discrete = float(np.sum((xs - mean) ** 2 * ps))
+        try:
+            fit = fit_gaussian(xs, ps)
+        except FitError:
+            fit = None
+        results.append((fit, discrete if fit is None else fit.variance, discrete))
+    (ell_fit, ell_sq, ell_disc), (angle_fit, angle_sq, angle_disc) = results
+    product = ell_sq * angle_sq
     return EprReidResult(
-        delta_ell_sq=ell_fit.variance,
-        delta_phi_sq=angle_fit.variance,
+        delta_ell_sq=ell_sq,
+        delta_phi_sq=angle_sq,
         product=product,
         violated=bool(product < 0.25),
         ell_fit=ell_fit,

@@ -48,8 +48,9 @@ ROWS = {
 # summary table -> column -> (expected value, relative tolerance)
 SUMMARIES = {
     "spiral_summary.csv": {
-        "fwhm": (68.78473976319461, SOLVER),
+        "fwhm": (108.08516801612394, EXACT),
         "peak_count": (320, 0.0),
+        "window_limited": ("true", None),
     },
     "epr_summary.csv": {
         "delta_ell_sq": (0.12411348018622494, SOLVER),
@@ -58,6 +59,8 @@ SUMMARIES = {
         "violated": ("true", None),
         "discrete_ell_var": (5.512353360768175, EXACT),
         "discrete_phi_var": (0.511043097208882, EXACT),
+        "ell_fitted": ("true", None),
+        "phi_fitted": ("true", None),
     },
     "bell_summary.csv": {
         "ell": (2, 0.0),
@@ -99,8 +102,9 @@ OFFSET_RUNS = {
 
 OFFSET_SUMMARIES = {
     "spiral-offset": {
-        "fwhm": (36.63455168869707, SOLVER),
+        "fwhm": (59.550025906140135, EXACT),
         "peak_count": (562, 0.0),
+        "window_limited": ("true", None),
     },
     "epr-reid-offset": {
         "delta_ell_sq": (0.13147582942779673, SOLVER),
@@ -109,6 +113,8 @@ OFFSET_SUMMARIES = {
         "violated": ("true", None),
         "discrete_ell_var": (5.471020633472845, EXACT),
         "discrete_phi_var": (0.5220012571086738, EXACT),
+        "ell_fitted": ("true", None),
+        "phi_fitted": ("true", None),
     },
     # at 0.5 waists the target puts 0.0127 on each of the pairs (1, 1) and (-1, -1),
     # and the ideal Bell S drops to 2.8279359738643732
@@ -487,3 +493,37 @@ def test_write_table_rejects_columns_it_cannot_format(tmp_path, values):
 
 def test_smallest_accepted_epr_ell_max_runs(tmp_path):
     assert main(["epr-reid", "--set", "experiment.epr_ell_max=2", "--out", str(tmp_path)]) == 0
+
+
+def summary_row(path):
+    lines = path.read_text().splitlines()
+    return dict(zip(lines[1].split(","), lines[2].split(",")))
+
+
+@pytest.mark.parametrize("ell_max", [1, 2, 3])
+def test_spiral_runs_at_smallest_windows(tmp_path, ell_max):
+    # three bins of the anti-diagonal already give the fitted slope two |ell| values
+    assert main(["spiral", "--set", f"source.ell_max={ell_max}", "--set", "bell.ell=1",
+                 "--out", str(tmp_path)]) == 0
+    assert float(summary_row(tmp_path / "spiral_summary.csv")["fwhm"]) > 0.0
+
+
+@pytest.mark.parametrize("gamma, limited", [("1e6", "true"), ("2", "true"), ("1", "false"),
+                                            ("0.5", "false")])
+def test_spiral_flags_widths_beyond_the_window(tmp_path, gamma, limited):
+    # at gamma = 1e6 q rounds to 1 and the spectrum is flat across the window
+    assert main(["spiral", "--set", f"source.gamma={gamma}", "--out", str(tmp_path)]) == 0
+    assert summary_row(tmp_path / "spiral_summary.csv")["window_limited"] == limited
+
+
+def test_epr_reid_runs_when_the_angular_fit_fails(tmp_path):
+    # the conditional angular profile of this misaligned state defeats the
+    # Gaussian fit; its discrete variance stands in and its fit cells are nan
+    assert main(["epr-reid", "--set", "source.gamma=0.1", "--set", "source.signal_offset_waists=0.1",
+                 "--out", str(tmp_path)]) == 0
+    row = summary_row(tmp_path / "epr_summary.csv")
+    assert (row["ell_fitted"], row["phi_fitted"]) == ("true", "false")
+    assert row["delta_phi_sq"] == row["discrete_phi_var"]
+    rows = [line.split(",") for line in data_rows(tmp_path / "epr_profiles.csv")]
+    assert {fit == "nan" for profile, _, _, fit in rows if profile == "phi"} == {True}
+    assert {fit == "nan" for profile, _, _, fit in rows if profile == "ell"} == {False}

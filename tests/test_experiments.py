@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from oamsim.experiments import (
@@ -156,22 +158,53 @@ class TestScanResultColumns:
         assert columns["accidental"] == 0.5
 
 
+def geometric_counts(q, ell_max, amplitude, accidental):
+    """Noiseless spiral counts A q^(2|ell|) + accidental over ell in [-ell_max, ell_max]."""
+    ells = np.arange(-ell_max, ell_max + 1)
+    return ells, amplitude * q ** (2.0 * np.abs(ells)) + accidental
+
+
 class TestSpectrumFwhm:
-    def test_interpolated_width_of_triangle(self):
-        x = np.arange(-5.0, 6.0)
-        y = np.maximum(0.0, 1.0 - np.abs(x) / 4.0)
-        assert spectrum_fwhm(x, y) == pytest.approx(4.0, abs=1e-9)
+    # q stays away from 0, where A q^2 + a rounds to a and no slope is left,
+    # and from 1, where the slope 2 ln q drowns in the rounding of the logarithms
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.floats(1e-3, 1.0 - 1e-5), ell_max=st.integers(1, 20),
+           amplitude=st.floats(1.0, 1e9), accidental_share=st.floats(0.0, 1.0))
+    def test_geometric_spectrum_gives_analytic_width(self, q, ell_max, amplitude, accidental_share):
+        accidental = accidental_share * amplitude
+        ells, counts = geometric_counts(q, ell_max, amplitude, accidental)
+        width = spectrum_fwhm(ells, counts, accidental)
+        assert width == pytest.approx(math.log(2.0) / math.log(1.0 / q), rel=1e-9)
 
     def test_window_limited_spectrum_uses_fit(self):
-        x = np.arange(-10.0, 11.0)
-        y = np.exp(-np.abs(x) / 200.0)
-        width = spectrum_fwhm(x, y)
-        assert width > 20.0
+        # the half maximum lies far outside the window; the fit extrapolates to it
+        x = np.arange(-10, 11)
+        width = spectrum_fwhm(x, np.exp(-np.abs(x) / 200.0), 0.0)
+        assert width == pytest.approx(400.0 * math.log(2.0), rel=1e-12)
 
     def test_monotone_in_decay_rate(self):
-        x = np.arange(-10.0, 11.0)
-        widths = [spectrum_fwhm(x, np.exp(-np.abs(x) * k)) for k in (0.5, 0.05, 0.005)]
+        x = np.arange(-10, 11)
+        widths = [spectrum_fwhm(x, np.exp(-np.abs(x) * k), 0.0) for k in (0.5, 0.05, 0.005)]
         assert widths[0] < widths[1] < widths[2]
+
+    @pytest.mark.parametrize("counts", [np.full(9, 50.0), 50.0 + np.abs(np.arange(-4, 5))],
+                             ids=["flat", "rising"])
+    def test_flat_or_rising_spectrum_is_infinitely_wide(self, counts):
+        assert spectrum_fwhm(np.arange(-4, 5), counts, 5.0) == math.inf
+
+    def test_only_centre_above_floor_has_no_width(self):
+        counts = np.array([3.0, 2.0, 5.0, 900.0, 5.0, 1.0, 4.0])
+        assert math.isnan(spectrum_fwhm(np.arange(-3, 4), counts, 5.0))
+
+    def test_spike_beyond_first_floor_bin_is_ignored(self):
+        ells, counts = geometric_counts(0.5, 8, 1e4, 3.0)
+        counts[ells == 5] = 3.0  # the first floor bin, on the positive side only
+        width = spectrum_fwhm(ells, counts, 3.0)
+        for ell in (6, -6, -8):
+            spiked = counts.copy()
+            spiked[ells == ell] = 1e6
+            assert spectrum_fwhm(ells, spiked, 3.0) == width
+        assert width == pytest.approx(1.0, rel=1e-9)
 
 
 class TestAngularScan:
@@ -197,6 +230,12 @@ class TestAngularScan:
         ideal = angular_scan(state, 2 * math.pi, betas, np.array([0.0]), QUIET_DET, seed=0,
                              pair_rate=1e4).ideal
         assert np.ptp(ideal) < 1e-12 * ideal.max()
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, 2.0 * math.pi + 1e-9])
+    def test_rejects_bad_width(self, width):
+        with pytest.raises(ValueError, match=r"sector width must lie in \(0, 2\*pi\]"):
+            angular_scan(geometric_state(2), width, np.zeros(3), np.zeros(1), QUIET_DET,
+                         seed=0, pair_rate=1e4)
 
     def test_conditional_profile_normalized(self):
         state = geometric_state(5, ratio=0.95)
@@ -233,6 +272,18 @@ class TestEprReid:
         ys = np.exp(-(xs**2))
         with pytest.raises(ValueError):
             epr_reid((xs, ys), (xs, ys / ys.sum()))
+
+    def test_unfittable_profile_takes_discrete_variance(self):
+        # a flat angular profile has no Gaussian to fit; its discrete variance stands in
+        ells = np.arange(-10.0, 11.0)
+        p_ell = np.exp(-(ells**2) / (2 * 0.128))
+        angles = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+        flat = np.full(16, 1.0 / 16)
+        result = epr_reid((ells, p_ell / p_ell.sum()), (angles, flat))
+        assert result.angle_fit is None and result.ell_fit is not None
+        assert result.delta_phi_sq == result.discrete_phi_var == pytest.approx(np.var(angles))
+        assert result.delta_ell_sq == result.ell_fit.variance
+        assert result.product == result.delta_ell_sq * result.delta_phi_sq
 
     def test_simulated_pipeline_violates(self):
         state = geometric_state(10, ratio=0.99)
