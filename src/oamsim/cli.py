@@ -17,10 +17,14 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
+# numpy 2 imports these on first access: the stage seeds use numpy.random and
+# np.unique reads np.ma.  Imported here, they cost start-up, not the first run.
+import numpy.ma
+import numpy.random
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, validate
@@ -133,7 +137,6 @@ class RunContext:
                  f"seed = {self.config.seed}",
                  f"oamsim_version = {__version__}",
                  f"numpy_version = {np.__version__}",
-                 f"scipy_version = {scipy.__version__}",
                  f"python_version = {sys.version.split()[0]}",
                  f"outputs = {','.join(self.files)}"]
         for stage, elapsed in self.timings:
@@ -182,7 +185,7 @@ def run_angular(config: ScenarioConfig, ctx: RunContext):
                         pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
     ctx.write_table("angular_map.csv", scan.columns())
-    xs, ps = conditional_profile(scan)
+    xs, ps, _ = conditional_profile(scan)
     ctx.write_table("angular_conditional.csv", {"beta_a": xs, "probability": ps})
     ctx.mark("write")
 
@@ -200,23 +203,12 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
     angular = angular_scan(joint, config["experiment.sector_width_rad"], betas,
                            np.array([0.0]), det, _stage_seed(config, 1), pair_rate=rate)
     ctx.mark("scan")
-    ell_profile = conditional_profile(spiral)
-    phi_profile = conditional_profile(angular)
-    result = epr_reid(ell_profile, phi_profile)
-    (ell_xs, ell_ps), (phi_xs, phi_ps) = ell_profile, phi_profile
-    # a profile whose Gaussian fit failed has no fitted curve
-    fits = [np.full(len(xs), math.nan) if fit is None else fit(xs)
-            for fit, xs in ((result.ell_fit, ell_xs), (result.angle_fit, phi_xs))]
+    profiles = [conditional_profile(scan) for scan in (spiral, angular)]
+    xs, probabilities, model = (np.concatenate(column) for column in zip(*profiles))
     ctx.write_table("epr_profiles.csv", {
-        "profile": np.repeat(["ell", "phi"], [len(ell_xs), len(phi_xs)]),
-        "x": np.concatenate([ell_xs, phi_xs]),
-        "probability": np.concatenate([ell_ps, phi_ps]),
-        "fit": np.concatenate(fits)})
-    ctx.write_table("epr_summary.csv", {
-        "delta_ell_sq": result.delta_ell_sq, "delta_phi_sq": result.delta_phi_sq,
-        "product": result.product, "violated": result.violated,
-        "discrete_ell_var": result.discrete_ell_var, "discrete_phi_var": result.discrete_phi_var,
-        "ell_fitted": result.ell_fit is not None, "phi_fitted": result.angle_fit is not None})
+        "profile": np.repeat(["ell", "phi"], [len(spiral), len(angular)]),
+        "x": xs, "probability": probabilities, "model": model})
+    ctx.write_table("epr_summary.csv", asdict(epr_reid(spiral, angular)))
     ctx.mark("write")
 
 
@@ -238,7 +230,7 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
     ctx.write_table("bell_counts.csv", {
         "pair": pair.ravel(), "offset": offset.ravel(), "theta_a": theta_a.ravel(),
         "theta_b": theta_b.ravel(), "ideal_rate": rates.ravel(), "count": counts.ravel()})
-    n_sigma = (s_value - 2.0) / sigma if sigma > 0 else float("inf")
+    n_sigma = (s_value - 2.0) / sigma if sigma != 0 else math.inf
     ctx.write_table("bell_summary.csv", {"ell": ell, "s_value": s_value, "sigma_s": sigma,
                                          "n_sigma_above_2": n_sigma, "violated": s_value > 2.0})
     ctx.mark("write")

@@ -219,9 +219,8 @@ def validate(config: ScenarioConfig) -> list[str]:
                         f" must not exceed 1e15 (got {largest_mean})")
     if not 0 <= v["source.ell_max"] <= 20:
         problems.append(f"source.ell_max must lie in [0, 20] (got {v['source.ell_max']})")
-    # 2 epr_ell_max + 1 OAM bins must leave the Gaussian fit at least four points
-    if not 2 <= v["experiment.epr_ell_max"] <= 20:
-        problems.append(f"experiment.epr_ell_max must lie in [2, 20] (got {v['experiment.epr_ell_max']})")
+    if not 0 <= v["experiment.epr_ell_max"] <= 20:
+        problems.append(f"experiment.epr_ell_max must lie in [0, 20] (got {v['experiment.epr_ell_max']})")
     if not 0.0 < v["detector.efficiency"] <= 1.0:
         problems.append(f"detector.efficiency must lie in (0, 1] (got {v['detector.efficiency']})")
     if not 0.0 < v["experiment.sector_width_rad"] < 2.0 * math.pi:

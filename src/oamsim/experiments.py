@@ -9,8 +9,8 @@ superpositions are rows of ``analyzer_kets``; the tomography settings are an
 array of joint kets, with rates from ``tomography.born_probabilities``.  The
 statistics helpers operate on counts and are reused by the command-line
 runner: the spiral width from a closed-form fit of the geometric spectrum,
-the conditional-variance product from Gaussian fits of the two profiles, and
-the Bell parameter with error propagation.
+the conditional-variance product from the moments of the two conditional
+scans, and the Bell parameter, the last two with their Poisson errors.
 """
 
 from __future__ import annotations
@@ -19,75 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .modes import sector_coefficients
 from .spdc import DetectorConfig, accidentals, ell_index, restricted_ket, sample_counts
 from .tomography import born_probabilities
-
-
-class FitError(RuntimeError):
-    """Raised when a least-squares fit cannot be performed or fails to converge."""
-
-
-@dataclass(frozen=True)
-class GaussianFit:
-    """Parameters of A exp(-(x - mean)^2 / (2 variance))."""
-
-    amplitude: float
-    mean: float
-    variance: float
-    residual_norm: float
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("fitted variance must be positive")
-
-    @property
-    def fwhm(self) -> float:
-        return math.sqrt(8.0 * math.log(2.0) * self.variance)
-
-    def __call__(self, x):
-        d = np.asarray(x) - self.mean
-        return self.amplitude * np.exp(-(d * d) / (2.0 * self.variance))
-
-
-def fit_gaussian(xs, ys) -> GaussianFit:
-    """Least-squares Gaussian fit A exp(-(x-mu)^2 / (2 s^2)) to (xs, ys).
-
-    Needs at least four points that are not all equal.  Raises FitError on
-    degenerate data or non-convergence.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise FitError("xs and ys must be 1-D arrays of equal length")
-    if len(xs) < 4:
-        raise FitError("need at least 4 points to fit a Gaussian")
-    if np.ptp(ys) == 0:
-        raise FitError("degenerate data: all values equal")
-
-    peak = float(np.max(ys))
-    mu0 = float(xs[np.argmax(ys)])
-    weights = np.clip(ys, 0.0, None)
-    spacing = np.min(np.diff(np.sort(xs)))
-    if weights.sum() > 0:
-        var0 = float(np.sum((xs - mu0) ** 2 * weights) / np.sum(weights))
-    else:
-        var0 = float(np.var(xs))
-    s0 = math.sqrt(max(var0, (0.05 * spacing) ** 2))
-
-    def residuals(p):
-        a, mu, s = p
-        return a * np.exp(-((xs - mu) ** 2) / (2.0 * s * s)) - ys
-
-    result = least_squares(residuals, [peak, mu0, s0], method="lm",
-                           ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=20000)
-    if not result.success:
-        raise FitError(f"gaussian fit did not converge: {result.message}")
-    a, mu, s = result.x
-    return GaussianFit(amplitude=float(a), mean=float(mu), variance=float(s * s),
-                       residual_norm=float(np.linalg.norm(result.fun)))
 
 
 @dataclass(frozen=True)
@@ -165,14 +100,23 @@ def angular_scan(joint: np.ndarray, width: float, orientations_a, orientations_b
                  pair_rate * np.abs(amps) ** 2, det, seed)
 
 
-def conditional_profile(scan: ScanResult) -> tuple[np.ndarray, np.ndarray]:
-    """Counts along axis 0 with axis 1 held at its value nearest zero, normalized to unit sum."""
+def _conditional(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axis 0 values, counts and ideal rates with axis 1 held at its value nearest zero."""
     col = int(np.argmin(np.abs(scan.axis_values[1])))
-    counts = scan.counts[:, col]
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("conditional profile has no counts")
-    return scan.axis_values[0], counts / total
+    return scan.axis_values[0], scan.counts[:, col], scan.ideal[:, col]
+
+
+def _unit_sum(values: np.ndarray) -> np.ndarray:
+    total = values.sum()
+    return values / total if total > 0 else np.full(len(values), math.nan)
+
+
+def conditional_profile(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts along axis 0 with axis 1 held at its value nearest zero, and their
+    ideal rates, each normalized to unit sum: (values, probabilities, model).
+    A profile with no counts has nan probabilities."""
+    xs, counts, ideal = _conditional(scan)
+    return xs, _unit_sum(counts), _unit_sum(ideal)
 
 
 def spiral_spectrum(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,60 +157,76 @@ def spectrum_fwhm(ells, counts, accidental: float) -> float:
     return float(-2.0 * math.log(2.0) / slope) if slope < 0 else math.inf
 
 
+def _variance(xs: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Second central moment of xs under weights, and the squared deviations
+    from the mean; both are nan unless the weights have a positive sum."""
+    total = weights.sum()
+    if not total > 0:
+        return math.nan, np.full(len(xs), math.nan)
+    deviations = (xs - np.sum(xs * weights) / total) ** 2
+    return float(np.sum(deviations * weights) / total), deviations
+
+
+def conditional_variance(scan: ScanResult) -> tuple[float, float, float]:
+    """Variance of the conditional profile of a scan, its Poisson sigma and its model value.
+
+    Along axis 0, with axis 1 held at its value nearest zero, the variance is
+    the second central moment of count - accidental, unclipped, so noise can
+    drive it below zero.  With N the sum of count - accidental, its
+    first-order Poisson sigma is sqrt(sum(((x - mean)^2 - variance)^2 count)) / N,
+    the accidental level taken as exact.  The model value is the same moment
+    of the ideal rates.  The variance and sigma are nan when N <= 0.
+    """
+    xs, counts, ideal = _conditional(scan)
+    signal = counts - scan.accidental
+    n = signal.sum()
+    value, deviations = _variance(xs, signal)
+    sigma = math.sqrt(np.sum((deviations - value) ** 2 * counts)) / n if n > 0 else math.nan
+    return value, sigma, _variance(xs, ideal)[0]
+
+
 @dataclass(frozen=True)
 class EprReidResult:
-    """Conditional-variance product for the OAM / angular-position pair.
-
-    A profile whose Gaussian fit failed has ``None`` for its fit, and its
-    discrete variance stands in as its squared width.
-    """
+    """Conditional-variance product for the OAM / angular-position pair, each
+    variance and the product with its Poisson sigma and its model value."""
 
     delta_ell_sq: float
+    sigma_ell_sq: float
+    model_ell_sq: float
     delta_phi_sq: float
+    sigma_phi_sq: float
+    model_phi_sq: float
     product: float
+    sigma_product: float
+    model_product: float
+    n_sigma_below_quarter: float
     violated: bool
-    ell_fit: GaussianFit | None
-    angle_fit: GaussianFit | None
-    discrete_ell_var: float
-    discrete_phi_var: float
 
 
-def epr_reid(ell_profile, angle_profile) -> EprReidResult:
-    """Conditional-variance product from fitted profile widths.
+def epr_reid(ell_scan: ScanResult, phi_scan: ScanResult) -> EprReidResult:
+    """Reid's conditional-variance product from the two conditional scans.
 
-    Both profiles are (values, probabilities) pairs normalized to unit sum;
-    the widths are the variances of fitted Gaussians, following the
-    profile-fitting analysis of the measured spectra.  A profile the fit
-    cannot follow (``fit_gaussian`` raises ``FitError``) takes its discrete
-    variance instead.  The correlations are nonclassical when the product
-    falls below Reid's bound 1/4.  The raw discrete variances are reported
-    alongside for comparison.
+    ``ell_scan`` runs over ell_A with ell_B held at 0 and ``phi_scan`` over
+    the sector orientation of arm A with arm B's held at 0; each variance is
+    :func:`conditional_variance`, the moment of the accidental-subtracted
+    counts, as measured by Leach et al., Science 329, 662 (2010).  The two
+    scans are independent, so the product's sigma adds their relative
+    errors in quadrature.  The correlations are nonclassical when the
+    product falls below Reid's bound 1/4; ``n_sigma_below_quarter`` is
+    (1/4 - product) / sigma, as ``n_sigma_above_2`` is for the Bell
+    parameter.  With no signal counts in a scan its estimates are nan and
+    the bound is not violated.
     """
-    results = []
-    for xs, ps in (ell_profile, angle_profile):
-        xs = np.asarray(xs, dtype=float)
-        ps = np.asarray(ps, dtype=float)
-        if abs(ps.sum() - 1.0) > 1e-6:
-            raise ValueError("profiles must be normalized to unit sum")
-        mean = np.sum(xs * ps)
-        discrete = float(np.sum((xs - mean) ** 2 * ps))
-        try:
-            fit = fit_gaussian(xs, ps)
-        except FitError:
-            fit = None
-        results.append((fit, discrete if fit is None else fit.variance, discrete))
-    (ell_fit, ell_sq, ell_disc), (angle_fit, angle_sq, angle_disc) = results
-    product = ell_sq * angle_sq
+    (ell, ell_sigma, ell_model), (phi, phi_sigma, phi_model) = map(conditional_variance,
+                                                                   (ell_scan, phi_scan))
+    product = ell * phi
+    sigma = math.hypot(phi * ell_sigma, ell * phi_sigma)
     return EprReidResult(
-        delta_ell_sq=ell_sq,
-        delta_phi_sq=angle_sq,
-        product=product,
-        violated=bool(product < 0.25),
-        ell_fit=ell_fit,
-        angle_fit=angle_fit,
-        discrete_ell_var=ell_disc,
-        discrete_phi_var=angle_disc,
-    )
+        delta_ell_sq=ell, sigma_ell_sq=ell_sigma, model_ell_sq=ell_model,
+        delta_phi_sq=phi, sigma_phi_sq=phi_sigma, model_phi_sq=phi_model,
+        product=product, sigma_product=sigma, model_product=ell_model * phi_model,
+        n_sigma_below_quarter=(0.25 - product) / sigma if sigma != 0 else math.inf,
+        violated=bool(product < 0.25))
 
 
 @dataclass(frozen=True)
@@ -357,7 +317,8 @@ def bell_parameter(counts, settings: BellSettings) -> tuple[float, float]:
     where + is the pi/(2 ell) shift.  Each correlation is
     E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 + C4) and
     S = E(a,b) - E(a,b') + E(a',b) + E(a',b').  The uncertainty propagates
-    independent Poisson errors sigma_C = sqrt(C) to first order.
+    independent Poisson errors sigma_C = sqrt(C) to first order.  Both are
+    nan when a correlation has no counts.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (4, 4):
@@ -369,7 +330,7 @@ def bell_parameter(counts, settings: BellSettings) -> tuple[float, float]:
         c = counts[k]
         total = c.sum()
         if total <= 0:
-            raise ValueError(f"correlation {k} has zero total counts")
+            return math.nan, math.nan
         e = (c[0] + c[1] - c[2] - c[3]) / total
         s_value += signs[k] * e
         s_var += ((1.0 - e) ** 2 * (c[0] + c[1]) + (1.0 + e) ** 2 * (c[2] + c[3])) / total**2

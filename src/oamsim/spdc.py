@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
-
 from .numerics import poisson_streams
 
 
@@ -79,6 +77,45 @@ class DetectorConfig:
             raise ValueError("integration time must be positive")
 
 
+def _binom(n, k):
+    """Binomial coefficients of integer-valued arrays 0 <= k <= n, in floating
+    point and rounded step by step as the usual special-function ``binom``
+    rounds them: k is reduced to n - k when k > n / 2, then num *= i + n - k
+    and den *= i for i = 1, ..., k, and num / den is returned."""
+    k = np.where(k > n / 2, n - k, k)
+    # step i multiplies by 1, exactly, where i > k
+    i = np.arange(1.0, np.max(k, initial=0) + 1).reshape(-1, *[1] * k.ndim)
+    return np.prod(np.where(i <= k, i + n - k, 1.0), axis=0) / np.prod(np.where(i <= k, i, 1.0), axis=0)
+
+
+def _genlaguerre(n, alpha, x: float) -> np.ndarray:
+    """Generalised Laguerre polynomials L_n^alpha(x) of integer arrays n, alpha >= 0
+    at one point x, shaped like n and alpha broadcast together.
+
+    The recurrence and its order of operations are those of the usual
+    special-function ``eval_genlaguerre`` at integer order, whose values it
+    gives bit for bit (tests/test_spdc.py): L_0 = 1, L_1 = -x + alpha + 1, and
+    otherwise d = -x / (alpha + 1), p = d + 1, then for k = 1, ..., n - 1
+    d = -x / (k + alpha + 1) p + k / (k + alpha + 1) d and p = d + p, and
+    L_n^alpha = binom(n + alpha, n) p.  One pass of the recurrence over every
+    order alpha up to the largest gives every degree up to the largest, as a
+    table that n and alpha index.
+    """
+    orders = np.arange(np.max(alpha, initial=0) + 1.0)
+    degrees = np.arange(max(np.max(n, initial=0), 1) + 1.0)[:, None]
+    # row k holds k + alpha + 1 over the orders, exact in floating point
+    steps = degrees + orders + 1.0
+    table = np.ones(steps.shape)
+    d = -x / steps[0]
+    p = d + 1.0
+    for k in range(1, len(degrees) - 1):
+        d = -x / steps[k] * p + (k / steps[k]) * d
+        table[k + 1] = p = d + p
+    table *= _binom(degrees + orders, degrees)
+    table[0], table[1] = 1.0, -x + orders + 1.0
+    return table[n, alpha]
+
+
 def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.ndarray:
     """Joint OAM matrix of the pair for p = 0 measurement modes, all lengths in measurement waists.
 
@@ -100,8 +137,10 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.nd
     the coefficient is T / sqrt(m! n!) / L_m(-y)^(1/4), where T = s^m t^n when
     ell_s ell_i > 0 and otherwise T = s^(m-n) or t^(n-m), whichever power is
     non-negative, times q^k k! L_k^(|m-n|)(x).  L are the generalised Laguerre
-    polynomials.  At d = 0 only T = q^|ell| on the anti-diagonal survives: the
-    aligned closed form (Torres et al., PRA 68, 050301, 2003; Miatto, Yao &
+    polynomials, evaluated by ``_genlaguerre``, their three-term recurrence in
+    the normalised form that ``eval_genlaguerre`` of the special-function
+    libraries uses.  At d = 0 only T = q^|ell| on the anti-diagonal survives:
+    the aligned closed form (Torres et al., PRA 68, 050301, 2003; Miatto, Yao &
     Barnett, PRA 83, 033816, 2011).  Written in g rather than 1 / gamma^2, and
     with s and y set to 0 at d = 0, it is finite for every gamma > 0.  The
     matrix is normalized to unit total probability; ValueError is raised
@@ -122,9 +161,9 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.nd
     m, n = np.abs(ells)[:, None], np.abs(ells)[None, :]
     k, gap = np.minimum(m, n), np.abs(m - n)
     factorial = np.cumprod(np.r_[1.0, np.arange(1.0, ell_max + 1)])
-    crossed = np.where(m >= n, s, t) ** gap * q**k * factorial[k] * eval_genlaguerre(k, gap, x)
+    crossed = np.where(m >= n, s, t) ** gap * q**k * factorial[k] * _genlaguerre(k, gap, x)
     joint = np.where(np.outer(ells, ells) > 0, s**m * t**n, crossed)
-    joint /= np.sqrt(factorial[m] * factorial[n]) * eval_genlaguerre(m, 0, -y) ** 0.25
+    joint /= np.sqrt(factorial[m] * factorial[n]) * _genlaguerre(m, 0, -y) ** 0.25
     joint = (joint / np.linalg.norm(joint)).astype(complex)
     if not abs(np.sum(np.abs(joint) ** 2) - 1.0) <= 1e-10:
         raise ValueError("state norm is not 1: the closed form overflowed or underflowed")

@@ -10,7 +10,11 @@ expectation checked in below.
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,10 +26,12 @@ from oamsim import cli, experiments
 from oamsim.cli import RUNNERS, RunContext, main
 from oamsim.config import build_config
 
+SRC = Path(cli.__file__).resolve().parents[1]
+
 # Relative tolerances.  Closed forms, seeded Poisson counts and arithmetic on
 # them reproduce to round-off; 1e-9 leaves room for another BLAS or libm.
-# Fitted and optimised values also depend on the iteration path of the
-# least-squares solvers, so they get 1e-6.
+# Values the tomography solver optimises also depend on its iteration
+# path, so they get 1e-6.
 EXACT = 1e-9
 SOLVER = 1e-6
 
@@ -52,15 +58,20 @@ SUMMARIES = {
         "peak_count": (320, 0.0),
         "window_limited": ("true", None),
     },
+    # the moments of the accidental-subtracted counts; each lies within its
+    # sigma of the model value, and delta_ell_sq is negative by noise alone
     "epr_summary.csv": {
-        "delta_ell_sq": (0.12411348018622494, SOLVER),
-        "delta_phi_sq": (0.01994094317294283, SOLVER),
-        "product": (0.0024749398553896773, SOLVER),
+        "delta_ell_sq": (-0.22697445367805488, EXACT),
+        "sigma_ell_sq": (0.8503519104002206, EXACT),
+        "model_ell_sq": (0.0, EXACT),
+        "delta_phi_sq": (0.05867740182270166, EXACT),
+        "sigma_phi_sq": (0.04108461643079447, EXACT),
+        "model_phi_sq": (0.0245939137194698, EXACT),
+        "product": (-0.013318271221955412, EXACT),
+        "sigma_product": (0.05076035241064142, EXACT),
+        "model_product": (0.0, EXACT),
+        "n_sigma_below_quarter": (5.1874791784690855, EXACT),
         "violated": ("true", None),
-        "discrete_ell_var": (5.512353360768175, EXACT),
-        "discrete_phi_var": (0.511043097208882, EXACT),
-        "ell_fitted": ("true", None),
-        "phi_fitted": ("true", None),
     },
     "bell_summary.csv": {
         "ell": (2, 0.0),
@@ -107,14 +118,17 @@ OFFSET_SUMMARIES = {
         "window_limited": ("true", None),
     },
     "epr-reid-offset": {
-        "delta_ell_sq": (0.13147582942779673, SOLVER),
-        "delta_phi_sq": (0.02163619814393092, SOLVER),
-        "product": (0.002844637096637474, SOLVER),
+        "delta_ell_sq": (-0.21607650945216042, EXACT),
+        "sigma_ell_sq": (0.84135960472132, EXACT),
+        "model_ell_sq": (0.013796317758555608, EXACT),
+        "delta_phi_sq": (0.06013738471152832, EXACT),
+        "sigma_phi_sq": (0.04210287068309959, EXACT),
+        "model_phi_sq": (0.028622934428879716, EXACT),
+        "product": (-0.012994276176048756, EXACT),
+        "sigma_product": (0.051408527204526884, EXACT),
+        "model_product": (0.00039489109856312595, EXACT),
+        "n_sigma_below_quarter": (5.11577145810336, EXACT),
         "violated": ("true", None),
-        "discrete_ell_var": (5.471020633472845, EXACT),
-        "discrete_phi_var": (0.5220012571086738, EXACT),
-        "ell_fitted": ("true", None),
-        "phi_fitted": ("true", None),
     },
     # at 0.5 waists the target puts 0.0127 on each of the pairs (1, 1) and (-1, -1),
     # and the ideal Bell S drops to 2.8279359738643732
@@ -260,9 +274,9 @@ def test_validate_accepts_defaults(capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("ell_max, code", [(1, 1), (2, 0), (20, 0), (21, 1)])
+@pytest.mark.parametrize("ell_max, code", [(-1, 1), (0, 0), (2, 0), (20, 0), (21, 1)])
 def test_validate_epr_ell_max_bound(capsys, ell_max, code):
-    # 2 ell_max + 1 bins must leave at least four points for the Gaussian fit
+    # a single OAM bin still has a second moment, zero
     assert main(["validate", "--set", f"experiment.epr_ell_max={ell_max}"]) == code
     out = capsys.readouterr().out
     assert ("experiment.epr_ell_max" in out) == bool(code)
@@ -286,7 +300,7 @@ def test_validate_grid_bounds(capsys, key, value, code):
 
 @pytest.mark.parametrize("seconds, code", [("0", 1), ("1e-3", 0)])
 def test_validate_integration_time_bound(capsys, seconds, code):
-    # with no integration time every scan has zero counts, and four of five scans fail
+    # DetectorConfig rejects a zero integration time, so validate must too
     assert main(["validate", "--set", f"detector.integration_s={seconds}"]) == code
     assert ("detector.integration_s" in capsys.readouterr().out) == bool(code)
 
@@ -492,7 +506,11 @@ def test_write_table_rejects_columns_it_cannot_format(tmp_path, values):
 
 
 def test_smallest_accepted_epr_ell_max_runs(tmp_path):
-    assert main(["epr-reid", "--set", "experiment.epr_ell_max=2", "--out", str(tmp_path)]) == 0
+    for command in ("epr-reid", "angular"):
+        assert main([command, "--set", "experiment.epr_ell_max=0", "--out", str(tmp_path / command)]) == 0
+    # the one ell bin has no spread, in the counts or in the model
+    row = summary_row(tmp_path / "epr-reid" / "epr_summary.csv")
+    assert (row["delta_ell_sq"], row["sigma_ell_sq"], row["model_ell_sq"]) == ("0.0", "0.0", "0.0")
 
 
 def summary_row(path):
@@ -516,14 +534,49 @@ def test_spiral_flags_widths_beyond_the_window(tmp_path, gamma, limited):
     assert summary_row(tmp_path / "spiral_summary.csv")["window_limited"] == limited
 
 
-def test_epr_reid_runs_when_the_angular_fit_fails(tmp_path):
-    # the conditional angular profile of this misaligned state defeats the
-    # Gaussian fit; its discrete variance stands in and its fit cells are nan
+def test_epr_reid_moments_match_model_within_two_sigma(tmp_path):
+    # a narrow pump and an offset signal arm spread both conditional profiles;
+    # each moment of the accidental-subtracted counts must lie within 2 sigma
+    # of the same moment of the ideal rates
     assert main(["epr-reid", "--set", "source.gamma=0.1", "--set", "source.signal_offset_waists=0.1",
                  "--out", str(tmp_path)]) == 0
-    row = summary_row(tmp_path / "epr_summary.csv")
-    assert (row["ell_fitted"], row["phi_fitted"]) == ("true", "false")
-    assert row["delta_phi_sq"] == row["discrete_phi_var"]
+    row = {key: float(value) for key, value in summary_row(tmp_path / "epr_summary.csv").items()
+           if key != "violated"}
+    for name in ("ell", "phi"):
+        sigma = row[f"sigma_{name}_sq"]
+        assert 0.0 < sigma < 0.1
+        assert abs(row[f"delta_{name}_sq"] - row[f"model_{name}_sq"]) < 2.0 * sigma, name
+    assert row["model_ell_sq"] == pytest.approx(0.236, abs=1e-3)
+    assert row["model_phi_sq"] == pytest.approx(4.84, abs=1e-2)
     rows = [line.split(",") for line in data_rows(tmp_path / "epr_profiles.csv")]
-    assert {fit == "nan" for profile, _, _, fit in rows if profile == "phi"} == {True}
-    assert {fit == "nan" for profile, _, _, fit in rows if profile == "ell"} == {False}
+    for profile in ("ell", "phi"):
+        model = [float(cell) for name, _, _, cell in rows if name == profile]
+        assert sum(model) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command, table, estimates", [
+    ("angular", "angular_conditional.csv", ["probability"]),
+    ("epr-reid", "epr_summary.csv", ["delta_ell_sq", "sigma_ell_sq", "delta_phi_sq", "sigma_phi_sq",
+                                     "product", "sigma_product", "n_sigma_below_quarter"]),
+    ("bell", "bell_summary.csv", ["s_value", "sigma_s", "n_sigma_above_2"]),
+])
+def test_runs_without_coincidences_write_nan(tmp_path, command, table, estimates):
+    # validate accepts this config, but with no accidentals and a pair rate
+    # of 1e-12 per second no count is drawn: every estimate is nan
+    assert main(["validate", "--set", "detector.singles_1=0", "--set", "experiment.pair_rate=1e-12"]) == 0
+    assert main([command, "--set", "detector.singles_1=0", "--set", "experiment.pair_rate=1e-12",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / table).read_text().splitlines()
+    columns = lines[1].split(",")
+    for line in lines[2:]:
+        row = dict(zip(columns, line.split(",")))
+        assert {row[key] for key in estimates} == {"nan"}
+        assert row.get("violated", "false") == "false"
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy alone; scipy is a test dependency only
+    code = "import sys, oamsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

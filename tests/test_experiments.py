@@ -8,8 +8,6 @@ from scipy.optimize import least_squares
 
 from oamsim.experiments import (
     BellSettings,
-    FitError,
-    GaussianFit,
     ScanResult,
     analyzer_kets,
     angular_scan,
@@ -19,8 +17,8 @@ from oamsim.experiments import (
     bell_parameter,
     bell_probability,
     conditional_profile,
+    conditional_variance,
     epr_reid,
-    fit_gaussian,
     run_tomography_experiment,
     spectrum_fwhm,
     spiral_scan,
@@ -50,52 +48,6 @@ def bell_pair_state(ell=1):
     amps = np.zeros(2 * ell + 1, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return pair_state(amps)
-
-
-class TestFitGaussian:
-    def test_exact_recovery(self):
-        x = np.linspace(-5, 5, 41)
-        y = 3.0 * np.exp(-((x - 0.7) ** 2) / (2 * 1.3))
-        fit = fit_gaussian(x, y)
-        assert fit.amplitude == pytest.approx(3.0, abs=1e-6)
-        assert fit.mean == pytest.approx(0.7, abs=1e-6)
-        assert fit.variance == pytest.approx(1.3, abs=1e-6)
-        assert fit.residual_norm < 1e-9
-
-    def test_symmetric_data_centers_at_zero(self):
-        x = np.linspace(-4, 4, 33)
-        y = np.exp(-(x**2))
-        assert fit_gaussian(x, y).mean == pytest.approx(0.0, abs=1e-8)
-
-    def test_poisson_noise_variance_recovery(self):
-        x = np.arange(-10.0, 11.0)
-        true_var = 4.0
-        clean = 1e4 * np.exp(-(x**2) / (2 * true_var))
-        errors = []
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            fit = fit_gaussian(x, rng.poisson(clean).astype(float))
-            errors.append(abs(fit.variance - true_var) / true_var)
-        assert max(errors) < 0.05
-
-    def test_rejects_degenerate_data(self):
-        with pytest.raises(FitError):
-            fit_gaussian([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(FitError):
-            fit_gaussian([0, 1, 2], [1.0, 2.0, 1.0])
-
-    def test_array_call_matches_scalar_call_bit_for_bit(self):
-        # at x = -6, mean = 7.1e-10 the libm pow of (x - mean) ** 2 rounds apart from
-        # the product, so the fit column of a profile must not depend on its evaluation form
-        fit = GaussianFit(amplitude=1.0, mean=7.1e-10, variance=4.0, residual_norm=0.0)
-        xs = np.concatenate([np.arange(-20.0, 21.0), np.linspace(-np.pi, np.pi, 64, endpoint=False)])
-        assert -6.0 in xs
-        values = fit(xs)
-        assert all(values[i] == fit(x) for i, x in enumerate(xs))
-
-    def test_fwhm_relation(self):
-        fit = GaussianFit(amplitude=1.0, mean=0.0, variance=2.0, residual_norm=0.0)
-        assert fit.fwhm == pytest.approx(math.sqrt(8.0 * math.log(2.0) * 2.0))
 
 
 class TestSpiralScan:
@@ -242,48 +194,87 @@ class TestAngularScan:
         betas = np.linspace(-math.pi, math.pi, 32, endpoint=False)
         scan = angular_scan(state, math.pi / 8, betas, np.array([0.0]), NOISY_DET,
                             seed=3, pair_rate=1e4)
-        xs, ps = conditional_profile(scan)
+        xs, ps, model = conditional_profile(scan)
         assert ps.sum() == pytest.approx(1.0, abs=1e-12)
+        assert model.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(model, scan.ideal[:, 0] / scan.ideal[:, 0].sum())
         assert len(xs) == 32
+
+    def test_profile_without_counts_is_nan(self):
+        scan = conditional_scan([-1.0, 0.0, 1.0], [0, 0, 0], ideal=[1.0, 2.0, 1.0])
+        xs, ps, model = conditional_profile(scan)
+        assert np.all(np.isnan(ps))
+        assert np.array_equal(model, [0.25, 0.5, 0.25])
+
+
+def conditional_scan(xs, counts, accidental=0.0, ideal=None):
+    """A one-column scan over xs, conditioned on the other arm at 0."""
+    counts = np.asarray(counts)[:, None]
+    ideal = counts.astype(float) if ideal is None else np.asarray(ideal, dtype=float)[:, None]
+    return ScanResult(("x", "y"), (np.asarray(xs, dtype=float), np.array([0.0])), ideal, counts,
+                      accidental)
 
 
 class TestEprReid:
     def test_reported_width_product(self):
-        # profiles built to have fitted variances 0.128 and 0.056
-        ells = np.arange(-10.0, 11.0)
-        p_ell = np.exp(-(ells**2) / (2 * 0.128))
-        angles = np.linspace(-math.pi, math.pi, 101)
-        p_phi = np.exp(-(angles**2) / (2 * 0.056))
-        result = epr_reid((ells, p_ell / p_ell.sum()), (angles, p_phi / p_phi.sum()))
-        assert result.product == pytest.approx(0.128 * 0.056, abs=1e-3)
-        assert abs(result.product - 0.007) < 0.001
+        # variances 200 / 1000 = 0.2 and 0.04 * 500 / 1000 = 0.02
+        ell = conditional_scan([-1.0, 0.0, 1.0], [100, 800, 100])
+        phi = conditional_scan([-0.2, 0.0, 0.2], [250, 500, 250])
+        result = epr_reid(ell, phi)
+        assert result.delta_ell_sq == pytest.approx(0.2, rel=1e-15)
+        assert result.delta_phi_sq == pytest.approx(0.02, rel=1e-15)
+        assert result.product == result.delta_ell_sq * result.delta_phi_sq
+        # sigma^2 = sum(((x - mean)^2 - variance)^2 count) / N^2
+        sigma_ell = math.sqrt((0.8**2 * 200 + 0.2**2 * 800)) / 1000
+        sigma_phi = math.sqrt((0.02**2 * 500 + 0.02**2 * 500)) / 1000
+        assert result.sigma_ell_sq == pytest.approx(sigma_ell, rel=1e-12)
+        assert result.sigma_phi_sq == pytest.approx(sigma_phi, rel=1e-12)
+        assert result.sigma_product == pytest.approx(math.hypot(0.02 * sigma_ell, 0.2 * sigma_phi),
+                                                     rel=1e-12)
+        assert result.n_sigma_below_quarter == (0.25 - result.product) / result.sigma_product
+        # the counts are their own ideal rates here
+        assert (result.model_ell_sq, result.model_phi_sq) == (result.delta_ell_sq, result.delta_phi_sq)
         assert result.violated
 
     def test_broad_profiles_do_not_violate(self):
         xs = np.linspace(-6.0, 6.0, 61)
-        broad_ell = np.exp(-(xs**2) / (2 * 1.0))
-        broad_phi = np.exp(-(xs**2) / (2 * 0.5))
-        result = epr_reid((xs, broad_ell / broad_ell.sum()), (xs, broad_phi / broad_phi.sum()))
-        assert result.product >= 0.25
+        ell = conditional_scan(xs, np.round(1e4 * np.exp(-(xs**2) / 2.0)).astype(int))
+        phi = conditional_scan(xs, np.round(1e4 * np.exp(-(xs**2) / (2 * 0.5))).astype(int))
+        result = epr_reid(ell, phi)
+        assert result.product == pytest.approx(0.5, rel=1e-3)
+        assert result.n_sigma_below_quarter < 0
         assert not result.violated
 
-    def test_requires_normalized_profiles(self):
-        xs = np.arange(-5.0, 6.0)
-        ys = np.exp(-(xs**2))
-        with pytest.raises(ValueError):
-            epr_reid((xs, ys), (xs, ys / ys.sum()))
+    def test_accidentals_are_subtracted_unclipped(self):
+        # 5 accidentals per bin: the wings hold less than the accidental level,
+        # so they weigh negatively and the variance falls below zero
+        scan = conditional_scan([-2.0, 0.0, 2.0], [3, 25, 3], accidental=5.0, ideal=[0.0, 1.0, 0.0])
+        value, sigma, model = conditional_variance(scan)
+        assert value == pytest.approx(-16.0 / 16.0, rel=1e-15)
+        assert sigma == pytest.approx(math.sqrt(2 * (4.0 + 1.0) ** 2 * 3 + 1.0**2 * 25) / 16.0, rel=1e-15)
+        assert model == 0.0
 
-    def test_unfittable_profile_takes_discrete_variance(self):
-        # a flat angular profile has no Gaussian to fit; its discrete variance stands in
-        ells = np.arange(-10.0, 11.0)
-        p_ell = np.exp(-(ells**2) / (2 * 0.128))
-        angles = np.linspace(-math.pi, math.pi, 16, endpoint=False)
-        flat = np.full(16, 1.0 / 16)
-        result = epr_reid((ells, p_ell / p_ell.sum()), (angles, flat))
-        assert result.angle_fit is None and result.ell_fit is not None
-        assert result.delta_phi_sq == result.discrete_phi_var == pytest.approx(np.var(angles))
-        assert result.delta_ell_sq == result.ell_fit.variance
-        assert result.product == result.delta_ell_sq * result.delta_phi_sq
+    @pytest.mark.parametrize("counts", [[0, 0, 0], [1, 0, 1]])
+    def test_no_signal_gives_nan(self, counts):
+        # no counts above the accidental level: N = sum(count - accidental) <= 0
+        empty = conditional_scan([-1.0, 0.0, 1.0], counts, accidental=1.0, ideal=[1.0, 2.0, 1.0])
+        value, sigma, model = conditional_variance(empty)
+        assert math.isnan(value) and math.isnan(sigma) and model == 0.5
+        result = epr_reid(empty, conditional_scan([-1.0, 0.0, 1.0], [1, 2, 1]))
+        assert math.isnan(result.product) and math.isnan(result.n_sigma_below_quarter)
+        assert not result.violated
+
+    def test_sigma_matches_poisson_spread(self):
+        # the first-order sigma is the spread of the estimate over Poisson redraws
+        xs = np.arange(-10.0, 11.0)
+        means = 20.0 + 2e3 * np.exp(-(xs**2) / (2 * 4.0))
+        rng = np.random.default_rng(5)
+        draws = [conditional_variance(conditional_scan(xs, rng.poisson(means), accidental=20.0,
+                                                       ideal=means - 20.0)) for _ in range(2000)]
+        values, sigmas, models = np.array(draws).T
+        assert np.std(values) == pytest.approx(np.median(sigmas), rel=0.06)
+        # the ratio estimate is biased at second order, far below one sigma
+        assert abs(np.mean(values) - models[0]) < 0.1 * np.median(sigmas)
 
     def test_simulated_pipeline_violates(self):
         state = geometric_state(10, ratio=0.99)
@@ -292,11 +283,13 @@ class TestEprReid:
         betas = np.linspace(-math.pi, math.pi, 128, endpoint=False)
         angular = angular_scan(state, math.pi / 8, betas, np.array([0.0]), NOISY_DET,
                                seed=12, pair_rate=1e4)
-        ell_profile = conditional_profile(spiral)
-        phi_profile = conditional_profile(angular)
-        result = epr_reid(ell_profile, phi_profile)
+        result = epr_reid(spiral, angular)
         assert result.violated
         assert result.product < 0.25
+        assert result.model_ell_sq == 0.0
+        for value, sigma, model in ((result.delta_ell_sq, result.sigma_ell_sq, result.model_ell_sq),
+                                    (result.delta_phi_sq, result.sigma_phi_sq, result.model_phi_sq)):
+            assert abs(value - model) < 3 * sigma
 
 
 class TestBell:
@@ -379,10 +372,11 @@ class TestBell:
         s_value, _ = bell_parameter(counts, settings)
         assert abs(s_value) <= 2.0 + 1e-9
 
-    def test_zero_counts_rejected(self):
-        settings = BellSettings.canonical(1)
-        with pytest.raises(ValueError):
-            bell_parameter(np.zeros((4, 4)), settings)
+    def test_zero_counts_give_nan(self):
+        counts = np.ones((4, 4))
+        counts[2] = 0.0
+        s_value, sigma = bell_parameter(counts, BellSettings.canonical(1))
+        assert math.isnan(s_value) and math.isnan(sigma)
 
     def test_analyzer_rotation_phase_convention(self):
         # rotating analyzer A by theta advances its relative phase by 2 ell theta,

@@ -12,6 +12,7 @@ from oamsim.spdc import (
     CrystalConfig,
     DetectorConfig,
     accidentals,
+    _genlaguerre,
     build_state,
     ell_index,
     restricted_ket,
@@ -192,6 +193,35 @@ class TestBuildState:
             build_state(gamma=-1.0, ell_max=2)
         with pytest.raises(ValueError):
             build_state(gamma=2.0, ell_max=21)
+
+
+class TestGenLaguerre:
+    # build_state evaluates L_k^gap(x) with x = d^2 (g + 2) / (2 (g + 1)) in
+    # [0, 100] and L_m^0(-y) with y = 8 d^2 / (g (g + 2)) up to 2e8 wherever
+    # validate accepts a config; k + gap and m are at most 20
+    XS = np.concatenate([-np.logspace(-6, 8.4, 49), [-0.0, 0.0], np.logspace(-6, 2.1, 37),
+                         np.linspace(-30.0, 110.0, 71)])
+
+    def test_matches_eval_genlaguerre_bit_for_bit(self):
+        from scipy.special import eval_genlaguerre
+
+        n, alpha = np.array([(n, a) for n in range(21) for a in range(21 - n)]).T
+        got = np.array([_genlaguerre(n, alpha, x) for x in self.XS]).T
+        want = eval_genlaguerre(n[:, None], alpha[:, None], self.XS)
+        assert got.shape == (231, len(self.XS))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_low_orders(self):
+        for x in (-2.0, 0.0, 0.5, 3.0):
+            assert _genlaguerre(0, 3, x) == 1.0
+            assert _genlaguerre(1, 3, x) == 4.0 - x
+            assert _genlaguerre(2, 0, x) == pytest.approx(1.0 - 2.0 * x + x * x / 2.0, rel=1e-15)
+
+    def test_indexes_a_table_of_every_degree_and_order(self):
+        n, alpha = np.array([[0, 3], [5, 1]]), np.array([[2, 0], [0, 4]])
+        got = _genlaguerre(n, alpha, 0.7)
+        assert got.shape == (2, 2)
+        assert all(got[i, j] == _genlaguerre(n[i, j], alpha[i, j], 0.7) for i in range(2) for j in range(2))
 
 
 class TestTwoPhotonState:
