@@ -40,13 +40,11 @@ from .experiments import (
     spectrum_fwhm,
     spiral_scan,
     spiral_spectrum,
-    tomography_settings,
     angular_scan,
 )
 from .spdc import (build_state, maximally_entangled_ket, restricted_ket, sinc_ring_profile,
                    transverse_mode_count)
 from .tomography import (
-    born_probabilities,
     concurrence,
     density_matrix_columns,
     linear_entropy,
@@ -243,24 +241,22 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("build_state")
     target_ket = restricted_ket(joint, ell_values)
     rho_true = np.outer(target_ket, target_ket.conj())
-    settings = tomography_settings(d, ell_values)
-    scan = run_tomography_experiment(rho_true, settings, config.detector(),
+    # setting a * m + b pairs arm ket a with arm ket b
+    kets, labels = arm_projectors(d, ell_values)
+    scan = run_tomography_experiment(rho_true, kets, config.detector(),
                                      _stage_seed(config, 0),
                                      flux=config["experiment.pair_rate"])
     ctx.mark("counts")
-    report = reconstruct(scan.counts, settings, d)
+    report = reconstruct(scan.counts, kets, d)
     ctx.mark("reconstruct")
-    # setting a * m + b pairs arm ket a with arm ket b
-    _, labels = arm_projectors(d, ell_values)
     columns = scan.columns()
     ctx.write_table("tomo_counts.csv", {"index": columns.pop("setting"),
                                         "arm_a": np.repeat(labels, len(labels)),
                                         "arm_b": np.tile(labels, len(labels)), **columns})
     ctx.write_table("tomo_rho.csv", density_matrix_columns(report.rho))
-    # both kets are pure, so each fidelity with rho is the Born rule <ket|rho|ket>.
-    # The isotropic threshold and the Schmidt-number witness are stated for
-    # F_phi, the fidelity with |Phi>, not for the restricted target.
-    fid, fid_phi = (min(max(float(born_probabilities(ket[None], report.rho)[0]), 0.0), 1.0)
+    # each fidelity with a pure ket is <ket|rho|ket>; the isotropic threshold and the
+    # Schmidt-number witness are stated for F_phi, the fidelity with |Phi>
+    fid, fid_phi = (min(max(float(np.real(ket.conj() @ report.rho @ ket)), 0.0), 1.0)
                     for ket in (target_ket, maximally_entangled_ket(ell_values)))
     entropy = linear_entropy(report.rho)
     threshold_p = config.threshold_fraction()

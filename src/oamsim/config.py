@@ -236,6 +236,7 @@ def validate(config: ScenarioConfig) -> list[str]:
     if not 4 <= v["bell.curve_points"] <= 2**20:
         problems.append(f"bell.curve_points must lie in [4, 2^20] (got {v['bell.curve_points']})")
     d = v["tomo.d"]
+    # BELL_VIOLATION_THRESHOLDS, which threshold_fraction reads, covers d = 2..5 only
     if not 2 <= d <= 5:
         problems.append(f"tomo.d must lie in [2, 5] (got {d})")
     ells = v["tomo.ell_values"]

@@ -5,8 +5,8 @@ Every scan takes the two-photon state as the joint matrix of
 ideal rates.  It forms the rates of its whole grid of settings as one array
 and samples every count with one ``sample_counts`` call; a count depends only
 on the seed and its setting's position.  Bell analyzers and tomography
-superpositions are rows of ``analyzer_kets``; the tomography settings are an
-array of joint kets, with rates from ``tomography.born_probabilities``.  The
+superpositions are rows of ``analyzer_kets``; a tomography setting pairs two
+arm kets of ``arm_projectors``, at rates from ``born_probabilities``.  The
 statistics helpers operate on counts and are reused by the command-line
 runner: the spiral width from a closed-form fit of the geometric spectrum,
 the conditional-variance product from the moments of the two conditional
@@ -344,8 +344,10 @@ def arm_projectors(d: int, ell_values) -> tuple[np.ndarray, list[str]]:
     """Per-arm tomography states: d pure kets plus pairwise superpositions.
 
     For every unordered pair (i, j) the four relative phases 0, pi/2, pi,
-    3pi/2 are included, giving the overcomplete set of 2d^2 - d states.
-    Returns the kets as the rows of a (2d^2 - d, d) array, and their labels.
+    3pi/2 are included: m = 2d^2 - d states, whose projectors span the d x d
+    operators, so the m^2 settings a * m + b pairing kets a and b are
+    informationally complete.  Returns the kets as rows of an (m, d) array,
+    and their labels.
     """
     ell_values = [int(v) for v in ell_values]
     if len(ell_values) != d:
@@ -364,29 +366,14 @@ def arm_projectors(d: int, ell_values) -> tuple[np.ndarray, list[str]]:
     return kets, labels
 
 
-def tomography_settings(d: int, ell_values) -> np.ndarray:
-    """Joint kets for two-arm state tomography in a d-dimensional basis.
-
-    Row a * m + b is the kron product of arm kets a and b of
-    :func:`arm_projectors`, m = 2d^2 - d of them per arm.  The per-arm set is
-    informationally (over-)complete, so the m^2 joint projectors span the
-    full operator space of d^2 x d^2 density matrices.
-    """
-    if not 2 <= d <= 5:
-        raise ValueError("local dimension d must lie in [2, 5]")
-    kets, _ = arm_projectors(d, ell_values)
-    return (kets[:, None, :, None] * kets[None, :, None, :]).reshape(-1, d * d)
-
-
-def run_tomography_experiment(rho, settings, det: DetectorConfig, seed: int,
+def run_tomography_experiment(rho, kets, det: DetectorConfig, seed: int,
                               flux: float) -> ScanResult:
     """Sampled coincidence counts of a tomography campaign, one per setting.
 
-    Row k of ``settings`` is a joint ket of ideal rate flux * <k| rho |k>;
-    counts are Poisson samples including detector efficiency and
-    accidentals.  The scan's one axis, ``setting``, is the row index, and a
-    count depends only on the seed and that index.
-    """
-    # round-off can leave <k|rho|k> a hair below zero for a setting orthogonal to rho
-    rates = flux * np.clip(born_probabilities(settings, rho), 0.0, None)
+    Setting a * m + b pairs rows a and b of the m arm kets ``kets``, at ideal
+    rate flux * <ab| rho |ab>, and the scan's one axis, ``setting``, is its
+    index; counts are Poisson samples with detector efficiency and
+    accidentals, and a count depends only on the seed and that index."""
+    # round-off can leave <ab|rho|ab> a hair below zero for a setting orthogonal to rho
+    rates = flux * np.clip(born_probabilities(kets, rho).ravel(), 0.0, None)
     return _scan(("setting",), (np.arange(len(rates)),), rates, det, seed)

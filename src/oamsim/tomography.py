@@ -5,20 +5,17 @@ A density matrix is a (d^2, d^2) complex ndarray in kron order, from
 test that an array is a physical state.  On disk it is an ordinary table,
 one row,col,real,imag row per entry (``density_matrix_columns``), written by
 the runner's one table writer and read back by ``load_density_matrix``.  A
-setting is a joint ket |k>, one row of an array of kets, and its rate is
-<k|rho|k> = vec(|k><k|)^* . vec(rho).  ``born_probabilities`` forms the
-rates from the design matrix whose rows are vec(|k><k|), and the fidelity
-with a pure target is the same call on the target ket.  ``reconstruct``
-inverts that design: it minimizes the count-weighted chi-square between
-measured and predicted coincidences over the unnormalized state
-sigma = N rho (flux times density matrix).  In sigma the problem is convex:
-a quadratic on the cone of positive-semidefinite matrices, solved by
-accelerated projected gradient (FISTA with adaptive restart; Beck &
+setting pairs two rows |a>, |b> of one (m, d) array of arm kets, at rate
+<ab|rho|ab>.  The joint design of the m^2 settings is P (x) P, P the arm
+design, up to the permutation ``_realign``; it is never formed, and
+``born_probabilities`` gives all the rates as one (m, m) array.
+``reconstruct`` minimizes the count-weighted chi-square over sigma = N rho
+(flux times density matrix), a convex quadratic on the positive-semidefinite
+cone, by accelerated projected gradient (FISTA with adaptive restart; Beck &
 Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose projection clips
-eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).  The flux
-and the unit-trace state are read off the optimum.  The metrics are closed
-forms: the linear entropy is a trace, and the two-qubit concurrence one
-eigendecomposition and one singular-value decomposition.
+eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).  The metrics
+are closed forms: the linear entropy is a trace, and the two-qubit
+concurrence one eigendecomposition and one singular-value decomposition.
 """
 
 from __future__ import annotations
@@ -86,72 +83,87 @@ class ReconstructionReport:
     flux: float
     converged: bool
 
-    def __post_init__(self):
-        if self.chi_squared < 0:
-            raise ValueError("chi-squared must be non-negative")
+
+def _realign(x, d: int) -> np.ndarray:
+    """The d^4 entries of x as a (d^2, d^2) matrix, entry (ij),(kl) moved to (ik),(jl).
+    Its own inverse; it takes A (x) B to vec(A) vec(B)^T."""
+    return np.reshape(x, (d, d, d, d)).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def _projector_rows(kets) -> np.ndarray:
-    """The design matrix: row k is vec(|k><k|) for row k of ``kets``."""
+def _arm_design(kets) -> np.ndarray:
+    """The arm design P: row a is vec(|a><a|)^* for row a of ``kets``."""
     kets = np.asarray(kets, dtype=complex)
-    return (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), -1)
+    return (kets.conj()[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
+
+
+def _gram_norm(design, weights) -> float:
+    """lambda_max(A^H W A) for the joint design A, realigned P (x) P, and W = diag(weights):
+    A^H W A is the realigned outer^T W outer, outer with rows conj(P_a) (x) P_a."""
+    outer = _arm_design(design)
+    return float(np.linalg.eigvalsh(_realign(outer.T @ weights @ outer, design.shape[1]))[-1])
 
 
 def born_probabilities(kets, rho) -> np.ndarray:
-    """Re <k| rho |k> for every row k of ``kets``, one product with the design matrix."""
+    """Re <ab| rho |ab> for every pair of rows a, b of ``kets``: the (m, m) array
+    Re(P _realign(rho) P^T) for the arm design P, with no joint ket formed."""
     rho = np.asarray(rho, dtype=complex)
-    design = _projector_rows(kets)
-    if design.shape[1] != rho.size:
+    d = np.shape(kets)[-1]
+    if rho.shape != (d * d, d * d):
         raise ValueError("ket dimension does not match the density matrix")
-    return np.real(design.conj() @ rho.ravel())
+    design = _arm_design(kets)
+    return np.real(design @ _realign(rho, d) @ design.T)
 
 
-def reconstruct(counts, settings, d: int) -> ReconstructionReport:
+def reconstruct(counts, kets, d: int) -> ReconstructionReport:
     """Reconstruct the two-qudit density matrix from coincidence counts.
 
-    ``settings`` holds one joint ket |k_i> of dimension d^2 per row, and
-    ``counts`` is an array of shape (len(settings),), count i measured at
-    setting i.  Minimizes chi^2 = sum_i (C_i - <k_i|sigma|k_i>)^2 / (C_i + 1)
-    over the unnormalized state sigma = N rho, N the photon flux.  In sigma
-    this is a convex quadratic on the cone of positive-semidefinite matrices,
-    solved by FISTA with adaptive restart and the fixed step 1/L,
-    L = 2 ||diag(1/sqrt(C + 1)) A||_2^2 for the design matrix A of
-    :func:`born_probabilities`.  Each step is projected onto the cone by
-    clipping eigenvalues.  The start is the least-squares linear
-    inversion, clipped to the cone and scaled by its best flux.  The solve
-    stops when a step lowers chi^2 by at most a relative TOLERANCE
-    (converged) or after MAX_ITERATIONS steps; then N = Tr sigma and
-    rho = sigma / N (maximally mixed when N = 0).
+    Count a * m + b of the (m^2,) ``counts`` was measured at setting
+    |a> (x) |b>, a and b rows of the (m, d) ``kets``.  Minimizes
+    chi^2 = sum_ab (C_ab - <ab|sigma|ab>)^2 / (C_ab + 1) over sigma = N rho,
+    N the photon flux, by FISTA with adaptive restart, the fixed step 1/L
+    and a projection onto the positive-semidefinite cone that clips
+    eigenvalues.  Realigned, the joint design A is P (x) P, P the arm design:
+    the rates are Re(P R P^T), R the realigned sigma; the gradient is the
+    realigned -2 P^H r conj(P), r the weighted residuals; A has full rank
+    when P has rank d^2; L = 2 lambda_max(A^H W A), W = diag(1 / (C + 1))
+    (``_gram_norm``); the start is the linear inversion, the realigned
+    pinv(P) C pinv(P)^T for the (m, m) count table C, clipped to the cone
+    and scaled by its best flux.  The solve stops when a step lowers chi^2
+    by at most a relative TOLERANCE (converged) or after MAX_ITERATIONS
+    steps; then N = Tr sigma and rho = sigma / N (maximally mixed when N = 0).
     """
+    m = len(kets)
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (len(settings),):
-        raise ValueError(f"expected one count per setting, shape ({len(settings)},), got {counts.shape}")
-    dim = d * d
+    if counts.shape != (m * m,):
+        raise ValueError(f"expected one count per setting, shape ({m * m},), got {counts.shape}")
+    if np.shape(kets) != (m, d):
+        raise ValueError("ket dimension does not match d")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    design = _projector_rows(settings)
-    if design.shape[1] != dim * dim:
-        raise ValueError("setting dimension does not match d")
+    dim = d * d
+    design = _arm_design(kets)
+    rank = np.linalg.matrix_rank(design)
+    if rank < dim:
+        raise ValueError(f"arm kets span rank {rank} < {dim}; not informationally complete")
+    counts = counts.reshape(m, m)
     w2 = 1.0 / (counts + 1.0)
-    # the positive row weights keep the rank; numpy's matrix_rank tolerance is relative
-    s = np.linalg.svd(np.sqrt(w2)[:, None] * design, compute_uv=False)
-    rank = int(np.sum(s > s.max(initial=0.0) * max(design.shape) * np.finfo(float).eps))
-    if rank < dim * dim:
-        raise ValueError(f"settings span rank {rank} < {dim * dim}; not informationally complete")
-    step = 0.5 / s[0] ** 2
+    gram_norm = _gram_norm(design, w2)
+    # x.ravel()[perm] is _realign(x, d), one indexing call per product
+    perm = _realign(np.arange(dim * dim), d)
     design_conj = design.conj()
 
     def probabilities(sigma):
-        return np.real(design_conj @ sigma.ravel())
+        return (design @ sigma.ravel()[perm] @ design.T).real
 
     def chi_squared(p):
-        return float(np.sum(w2 * (counts - p) ** 2))
+        return float((w2 * (counts - p) ** 2).sum())
 
     def project(sigma):
         w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
         return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
-    x = project(np.linalg.lstsq(design, counts, rcond=None)[0].reshape(dim, dim))
+    pinv = np.linalg.pinv(design)
+    x = project(_realign(pinv @ counts @ pinv.T, d))
     p_x = probabilities(x)
     denom = np.sum(w2 * p_x**2)
     scale = np.sum(w2 * counts * p_x) / denom if denom > 0 else 0.0
@@ -163,8 +175,9 @@ def reconstruct(counts, settings, d: int) -> ReconstructionReport:
     iterations = 0
     while iterations < MAX_ITERATIONS and not converged:
         iterations += 1
-        gradient = -2.0 * ((w2 * (counts - p_y)) @ design).reshape(dim, dim)
-        x_next = project(y - step * gradient)
+        # the gradient is -2 descent, and the step 1/L = 1/(2 gram_norm)
+        descent = (design_conj.T @ (w2 * (counts - p_y)) @ design_conj).ravel()[perm]
+        x_next = project(y + descent / gram_norm)
         p_next = probabilities(x_next)
         chi2_next = chi_squared(p_next)
         if chi2_next > chi2 and t > 1.0:

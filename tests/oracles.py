@@ -403,7 +403,8 @@ def tomography_probabilities(arm_kets, rho) -> np.ndarray:
     """Re <ab| rho |ab> for every pair of arm kets (a, b), a varying slowest.
 
     One explicit kron product and one matrix-vector product per setting.
-    Checks ``tomography.born_probabilities`` on ``experiments.tomography_settings``.
+    Checks ``tomography.born_probabilities``, whose (m, m) array on the arm
+    kets of ``experiments.arm_projectors`` is this list in C order.
     """
     rho = np.asarray(rho, dtype=complex)
     probs = []
@@ -412,6 +413,21 @@ def tomography_probabilities(arm_kets, rho) -> np.ndarray:
             ket = np.kron(ket_a, ket_b)
             probs.append(float(np.real(np.conj(ket) @ rho @ ket)))
     return np.array(probs)
+
+
+def joint_design(arm_kets, weights) -> np.ndarray:
+    """The weighted (m^2, d^4) joint design: row a * m + b is
+    sqrt(weights[a, b]) vec(|ab><ab|)^*, |ab> = |a> (x) |b> by explicit kron.
+
+    Its largest singular value squared checks ``tomography._gram_norm``,
+    which never forms it.
+    """
+    rows = []
+    for a, ket_a in enumerate(arm_kets):
+        for b, ket_b in enumerate(arm_kets):
+            ket = np.kron(ket_a, ket_b)
+            rows.append(math.sqrt(weights[a][b]) * np.outer(ket, ket.conj()).conj().ravel())
+    return np.array(rows)
 
 
 def per_setting_counts(ideal_rates, det, seed: int) -> np.ndarray:

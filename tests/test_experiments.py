@@ -23,10 +23,10 @@ from oamsim.experiments import (
     spectrum_fwhm,
     spiral_scan,
     spiral_spectrum,
-    tomography_settings,
 )
 from oamsim.spdc import DetectorConfig
-from oracles import analyzer_ket
+from oamsim.tomography import _arm_design
+from oracles import analyzer_ket, joint_design
 from oracles import bell_probability as bell_probability_oracle
 
 QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
@@ -391,25 +391,33 @@ class TestBell:
 
 class TestTomographySettings:
     def test_qubit_counts(self):
-        assert tomography_settings(2, [1, -1]).shape == (36, 4)
         kets, labels = arm_projectors(2, [1, -1])
         assert kets.shape == (6, 2)
         assert labels == ["l+1", "l-1", "(l+1 + e^{i 0} l-1)", "(l+1 + e^{i pi/2} l-1)",
                           "(l+1 + e^{i pi} l-1)", "(l+1 + e^{i 3pi/2} l-1)"]
 
     def test_qutrit_counts(self):
-        assert tomography_settings(3, [-1, 0, 1]).shape == (225, 9)
         kets, labels = arm_projectors(3, [-1, 0, 1])
         assert kets.shape == (15, 3)
         assert len(labels) == 15
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_arm_shapes_and_rank(self, d):
+        # m = 2d^2 - d unit kets whose projectors span the d^2 arm operators
+        kets, labels = arm_projectors(d, list(range(d)))
+        m = 2 * d * d - d
+        assert kets.shape == (m, d) and len(labels) == m
+        assert np.allclose(np.linalg.norm(kets, axis=1), 1.0)
+        design = _arm_design(kets)
+        assert design.shape == (m, d * d) and np.linalg.matrix_rank(design) == d * d
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_informationally_complete(self, d):
+        # the m^2 product settings, each by explicit kron, span the d^4 joint operators
         ells = list(range(-(d // 2), d - d // 2))
-        settings = tomography_settings(d, ells)
-        vecs = [np.outer(ket, ket.conj()).reshape(-1) for ket in settings]
-        rank = np.linalg.matrix_rank(np.array(vecs), tol=1e-10)
-        assert rank == d**4
+        kets, _ = arm_projectors(d, ells)
+        design = joint_design(kets, np.ones((len(kets), len(kets))))
+        assert np.linalg.matrix_rank(design, tol=1e-10) == d**4
 
     def test_equator_phase_set_matches_rotated_analyzers(self):
         # the four superposition phases correspond to analyzer rotations
@@ -420,20 +428,20 @@ class TestTomographySettings:
             assert np.allclose(ket, analyzer_ket(1, rot))
 
     def test_rejects_duplicates_and_bad_dimension(self):
-        with pytest.raises(ValueError):
-            tomography_settings(2, [1, 1])
-        with pytest.raises(ValueError):
-            tomography_settings(6, [0, 1, 2, 3, 4, 5])
+        with pytest.raises(ValueError, match="distinct"):
+            arm_projectors(2, [1, 1])
+        with pytest.raises(ValueError, match="exactly d entries"):
+            arm_projectors(3, [1, -1])
 
 
 class TestRunTomographyExperiment:
     def setup_method(self):
         self.psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
         self.rho = np.outer(self.psi, self.psi.conj())
-        self.settings = tomography_settings(2, [1, -1])
+        self.kets, _ = arm_projectors(2, [1, -1])
 
     def test_one_axis_of_setting_positions(self):
-        scan = run_tomography_experiment(self.rho, self.settings, NOISY_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.rho, self.kets, NOISY_DET, seed=5, flux=1e4)
         assert scan.axis_names == ("setting",)
         assert np.array_equal(scan.axis_values[0], np.arange(36))
         assert len(scan) == 36
@@ -442,17 +450,17 @@ class TestRunTomographyExperiment:
 
     def test_orthogonal_setting_sees_only_accidentals(self):
         # (|l>, |l>) projects onto |00>, orthogonal to the pair state
-        scan = run_tomography_experiment(self.rho, self.settings, QUIET_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.rho, self.kets, QUIET_DET, seed=5, flux=1e4)
         assert scan.ideal[0] == pytest.approx(0.0, abs=1e-12)
         assert scan.counts[0] == 0
 
     def test_matched_setting_rate(self):
-        scan = run_tomography_experiment(self.rho, self.settings, QUIET_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.rho, self.kets, QUIET_DET, seed=5, flux=1e4)
         # setting index 1 is (|l>, |-l>)
         assert scan.ideal[1] == pytest.approx(5e3, rel=1e-12)
 
     def test_seed_reproducibility(self):
-        a = run_tomography_experiment(self.rho, self.settings, NOISY_DET, seed=9, flux=1e4)
-        b = run_tomography_experiment(self.rho, self.settings, NOISY_DET, seed=9, flux=1e4)
+        a = run_tomography_experiment(self.rho, self.kets, NOISY_DET, seed=9, flux=1e4)
+        b = run_tomography_experiment(self.rho, self.kets, NOISY_DET, seed=9, flux=1e4)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.ideal, b.ideal)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 
 from oamsim.cli import RunContext, main
 from oamsim.config import build_config, validate
-from oamsim.experiments import arm_projectors, run_tomography_experiment, tomography_settings
+from oamsim.experiments import arm_projectors, run_tomography_experiment
 from oamsim.spdc import DetectorConfig, build_state, maximally_entangled_ket, restricted_ket
 from oamsim.tomography import (
     BELL_VIOLATION_THRESHOLDS,
     ReconstructionReport,
+    _arm_design,
+    _gram_norm,
+    _realign,
     born_probabilities,
     check_density_matrix,
     concurrence,
@@ -26,6 +30,7 @@ from oracles import (
     cross_entangled_ket,
     fidelity,
     isotropic_state,
+    joint_design,
     max_entangled_ket,
     su_compose,
     su_expand,
@@ -61,9 +66,20 @@ def werner(p):
     return isotropic_state(2, p)
 
 
-def ideal_rates(rho, settings, flux):
+def ideal_rates(rho, kets, flux):
     """Noiseless counts: the ideal rate of every setting of a tomography run."""
-    return run_tomography_experiment(rho, settings, QUIET_DET, seed=0, flux=flux).ideal
+    return run_tomography_experiment(rho, kets, QUIET_DET, seed=0, flux=flux).ideal
+
+
+def random_state(d, seed):
+    """A random full-rank two-qudit state with complex coherences, so rho^T != rho."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    return a @ a.conj().T / np.trace(a @ a.conj().T).real
+
+
+QUBIT_KETS, _ = arm_projectors(2, [1, -1])
+ELLS = {2: [1, -1], 3: [-1, 0, 1], 4: [-2, -1, 1, 2], 5: [2, 1, 0, -1, -2]}
 
 
 class TestDensityMatrix:
@@ -103,67 +119,82 @@ class TestDensityMatrix:
 
 class TestPredictedCounts:
     def test_bell_state_values(self):
-        settings = tomography_settings(2, [1, -1])
         rho = bell_density()
-        rates = ideal_rates(rho, settings, 1.0)
+        rates = ideal_rates(rho, QUBIT_KETS, 1.0)
         # settings 0..3 are the pure-pure combinations in row-major order
         assert rates[0] == pytest.approx(0.0, abs=1e-12)
         assert rates[1] == pytest.approx(0.5, rel=1e-12)
 
     def test_maximally_mixed_isotropy(self):
-        settings = tomography_settings(2, [1, -1])
         mixed = np.eye(4) / 4.0
-        assert all(abs(v - 0.25) < 1e-12 for v in ideal_rates(mixed, settings, 1.0))
+        assert all(abs(v - 0.25) < 1e-12 for v in ideal_rates(mixed, QUBIT_KETS, 1.0))
 
     def test_zero_flux(self):
-        settings = tomography_settings(2, [1, -1])
-        assert ideal_rates(bell_density(), settings, 0.0)[5] == 0.0
+        assert ideal_rates(bell_density(), QUBIT_KETS, 0.0)[5] == 0.0
 
     @pytest.mark.parametrize("d, ells", [(2, [1, -1]), (3, [-1, 0, 1]), (4, [-2, -1, 1, 2]),
                                          (5, [2, 1, 0, -1, -2])])
     @pytest.mark.parametrize("p", [0.0, 0.37, 0.9])
     def test_born_probabilities_match_per_setting_kron(self, d, ells, p):
         # the isotropic state, and its mixture with a random complex state, for which rho^T != rho
-        rng = np.random.default_rng(d)
-        a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        noise = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        noise = random_state(d, d)
         arm_kets, _ = arm_projectors(d, ells)
+        m = len(arm_kets)
         for rho in (isotropic_state(d, p), p * isotropic_state(d, 1.0) + (1.0 - p) * noise):
-            got = born_probabilities(tomography_settings(d, ells), rho)
-            assert np.max(np.abs(got - tomography_probabilities(arm_kets, rho))) < 1e-12
+            got = born_probabilities(arm_kets, rho)
+            assert got.shape == (m, m)
+            want = tomography_probabilities(arm_kets, rho).reshape(m, m)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_dimension_mismatch(self):
-        settings = tomography_settings(3, [-1, 0, 1])
+        kets, _ = arm_projectors(3, [-1, 0, 1])
         with pytest.raises(ValueError):
-            ideal_rates(bell_density(), settings, 1.0)
+            ideal_rates(bell_density(), kets, 1.0)
+
+    def test_realign_is_its_own_inverse_and_takes_kron_to_outer(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        assert np.array_equal(_realign(np.kron(a, b), 3), np.outer(a.ravel(), b.ravel()))
+        x = random_state(3, 5)
+        assert np.array_equal(_realign(_realign(x, 3), 3), x)
 
 
 class TestReconstruct:
     def test_noiseless_round_trip(self):
-        settings = tomography_settings(2, [1, -1])
         rho_true = bell_density()
         # noiseless: replace sampled counts by exact means
-        counts = ideal_rates(rho_true, settings, 1e4)
+        counts = ideal_rates(rho_true, QUBIT_KETS, 1e4)
         assert counts.shape == (36,)
-        report = reconstruct(counts, settings, d=2)
+        report = reconstruct(counts, QUBIT_KETS, d=2)
         assert isinstance(report, ReconstructionReport)
         assert report.converged
         assert fidelity(report.rho, rho_true) > 1.0 - 1e-6
-        assert report.chi_squared < 1e-10 * len(settings)
+        assert report.chi_squared < 1e-10 * len(counts)
         assert report.flux == pytest.approx(1e4, rel=1e-6)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_noiseless_full_rank_state_takes_one_step(self, d):
+        # the linear inversion of exact rates is the state itself, so the solve
+        # starts at the optimum; a start at its transpose took 125 (d = 2) and
+        # 251 (d = 3) steps for these states
+        kets, _ = arm_projectors(d, ELLS[d])
+        rho_true = random_state(d, 30 + d)
+        report = reconstruct(ideal_rates(rho_true, kets, 1e4), kets, d=d)
+        assert report.iterations == 1 and report.converged
+        assert np.max(np.abs(report.rho - rho_true)) < 1e-10
+        assert report.flux == pytest.approx(1e4, rel=1e-10)
+
     def test_noisy_round_trip(self):
-        settings = tomography_settings(2, [1, -1])
         rho_true = bell_density()
-        scan = run_tomography_experiment(rho_true, settings, NOISY_DET, seed=3, flux=1e4)
-        report = reconstruct(scan.counts, settings, d=2)
+        scan = run_tomography_experiment(rho_true, QUBIT_KETS, NOISY_DET, seed=3, flux=1e4)
+        report = reconstruct(scan.counts, QUBIT_KETS, d=2)
         assert fidelity(report.rho, rho_true) > 0.99
         assert linear_entropy(report.rho) < 0.02
 
     @hypothesis_settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 10**6), min_size=36, max_size=36))
     def test_output_always_physical(self, counts):
-        report = reconstruct(np.array(counts), tomography_settings(2, [1, -1]), d=2)
+        report = reconstruct(np.array(counts), QUBIT_KETS, d=2)
         matrix = report.rho
         assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-12
         assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
@@ -172,46 +203,78 @@ class TestReconstruct:
         assert report.chi_squared >= 0.0
 
     def test_all_zero_counts_give_maximally_mixed_state(self):
-        report = reconstruct(np.zeros(36), tomography_settings(2, [1, -1]), d=2)
+        report = reconstruct(np.zeros(36), QUBIT_KETS, d=2)
         assert np.max(np.abs(report.rho - np.eye(4) / 4.0)) < 1e-15
         assert report.flux == 0.0
         assert report.chi_squared == 0.0
         assert report.converged
 
     def test_rejects_incomplete_settings(self):
-        settings = tomography_settings(2, [1, -1])[:10]
-        with pytest.raises(ValueError):
-            reconstruct(np.ones(10), settings, d=2)
+        # |l>, |-l> and one superposition: their projectors span 3 of the 4 arm operators
+        with pytest.raises(ValueError, match="rank 3 < 4"):
+            reconstruct(np.ones(9), QUBIT_KETS[:3], d=2)
+
+    def test_rejects_kets_of_another_dimension(self):
+        kets, _ = arm_projectors(3, [-1, 0, 1])
+        with pytest.raises(ValueError, match="does not match d"):
+            reconstruct(np.ones(len(kets) ** 2), kets, d=2)
 
     @pytest.mark.parametrize("shape", [(35,), (37,), (6, 6), (36, 1), ()])
     def test_rejects_counts_not_one_per_setting(self, shape):
-        settings = tomography_settings(2, [1, -1])
         with pytest.raises(ValueError, match="one count per setting"):
-            reconstruct(np.ones(shape), settings, d=2)
+            reconstruct(np.ones(shape), QUBIT_KETS, d=2)
 
     @pytest.mark.parametrize("count", [0.0, 1e12])
     def test_rank_check_is_relative_to_the_count_scale(self, count):
-        # the first half of the list pairs three arm-A projectors with all six
-        # of arm B, so it spans at most 3 x 4 of the 16 operator dimensions
-        settings = tomography_settings(2, [1, -1])
-        half = settings[:len(settings) // 2]
+        # the rank is that of the arm design, which no count scale moves:
+        # four arm kets span 4 arm operators, three only 3
+        for kets in (QUBIT_KETS[:4], QUBIT_KETS):
+            report = reconstruct(np.full(len(kets) ** 2, count), kets, d=2)
+            assert report.flux >= 0.0
         with pytest.raises(ValueError, match="not informationally complete"):
-            reconstruct(np.full(len(half), count), half, d=2)
-        report = reconstruct(np.full(len(settings), count), settings, d=2)
-        assert report.flux >= 0.0
+            reconstruct(np.full(9, count), QUBIT_KETS[:3], d=2)
 
     def test_rejects_negative_counts(self):
-        settings = tomography_settings(2, [1, -1])
         with pytest.raises(ValueError):
-            reconstruct(np.full(36, -1.0), settings, d=2)
+            reconstruct(np.full(36, -1.0), QUBIT_KETS, d=2)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_qutrit_round_trip(self, d):
-        settings = tomography_settings(d, {3: [-1, 0, 1], 4: [-2, -1, 1, 2]}[d])
+        kets, _ = arm_projectors(d, ELLS[d])
         rho_true = bell_density(d)
-        counts = ideal_rates(rho_true, settings, 1e4)
-        report = reconstruct(counts, settings, d=d)
+        counts = ideal_rates(rho_true, kets, 1e4)
+        report = reconstruct(counts, kets, d=d)
         assert fidelity(report.rho, rho_true) > 1.0 - 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_step_matches_the_joint_design(self, d):
+        # lambda_max(A^H W A) from the arm design is the squared largest singular
+        # value of the explicit weighted (m^2, d^4) design
+        kets, _ = arm_projectors(d, ELLS[d])
+        weights = np.random.default_rng(d).uniform(1e-3, 1.0, size=(len(kets), len(kets)))
+        want = np.linalg.svd(joint_design(kets, weights), compute_uv=False)[0] ** 2
+        assert _gram_norm(_arm_design(kets), weights) == pytest.approx(want, rel=1e-12)
+
+    def test_paper_dimension_converges(self, tmp_path):
+        # d = 5: the two-qudit space of dimension 25
+        assert main(["tomo", "--set", "tomo.d=5", "--set", "tomo.ell_values=2,1,0,-1,-2",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
+        assert dict(zip(lines[1].split(","), lines[2].split(",")))["converged"] == "true"
+
+    def test_paper_dimension_peak_memory(self):
+        # below the size of one (m^2, d^4) complex array, 2,025 x 625 x 16 B at d = 5
+        kets, _ = arm_projectors(5, ELLS[5])
+        ket = maximally_entangled_ket(ELLS[5])
+        scan = run_tomography_experiment(np.outer(ket, ket.conj()), kets, NOISY_DET, seed=1,
+                                         flux=3e4)
+        tracemalloc.start()
+        try:
+            reconstruct(scan.counts, kets, d=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2025 * 625 * 16
 
     # chi^2 that the Cholesky-factor least-squares solver (five restarts)
     # reached on seeded `oamsim tomo` runs; the convex solver must not do worse
@@ -450,6 +513,15 @@ class TestBellThresholds:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_frozen_values_match_oracle(self, d):
         assert BELL_VIOLATION_THRESHOLDS[d] == pytest.approx(2.0 / bell_inequality_value(d), abs=1e-9)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_every_dimension_validate_accepts_has_a_threshold(self, d):
+        # the tomo.d bound of validate exists for this table; ell values closed
+        # under negation, with 0 for odd d, leave it the only rule in play
+        ells = [ell for k in range(1, d // 2 + 1) for ell in (k, -k)] + [0] * (d % 2)
+        config = build_config(overrides={"tomo.d": str(d),
+                                         "tomo.ell_values": ",".join(map(str, ells))})
+        assert (not validate(config)) == (d in BELL_VIOLATION_THRESHOLDS)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_isotropic_value_scales_linearly(self, d):
