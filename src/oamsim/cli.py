@@ -14,6 +14,7 @@ the byte-identity guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -314,6 +315,7 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oamsim",

@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from .modes import sector_coefficients
 from .spdc import CrystalConfig, DetectorConfig
 from .tomography import BELL_VIOLATION_THRESHOLDS
 
@@ -21,7 +22,12 @@ class ConfigError(ValueError):
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in str(text).split(",") if part.strip())
+    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _as_text(value) -> str:
+    """A value as a config file carries it: a tuple joined by commas, anything else through str."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 # key -> (parser, default). Defaults mirror the reference setup: 355 nm pump,
@@ -79,13 +85,7 @@ class ScenarioConfig:
         return self.values["output_dir"]
 
     def canonical_lines(self) -> list[str]:
-        lines = []
-        for key in SCHEMA:
-            value = self.values[key]
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{key} = {value}")
-        return lines
+        return [f"{key} = {_as_text(self.values[key])}" for key in SCHEMA]
 
     def hash(self) -> str:
         payload = "\n".join(self.canonical_lines()).encode()
@@ -150,13 +150,14 @@ def build_config(raw: dict | None = None, overrides: dict | None = None) -> Scen
     for key, (parser, default) in SCHEMA.items():
         if key in merged:
             incoming = merged[key]
+            # a typed value is parsed from the text canonical_lines would write for it
+            text = _as_text(incoming)
             try:
-                values[key] = parser(incoming) if isinstance(incoming, str) else incoming
-            except (TypeError, ValueError) as exc:
+                values[key] = parser(text)
+            except ValueError as exc:
                 raise ConfigError(f"key {key!r}: cannot parse {incoming!r}") from exc
             # '#' starts a comment and a line break (any that splitlines() splits
             # on) ends the entry, so such a value would not read back from its file
-            text = str(values[key])
             if parser is str and ("#" in text or "".join(text.splitlines()) != text):
                 raise ConfigError(f"key {key!r}: value {incoming!r} must not contain '#' or a line break")
         else:
@@ -223,8 +224,10 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append(f"experiment.epr_ell_max must lie in [0, 20] (got {v['experiment.epr_ell_max']})")
     if not 0.0 < v["detector.efficiency"] <= 1.0:
         problems.append(f"detector.efficiency must lie in (0, 1] (got {v['detector.efficiency']})")
-    if not 0.0 < v["experiment.sector_width_rad"] < 2.0 * math.pi:
-        problems.append(f"experiment.sector_width_rad must lie in (0, 2*pi) (got {v['experiment.sector_width_rad']})")
+    try:
+        sector_coefficients(0.0, v["experiment.sector_width_rad"], ())
+    except ValueError as exc:
+        problems.append(f"experiment.sector_width_rad: {exc} (got {v['experiment.sector_width_rad']})")
     # no table may exceed 2^20 rows, a 1024 x 1024 angular map; on 2 cores
     # such a run takes 4-8 s and 120-190 MB, growing with the row count
     if not 8 <= v["experiment.angular_points"] <= 1024:

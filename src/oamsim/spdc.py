@@ -14,11 +14,8 @@ the aligned state included.  Crystal length and phase mismatch enter only
 through the far-field ring profile.
 Coincidence counts are Poisson draws over an array of ideal rates, each count
 from a random stream seeded by the run seed and the setting's position in the
-array: numpy's ``default_rng([seed, k]).poisson``.  ``numerics.poisson_streams``
-runs all of these streams in lockstep as arrays, the same counts bit for
-bit; it takes exp and log from the C library through ``math``, as numpy's
-sampler does, since numpy's vectorised exp and log can differ from it in the
-last bit and flip an acceptance test.
+array: numpy's ``default_rng([seed, k]).poisson``, drawn by
+``numerics.poisson_streams``.
 """
 
 from __future__ import annotations
@@ -77,43 +74,34 @@ class DetectorConfig:
             raise ValueError("integration time must be positive")
 
 
-def _binom(n, k):
-    """Binomial coefficients of integer-valued arrays 0 <= k <= n, in floating
-    point and rounded step by step as the usual special-function ``binom``
-    rounds them: k is reduced to n - k when k > n / 2, then num *= i + n - k
-    and den *= i for i = 1, ..., k, and num / den is returned."""
-    k = np.where(k > n / 2, n - k, k)
-    # step i multiplies by 1, exactly, where i > k
-    i = np.arange(1.0, np.max(k, initial=0) + 1).reshape(-1, *[1] * k.ndim)
-    return np.prod(np.where(i <= k, i + n - k, 1.0), axis=0) / np.prod(np.where(i <= k, i, 1.0), axis=0)
+def _normalised_laguerre(points, size: int) -> np.ndarray:
+    """Table M[i, k, a] = L_k^a(points[i]) / sqrt(C(k + a, k)) for 0 <= k, a < size.
 
+    L_k^a are the generalised Laguerre polynomials, and C(k + a, k) = L_k^a(0).
+    So scaled, they obey M_0 = 1 and a recurrence with no j! to overflow,
 
-def _genlaguerre(n, alpha, x: float) -> np.ndarray:
-    """Generalised Laguerre polynomials L_n^alpha(x) of integer arrays n, alpha >= 0
-    at one point x, shaped like n and alpha broadcast together.
+        M_{k+1} = ((2k + 1 + a - x) M_k - sqrt(k (k + a)) M_{k-1}) / sqrt((k + 1) (k + 1 + a)),
 
-    The recurrence and its order of operations are those of the usual
-    special-function ``eval_genlaguerre`` at integer order, whose values it
-    gives bit for bit (tests/test_spdc.py): L_0 = 1, L_1 = -x + alpha + 1, and
-    otherwise d = -x / (alpha + 1), p = d + 1, then for k = 1, ..., n - 1
-    d = -x / (k + alpha + 1) p + k / (k + alpha + 1) d and p = d + p, and
-    L_n^alpha = binom(n + alpha, n) p.  One pass of the recurrence over every
-    order alpha up to the largest gives every degree up to the largest, as a
-    table that n and alpha index.
+    carried in the step D_k = M_k - r_k M_{k-1}, r_k = sqrt((k + a) / k), D_0 = 0:
+
+        D_{k+1} = r_{k+1} (k D_k - x M_k) / (k + 1 + a),    M_{k+1} = r_{k+1} M_k + D_{k+1}.
+
+    Evaluated as written, the three-term form cancels near a root of L_k^a at
+    small x and loses about a digit more (tests/test_spdc.py, the exact-moment
+    case at gamma = 1 and 0.35 waists).  One pass over the degrees k fills
+    every order a at every point.
     """
-    orders = np.arange(np.max(alpha, initial=0) + 1.0)
-    degrees = np.arange(max(np.max(n, initial=0), 1) + 1.0)[:, None]
-    # row k holds k + alpha + 1 over the orders, exact in floating point
-    steps = degrees + orders + 1.0
-    table = np.ones(steps.shape)
-    d = -x / steps[0]
-    p = d + 1.0
-    for k in range(1, len(degrees) - 1):
-        d = -x / steps[k] * p + (k / steps[k]) * d
-        table[k + 1] = p = d + p
-    table *= _binom(degrees + orders, degrees)
-    table[0], table[1] = 1.0, -x + orders + 1.0
-    return table[n, alpha]
+    x = np.asarray(points, dtype=float)[:, None]
+    orders = np.arange(float(size))
+    # row k holds k + 1 + a and r_{k+1} over the orders a
+    sums = orders[:, None] + 1.0 + orders
+    ratios = np.sqrt(sums / (orders[:, None] + 1.0))
+    table = np.ones((len(x), size, size))
+    d = 0.0
+    for k in range(size - 1):
+        d = ratios[k] * (k * d - x * table[:, k]) / sums[k]
+        table[:, k + 1] = ratios[k] * table[:, k] + d
+    return table
 
 
 def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.ndarray:
@@ -134,17 +122,19 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.nd
         s = -d g^(-1/4) (g + 2) kappa,    t = d g^(3/4) kappa,
         x = d^2 (g + 2) / (2 (g + 1)),    y = 8 d^2 / (g (g + 2)),
 
-    the coefficient is T / sqrt(m! n!) / L_m(-y)^(1/4), where T = s^m t^n when
-    ell_s ell_i > 0 and otherwise T = s^(m-n) or t^(n-m), whichever power is
-    non-negative, times q^k k! L_k^(|m-n|)(x).  L are the generalised Laguerre
-    polynomials, evaluated by ``_genlaguerre``, their three-term recurrence in
-    the normalised form that ``eval_genlaguerre`` of the special-function
-    libraries uses.  At d = 0 only T = q^|ell| on the anti-diagonal survives:
-    the aligned closed form (Torres et al., PRA 68, 050301, 2003; Miatto, Yao &
-    Barnett, PRA 83, 033816, 2011).  Written in g rather than 1 / gamma^2, and
-    with s and y set to 0 at d = 0, it is finite for every gamma > 0.  The
-    matrix is normalized to unit total probability; ValueError is raised
-    rather than a matrix returned that is not finite and normalized.
+    the coefficient is P / M_m^0(-y)^(1/4), where P = S_m T_n when
+    ell_s ell_i > 0 and otherwise P = S_(m-n) or T_(n-m), whichever index is
+    non-negative, times q^k M_k^(|m-n|)(x).  Here S_j = s^j / sqrt(j!) and
+    T_j = t^j / sqrt(j!) are running products, and M_k^a = L_k^a /
+    sqrt(C(k + a, k)) are the generalised Laguerre polynomials in the
+    normalised form of ``_normalised_laguerre``; the j! of the overlaps
+    cancel into these two.  At d = 0 only P = q^|ell| on the
+    anti-diagonal survives: the aligned closed form (Torres et al., PRA 68,
+    050301, 2003; Miatto, Yao & Barnett, PRA 83, 033816, 2011).  Written in g
+    rather than 1 / gamma^2, and with s and y set to 0 at d = 0, it is finite
+    for every gamma > 0.  The matrix is normalized to unit total probability;
+    ValueError is raised rather than a matrix returned that is not finite and
+    normalized.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -160,10 +150,12 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.nd
     ells = np.arange(-ell_max, ell_max + 1)
     m, n = np.abs(ells)[:, None], np.abs(ells)[None, :]
     k, gap = np.minimum(m, n), np.abs(m - n)
-    factorial = np.cumprod(np.r_[1.0, np.arange(1.0, ell_max + 1)])
-    crossed = np.where(m >= n, s, t) ** gap * q**k * factorial[k] * _genlaguerre(k, gap, x)
-    joint = np.where(np.outer(ells, ells) > 0, s**m * t**n, crossed)
-    joint /= np.sqrt(factorial[m] * factorial[n]) * _genlaguerre(m, 0, -y) ** 0.25
+    roots = np.sqrt(np.arange(1.0, ell_max + 1))
+    s_powers, t_powers = np.cumprod(np.r_[1.0, s / roots]), np.cumprod(np.r_[1.0, t / roots])
+    at_x, at_minus_y = _normalised_laguerre([x, -y], ell_max + 1)
+    crossed = np.where(m >= n, s_powers[gap], t_powers[gap]) * q**k * at_x[k, gap]
+    joint = np.where(np.outer(ells, ells) > 0, s_powers[m] * t_powers[n], crossed)
+    joint /= at_minus_y[m, 0] ** 0.25
     joint = (joint / np.linalg.norm(joint)).astype(complex)
     if not abs(np.sum(np.abs(joint) ** 2) - 1.0) <= 1e-10:
         raise ValueError("state norm is not 1: the closed form overflowed or underflowed")
@@ -241,10 +233,7 @@ def sample_counts(ideal_rates, det: DetectorConfig, seed: int) -> np.ndarray:
     time; one efficiency factor per detector.  The count at flat C-order
     position k is ``default_rng([seed, k]).poisson(mean)``, so it depends only
     on the seed, k and its own rate, not on the other settings or on
-    evaluation order.  ``numerics.poisson_streams`` evaluates all of these
-    streams at once as arrays, bit for bit; its exp and log come from the C
-    library, as in numpy's own sampler, because numpy's vectorised exp and log
-    may differ in the last bit and flip a rejection test.
+    evaluation order; ``numerics.poisson_streams`` draws them.
     """
     rates = np.asarray(ideal_rates, dtype=float)
     if np.any(rates < 0):

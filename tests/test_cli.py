@@ -305,6 +305,24 @@ def test_validate_integration_time_bound(capsys, seconds, code):
     assert ("detector.integration_s" in capsys.readouterr().out) == bool(code)
 
 
+@pytest.mark.parametrize("width, code", [("0", 1), (repr(2.0 * math.pi), 0),
+                                         (repr(math.nextafter(2.0 * math.pi, 7.0)), 1)])
+def test_validate_sector_width_bound(capsys, width, code):
+    # validate takes its bound from modes.sector_coefficients, which accepts the full disc
+    assert main(["validate", "--set", f"experiment.sector_width_rad={width}"]) == code
+    assert ("experiment.sector_width_rad" in capsys.readouterr().out) == bool(code)
+
+
+def test_angular_runs_at_full_sector_width(tmp_path):
+    # a 2*pi sector passes ell = 0 alone, so no orientation pair differs from another
+    assert main(["angular", "--set", f"experiment.sector_width_rad={2.0 * math.pi!r}",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "angular_map.csv").read_text().splitlines()
+    column = lines[1].split(",").index("ideal_rate")
+    assert len(lines) == 2 + 64 * 64
+    assert len({line.split(",")[column] for line in lines[2:]}) == 1
+
+
 @pytest.mark.parametrize("key", ["source.grid_points_radial", "source.grid_points_azimuthal",
                                  "source.pump_waist_mm"])
 def test_validate_rejects_removed_grid_keys(capsys, key):

@@ -65,3 +65,19 @@ def test_rejects_comment_sign_in_string_value(value):
     # second entry, so none of these values could round-trip
     with pytest.raises(ConfigError, match="must not contain"):
         build_config(overrides={"output_dir": value})
+
+
+@pytest.mark.parametrize("key, value", [("source.ell_max", 2.5), ("seed", 1.5), ("tomo.d", True),
+                                        ("tomo.ell_values", (1.5, -1.5))])
+def test_rejects_typed_values_no_file_could_hold(key, value):
+    # a typed override is parsed from its text, as a file would give it
+    with pytest.raises(ConfigError, match="cannot parse"):
+        build_config(overrides={key: value})
+
+
+def test_typed_values_read_as_their_text():
+    config = build_config(overrides={"seed": 7, "source.gamma": 2, "tomo.ell_values": (2, -2)})
+    again = build_config(overrides={"seed": "7", "source.gamma": "2", "tomo.ell_values": "2,-2"})
+    assert config.values == again.values
+    assert config.hash() == again.hash()
+    assert isinstance(config["source.gamma"], float)

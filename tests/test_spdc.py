@@ -12,7 +12,7 @@ from oamsim.spdc import (
     CrystalConfig,
     DetectorConfig,
     accidentals,
-    _genlaguerre,
+    _normalised_laguerre,
     build_state,
     ell_index,
     restricted_ket,
@@ -167,7 +167,8 @@ class TestBuildState:
 
     @pytest.mark.parametrize("gamma, ell_max, offset_waists", [
         (1e-3, 20, 10.0), (1e6, 20, 10.0), (2.0, 20, 10.0), (2.0, 3, 20.0),
-        (1e-10, 20, 0.0), (1e-300, 20, 0.0),
+        (1e-10, 20, 0.0), (1e-300, 20, 0.0), (0.5, 20, 0.3), (0.1, 20, 0.1),
+        (1.0, 20, 0.35),
     ])
     def test_matches_exact_moments(self, gamma, ell_max, offset_waists):
         # the float closed form against the same overlaps summed in rationals at
@@ -202,26 +203,32 @@ class TestGenLaguerre:
     XS = np.concatenate([-np.logspace(-6, 8.4, 49), [-0.0, 0.0], np.logspace(-6, 2.1, 37),
                          np.linspace(-30.0, 110.0, 71)])
 
-    def test_matches_eval_genlaguerre_bit_for_bit(self):
-        from scipy.special import eval_genlaguerre
+    def test_matches_eval_genlaguerre(self):
+        # L_k^a(x) sums terms of alternating sign for x > 0, and L_k^a(-|x|)
+        # the same terms by magnitude: the round-off scale of any evaluation
+        from scipy.special import binom, eval_genlaguerre
 
-        n, alpha = np.array([(n, a) for n in range(21) for a in range(21 - n)]).T
-        got = np.array([_genlaguerre(n, alpha, x) for x in self.XS]).T
-        want = eval_genlaguerre(n[:, None], alpha[:, None], self.XS)
+        k, a = np.array([(k, a) for k in range(21) for a in range(21 - k)]).T
+        got = _normalised_laguerre(self.XS, 21)[:, k, a].T
+        norm = np.sqrt(binom(k + a, k))[:, None]
+        want = eval_genlaguerre(k[:, None], a[:, None], self.XS) / norm
+        scale = eval_genlaguerre(k[:, None], a[:, None], -np.abs(self.XS)) / norm
         assert got.shape == (231, len(self.XS))
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_low_orders(self):
         for x in (-2.0, 0.0, 0.5, 3.0):
-            assert _genlaguerre(0, 3, x) == 1.0
-            assert _genlaguerre(1, 3, x) == 4.0 - x
-            assert _genlaguerre(2, 0, x) == pytest.approx(1.0 - 2.0 * x + x * x / 2.0, rel=1e-15)
+            table = _normalised_laguerre([x], 4)[0]
+            assert table[0, 3] == 1.0
+            assert table[1, 3] == (4.0 - x) / 2.0
+            assert table[2, 0] == pytest.approx(1.0 - 2.0 * x + x * x / 2.0, rel=1e-15)
 
     def test_indexes_a_table_of_every_degree_and_order(self):
-        n, alpha = np.array([[0, 3], [5, 1]]), np.array([[2, 0], [0, 4]])
-        got = _genlaguerre(n, alpha, 0.7)
-        assert got.shape == (2, 2)
-        assert all(got[i, j] == _genlaguerre(n[i, j], alpha[i, j], 0.7) for i in range(2) for j in range(2))
+        table = _normalised_laguerre([0.7, -3.0], 6)
+        assert table.shape == (2, 6, 6)
+        assert np.array_equal(table[1], _normalised_laguerre([-3.0], 6)[0])
+        assert np.array_equal(table[0, :3, :3], _normalised_laguerre([0.7], 3)[0])
+        assert np.array_equal(_normalised_laguerre([0.7], 1), [[[1.0]]])
 
 
 class TestTwoPhotonState:
