@@ -114,8 +114,7 @@ class ScenarioConfig:
         explicit = self.values["tomo.threshold_p"]
         if explicit >= 0:
             return explicit
-        d = self.values["tomo.d"]
-        return BELL_VIOLATION_THRESHOLDS[d]
+        return BELL_VIOLATION_THRESHOLDS[self.values["tomo.d"]]
 
 
 def parse_config_text(text: str) -> dict:
@@ -239,9 +238,9 @@ def validate(config: ScenarioConfig) -> list[str]:
     if not 4 <= v["bell.curve_points"] <= 2**20:
         problems.append(f"bell.curve_points must lie in [4, 2^20] (got {v['bell.curve_points']})")
     d = v["tomo.d"]
-    # BELL_VIOLATION_THRESHOLDS, which threshold_fraction reads, covers d = 2..5 only
-    if not 2 <= d <= 5:
-        problems.append(f"tomo.d must lie in [2, 5] (got {d})")
+    # threshold_fraction reads BELL_VIOLATION_THRESHOLDS, so its keys are the dimensions run
+    if d not in BELL_VIOLATION_THRESHOLDS:
+        problems.append(f"tomo.d must be one of {', '.join(map(str, BELL_VIOLATION_THRESHOLDS))} (got {d})")
     ells = v["tomo.ell_values"]
     if len(ells) != d:
         problems.append(f"tomo.ell_values must list exactly tomo.d = {d} values (got {len(ells)})")

@@ -11,11 +11,11 @@ design, up to the permutation ``_realign``; it is never formed, and
 ``born_probabilities`` gives all the rates as one (m, m) array.
 ``reconstruct`` minimizes the count-weighted chi-square over sigma = N rho
 (flux times density matrix), a convex quadratic on the positive-semidefinite
-cone, by accelerated projected gradient (FISTA with adaptive restart; Beck &
-Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose projection clips
-eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).  The metrics
-are closed forms: the linear entropy is a trace, and the two-qubit
-concurrence one eigendecomposition and one singular-value decomposition.
+cone, by accelerated projected gradient with a backtracking step (FISTA with
+adaptive restart; Beck & Teboulle, SIAM J. Imaging Sci. 2, 183, 2009) whose
+projection clips eigenvalues (Smolin, Gambetta & Smith, PRL 108, 070502,
+2012).  The metrics are closed forms: the linear entropy is a trace, and the
+two-qubit concurrence one eigendecomposition and one SVD.
 """
 
 from __future__ import annotations
@@ -96,22 +96,18 @@ def _arm_design(kets) -> np.ndarray:
     return (kets.conj()[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
 
 
-def _gram_norm(design, weights) -> float:
-    """lambda_max(A^H W A) for the joint design A, realigned P (x) P, and W = diag(weights):
-    A^H W A is the realigned outer^T W outer, outer with rows conj(P_a) (x) P_a."""
-    outer = _arm_design(design)
-    return float(np.linalg.eigvalsh(_realign(outer.T @ weights @ outer, design.shape[1]))[-1])
+def _born(design, realigned) -> np.ndarray:
+    """The (m, m) rates <ab|rho|ab>, Re(P R P^T) for the arm design P and R = _realign(rho)."""
+    return (design @ realigned @ design.T).real
 
 
 def born_probabilities(kets, rho) -> np.ndarray:
-    """Re <ab| rho |ab> for every pair of rows a, b of ``kets``: the (m, m) array
-    Re(P _realign(rho) P^T) for the arm design P, with no joint ket formed."""
+    """Re <ab| rho |ab> for every pair of rows a, b of ``kets``, with no joint ket formed."""
     rho = np.asarray(rho, dtype=complex)
     d = np.shape(kets)[-1]
     if rho.shape != (d * d, d * d):
         raise ValueError("ket dimension does not match the density matrix")
-    design = _arm_design(kets)
-    return np.real(design @ _realign(rho, d) @ design.T)
+    return _born(_arm_design(kets), _realign(rho, d))
 
 
 def reconstruct(counts, kets, d: int) -> ReconstructionReport:
@@ -120,17 +116,17 @@ def reconstruct(counts, kets, d: int) -> ReconstructionReport:
     Count a * m + b of the (m^2,) ``counts`` was measured at setting
     |a> (x) |b>, a and b rows of the (m, d) ``kets``.  Minimizes
     chi^2 = sum_ab (C_ab - <ab|sigma|ab>)^2 / (C_ab + 1) over sigma = N rho,
-    N the photon flux, by FISTA with adaptive restart, the fixed step 1/L
-    and a projection onto the positive-semidefinite cone that clips
-    eigenvalues.  Realigned, the joint design A is P (x) P, P the arm design:
-    the rates are Re(P R P^T), R the realigned sigma; the gradient is the
-    realigned -2 P^H r conj(P), r the weighted residuals; A has full rank
-    when P has rank d^2; L = 2 lambda_max(A^H W A), W = diag(1 / (C + 1))
-    (``_gram_norm``); the start is the linear inversion, the realigned
-    pinv(P) C pinv(P)^T for the (m, m) count table C, clipped to the cone
-    and scaled by its best flux.  The solve stops when a step lowers chi^2
-    by at most a relative TOLERANCE (converged) or after MAX_ITERATIONS
-    steps; then N = Tr sigma and rho = sigma / N (maximally mixed when N = 0).
+    N the photon flux, by FISTA with adaptive restart.  Realigned, the joint
+    design A is P (x) P, P the arm design, of full rank when P has rank d^2.
+    The step 1/(2 G) backtracks: G starts at the curvature along the first
+    descent direction, below lambda_max(A^H W A) for W = diag(1 / (C + 1)),
+    and doubles, the step redone and not counted, while
+    sum W (A step)^2 > G |step|^2: chi^2 is quadratic, so this test of
+    sufficient decrease is exact.  The start is the linear inversion
+    pinv(P) C pinv(P)^T, realigned, clipped to the cone and scaled by its
+    best flux.  The solve stops when a step lowers chi^2 by at most a relative
+    TOLERANCE (converged) or after MAX_ITERATIONS steps; then N = Tr sigma
+    and rho = sigma / N (maximally mixed when N = 0).
     """
     m = len(kets)
     counts = np.asarray(counts, dtype=float)
@@ -147,38 +143,42 @@ def reconstruct(counts, kets, d: int) -> ReconstructionReport:
         raise ValueError(f"arm kets span rank {rank} < {dim}; not informationally complete")
     counts = counts.reshape(m, m)
     w2 = 1.0 / (counts + 1.0)
-    gram_norm = _gram_norm(design, w2)
     # x.ravel()[perm] is _realign(x, d), one indexing call per product
     perm = _realign(np.arange(dim * dim), d)
     design_conj = design.conj()
 
-    def probabilities(sigma):
-        return (design @ sigma.ravel()[perm] @ design.T).real
-
     def chi_squared(p):
         return float((w2 * (counts - p) ** 2).sum())
 
+    def descent(p):
+        # minus half the chi^2 gradient at rates p; the step 1/L is 1/(2 G)
+        return (design_conj.T @ (w2 * (counts - p)) @ design_conj).ravel()[perm]
+
     def project(sigma):
         w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-        return (v * np.clip(w, 0.0, None)) @ v.conj().T
+        return (v * np.maximum(w, 0.0)) @ v.conj().T
 
     pinv = np.linalg.pinv(design)
     x = project(_realign(pinv @ counts @ pinv.T, d))
-    p_x = probabilities(x)
+    p_x = _born(design, x.ravel()[perm])
     denom = np.sum(w2 * p_x**2)
     scale = np.sum(w2 * counts * p_x) / denom if denom > 0 else 0.0
     x, p_x = x * scale, p_x * scale
     chi2 = chi_squared(p_x)
-    # the rates are linear in sigma, so those at y follow from the iterates' rates
+    g = descent(p_x)  # g = 0 only at an optimal start, where any G will do
+    gram = np.sum(w2 * _born(design, g.ravel()[perm]) ** 2) / np.vdot(g, g).real if g.any() else 1.0
+    # the rates are linear in sigma, so those at y and x_next follow from steps' rates
     y, p_y, t = x, p_x, 1.0
-    converged = False
-    iterations = 0
+    iterations, converged = 0, False
     while iterations < MAX_ITERATIONS and not converged:
+        x_next = project(y + descent(p_y) / gram)
+        step = x_next - y
+        p_step = _born(design, step.ravel()[perm])
+        if np.vdot(p_step, w2 * p_step) > gram * np.vdot(step, step).real:
+            gram *= 2.0  # the step overshot chi^2, a quadratic: redo it from y
+            continue
         iterations += 1
-        # the gradient is -2 descent, and the step 1/L = 1/(2 gram_norm)
-        descent = (design_conj.T @ (w2 * (counts - p_y)) @ design_conj).ravel()[perm]
-        x_next = project(y + descent / gram_norm)
-        p_next = probabilities(x_next)
+        p_next = p_y + p_step
         chi2_next = chi_squared(p_next)
         if chi2_next > chi2 and t > 1.0:
             # momentum overshot: restart from the last iterate
@@ -186,7 +186,7 @@ def reconstruct(counts, kets, d: int) -> ReconstructionReport:
             continue
         converged = chi2 - chi2_next <= TOLERANCE * chi2
         if chi2_next <= chi2:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             y = x_next + beta * (x_next - x)
             p_y = p_next + beta * (p_next - p_x)

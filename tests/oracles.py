@@ -415,19 +415,15 @@ def tomography_probabilities(arm_kets, rho) -> np.ndarray:
     return np.array(probs)
 
 
-def joint_design(arm_kets, weights) -> np.ndarray:
-    """The weighted (m^2, d^4) joint design: row a * m + b is
-    sqrt(weights[a, b]) vec(|ab><ab|)^*, |ab> = |a> (x) |b> by explicit kron.
+def joint_design(arm_kets) -> np.ndarray:
+    """The (m^2, d^4) joint design: row a * m + b is vec(|ab><ab|)^*, |ab> = |a> (x) |b>
+    by explicit kron.
 
-    Its largest singular value squared checks ``tomography._gram_norm``,
-    which never forms it.
+    Its rank, d^4 for informationally complete settings, is what
+    ``test_informationally_complete`` checks; the library never forms it.
     """
-    rows = []
-    for a, ket_a in enumerate(arm_kets):
-        for b, ket_b in enumerate(arm_kets):
-            ket = np.kron(ket_a, ket_b)
-            rows.append(math.sqrt(weights[a][b]) * np.outer(ket, ket.conj()).conj().ravel())
-    return np.array(rows)
+    kets = [np.kron(ket_a, ket_b) for ket_a, ket_b in itertools.product(arm_kets, repeat=2)]
+    return np.array([np.outer(ket, ket.conj()).conj().ravel() for ket in kets])
 
 
 def per_setting_counts(ideal_rates, det, seed: int) -> np.ndarray:

@@ -87,7 +87,7 @@ SUMMARIES = {
         "converged": ("true", None),
         "fidelity_vs_target": (0.9990512323180293, SOLVER),
         "fidelity_vs_phi": (0.9990512322557217, SOLVER),
-        "linear_entropy": (0.0024490075745453588, SOLVER),
+        "linear_entropy": (0.0024490036323087474, SOLVER),
         "threshold_p": (0.7071067811865476, EXACT),
         "threshold_fidelity": (0.7803300858899107, EXACT),
         "above_threshold": ("true", None),

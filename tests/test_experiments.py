@@ -416,7 +416,7 @@ class TestTomographySettings:
         # the m^2 product settings, each by explicit kron, span the d^4 joint operators
         ells = list(range(-(d // 2), d - d // 2))
         kets, _ = arm_projectors(d, ells)
-        design = joint_design(kets, np.ones((len(kets), len(kets))))
+        design = joint_design(kets)
         assert np.linalg.matrix_rank(design, tol=1e-10) == d**4
 
     def test_equator_phase_set_matches_rotated_analyzers(self):
