@@ -1,14 +1,14 @@
 """Scenario runner: one subcommand per experiment, delimited-text outputs.
 
-Every run writes its tables plus a manifest into the configured output
-directory.  A table is a dict of columns, each header mapped to a 1-D array
-or a scalar, and ``RunContext.write_table``, the one writer, formats each
-column from its dtype.  Every table, the density matrix ``tomo_rho.csv``
-included, carries the config hash and seed on its first line; rerunning with
-the same config and seed reproduces it byte for byte, which
-``tests/test_cli.py`` checks for every subcommand.  The manifest additionally
-records versions and wall-clock timings, so it is the one file excluded from
-the byte-identity guarantee.
+Every run writes its tables plus a manifest into the output directory that
+``--out`` names (``out`` by default).  A table is a dict of columns, each
+header mapped to a 1-D array or a scalar, and ``RunContext.write_table``,
+the one writer, formats each column from its dtype.  Every table, the
+density matrix ``tomo_rho.csv`` included, carries the config hash and seed
+on its first line; rerunning with the same config and seed reproduces it
+byte for byte, which ``tests/test_cli.py`` checks for every subcommand.
+The manifest additionally records versions and wall-clock timings, so it is
+the one file excluded from the byte-identity guarantee.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .experiments import (
 from .spdc import (build_state, maximally_entangled_ket, restricted_ket, sinc_ring_profile,
                    transverse_mode_count)
 from .tomography import (
+    BELL_VIOLATION_THRESHOLDS,
     concurrence,
     density_matrix_columns,
     linear_entropy,
@@ -260,7 +261,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     fid, fid_phi = (min(max(float(np.real(ket.conj() @ report.rho @ ket)), 0.0), 1.0)
                     for ket in (target_ket, maximally_entangled_ket(ell_values)))
     entropy = linear_entropy(report.rho)
-    threshold_p = config.threshold_fraction()
+    threshold_p = BELL_VIOLATION_THRESHOLDS[d]
     threshold_fid = threshold_fidelity(threshold_p, d)
     summary = {"d": d, "chi_squared": report.chi_squared, "flux": report.flux,
                "converged": report.converged, "fidelity_vs_target": fid,
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                          help="override a configuration entry (repeatable)")
         if name != "validate":
-            cmd.add_argument("--out", help="output directory (overrides output_dir)")
+            cmd.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
@@ -357,9 +358,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out) if args.out else Path(config.output_dir)
     try:
-        ctx = RunContext(config, out_dir, args.command)
+        ctx = RunContext(config, Path(args.out), args.command)
         RUNNERS[args.command](config, ctx)
         ctx.write_manifest()
     except Exception as exc:  # runtime failure after a valid config

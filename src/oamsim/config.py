@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .modes import sector_coefficients
-from .spdc import CrystalConfig, DetectorConfig
+from .spdc import ELL_WINDOW_CAP, CrystalConfig, DetectorConfig
 from .tomography import BELL_VIOLATION_THRESHOLDS
 
 
@@ -36,7 +36,6 @@ def _as_text(value) -> str:
 # stated here as configuration, not inferred from measurements.
 SCHEMA: dict[str, tuple] = {
     "seed": (int, 12345),
-    "output_dir": (str, "out"),
     "source.pump_wavelength_nm": (float, 355.0),
     "source.gamma": (float, 2.0),
     "source.ell_max": (int, 20),
@@ -58,8 +57,6 @@ SCHEMA: dict[str, tuple] = {
     "bell.curve_points": (int, 64),
     "tomo.d": (int, 2),
     "tomo.ell_values": (_parse_int_list, (1, -1)),
-    # negative means: use the built-in per-dimension threshold table
-    "tomo.threshold_p": (float, -1.0),
     "ring.r_max_mm": (float, 30.0),
     "ring.points": (int, 400),
     "modes.area_mm2": (float, 1.0),
@@ -79,10 +76,6 @@ class ScenarioConfig:
     @property
     def seed(self) -> int:
         return self.values["seed"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.values["output_dir"]
 
     def canonical_lines(self) -> list[str]:
         return [f"{key} = {_as_text(self.values[key])}" for key in SCHEMA]
@@ -109,12 +102,6 @@ class ScenarioConfig:
             pump_wavelength=self.values["source.pump_wavelength_nm"] * 1e-9,
             focal_length=self.values["source.focal_length_mm"] * 1e-3,
         )
-
-    def threshold_fraction(self) -> float:
-        explicit = self.values["tomo.threshold_p"]
-        if explicit >= 0:
-            return explicit
-        return BELL_VIOLATION_THRESHOLDS[self.values["tomo.d"]]
 
 
 def parse_config_text(text: str) -> dict:
@@ -150,15 +137,10 @@ def build_config(raw: dict | None = None, overrides: dict | None = None) -> Scen
         if key in merged:
             incoming = merged[key]
             # a typed value is parsed from the text canonical_lines would write for it
-            text = _as_text(incoming)
             try:
-                values[key] = parser(text)
+                values[key] = parser(_as_text(incoming))
             except ValueError as exc:
                 raise ConfigError(f"key {key!r}: cannot parse {incoming!r}") from exc
-            # '#' starts a comment and a line break (any that splitlines() splits
-            # on) ends the entry, so such a value would not read back from its file
-            if parser is str and ("#" in text or "".join(text.splitlines()) != text):
-                raise ConfigError(f"key {key!r}: value {incoming!r} must not contain '#' or a line break")
         else:
             values[key] = default
     return ScenarioConfig(values=values)
@@ -217,18 +199,17 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("the largest count mean (detector.efficiency^2 * experiment.pair_rate + detector.singles_1"
                         " * detector.singles_2 * detector.gate_ns * 1e-9) * detector.integration_s"
                         f" must not exceed 1e15 (got {largest_mean})")
-    if not 0 <= v["source.ell_max"] <= 20:
-        problems.append(f"source.ell_max must lie in [0, 20] (got {v['source.ell_max']})")
-    if not 0 <= v["experiment.epr_ell_max"] <= 20:
-        problems.append(f"experiment.epr_ell_max must lie in [0, 20] (got {v['experiment.epr_ell_max']})")
+    for key in ("source.ell_max", "experiment.epr_ell_max"):
+        if not 0 <= v[key] <= ELL_WINDOW_CAP:
+            problems.append(f"{key} must lie in [0, {ELL_WINDOW_CAP}] (got {v[key]})")
     if not 0.0 < v["detector.efficiency"] <= 1.0:
         problems.append(f"detector.efficiency must lie in (0, 1] (got {v['detector.efficiency']})")
     try:
         sector_coefficients(0.0, v["experiment.sector_width_rad"], ())
     except ValueError as exc:
         problems.append(f"experiment.sector_width_rad: {exc} (got {v['experiment.sector_width_rad']})")
-    # no table may exceed 2^20 rows, a 1024 x 1024 angular map; on 2 cores
-    # such a run takes 4-8 s and 120-190 MB, growing with the row count
+    # no table may exceed 2^20 rows, a 1024 x 1024 angular map; on 2 cores an
+    # offset run of that map takes 2.2-3.9 s and 83 MB peak RSS, growing with the row count
     if not 8 <= v["experiment.angular_points"] <= 1024:
         problems.append(f"experiment.angular_points must lie in [8, 1024] (got {v['experiment.angular_points']})")
     if v["bell.ell"] < 1:
@@ -238,7 +219,9 @@ def validate(config: ScenarioConfig) -> list[str]:
     if not 4 <= v["bell.curve_points"] <= 2**20:
         problems.append(f"bell.curve_points must lie in [4, 2^20] (got {v['bell.curve_points']})")
     d = v["tomo.d"]
-    # threshold_fraction reads BELL_VIOLATION_THRESHOLDS, so its keys are the dimensions run
+    # run_tomo reads BELL_VIOLATION_THRESHOLDS[d], so its keys, 2..7, are the dimensions
+    # run.  On 2 cores a d = 7 run takes 1.5-1.8 s, and 2.3-3.1 s at gamma = 0.1, within
+    # the time of the largest angular map; d = 8 takes 2.0-2.3 s, and 3.9-6.3 s at gamma = 0.1
     if d not in BELL_VIOLATION_THRESHOLDS:
         problems.append(f"tomo.d must be one of {', '.join(map(str, BELL_VIOLATION_THRESHOLDS))} (got {d})")
     ells = v["tomo.ell_values"]
@@ -250,12 +233,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("tomo.ell_values must lie within [-source.ell_max, source.ell_max]")
     if any(-e not in ells for e in ells):
         problems.append("tomo.ell_values must be closed under negation (opposite-helicity pairing)")
-    threshold = v["tomo.threshold_p"]
-    if threshold > 1.0:
-        problems.append(f"tomo.threshold_p must lie in [0, 1] or be negative for the built-in table (got {threshold})")
     if not 2 <= v["ring.points"] <= 2**20:
         problems.append(f"ring.points must lie in [2, 2^20] (got {v['ring.points']})")
-    if not str(v["output_dir"]).strip():
-        problems.append("output_dir must not be empty")
     return problems
 

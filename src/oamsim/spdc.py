@@ -26,6 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from .numerics import poisson_streams
 
+# the largest ell_max of a state: the offset closed form is checked against
+# exact rational arithmetic up to this window (tests/test_spdc.py)
+ELL_WINDOW_CAP = 20
+
 
 @dataclass(frozen=True)
 class CrystalConfig:
@@ -138,8 +142,8 @@ def build_state(gamma: float, ell_max: int, offset_waists: float = 0.0) -> np.nd
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if not 0 <= ell_max <= 20:
-        raise ValueError("ell_max must lie in [0, 20]")
+    if not 0 <= ell_max <= ELL_WINDOW_CAP:
+        raise ValueError(f"ell_max must lie in [0, {ELL_WINDOW_CAP}]")
     g, d = 2.0 * gamma * gamma, offset_waists
     q = math.sqrt(g * (g + 2.0)) / (g + 1.0)
     kappa = (4.0 * (g + 2.0)) ** 0.25 / (2.0 * (g + 1.0))

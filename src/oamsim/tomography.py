@@ -30,18 +30,20 @@ import numpy as np
 TOLERANCE = 1e-12
 MAX_ITERATIONS = 10000
 
-# Minimal pure-state fraction of an isotropic two-qudit state above which the
-# d-dimensional Bell inequality is violated.  Computed externally by
-# evaluating the inequality's quantum value I_d for the maximally entangled
-# state with the standard optimal Fourier-basis measurements (Collins et al.,
-# PRL 88, 040404, 2002; reproduced by the oracle bell_inequality_value in
-# tests/oracles.py); the threshold is 2 / I_d.
-# For d = 2 this is 1/sqrt(2), the familiar isotropic-qubit value.
+# Minimal pure-state fraction p of the isotropic two-qudit state
+# p |Phi><Phi| + (1 - p) I / d^2 above which it violates the d-dimensional Bell
+# inequality (Collins et al., PRL 88, 040404, 2002): 2 / I_d, with I_d the
+# inequality's value for |Phi> under the optimal Fourier-basis settings,
+#     I_d = 4 d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}),
+#     q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d)),
+# where q_{-(k+1)} is written with sin^2(pi (k + 3/4) / d), its equal.  For
+# d = 2 it is 1/sqrt(2).  The keys are the tomo.d that validate accepts.
 BELL_VIOLATION_THRESHOLDS = {
-    2: 0.7071067811865476,
-    3: 0.6961524227066314,
-    4: 0.6905497394878110,
-    5: 0.6871565744163153,
+    d: 2.0 / (4 * d * sum((1 - 2 * k / (d - 1))
+                          * (1 / (2 * d**3 * math.sin(math.pi * (k + 0.25) / d) ** 2)
+                             - 1 / (2 * d**3 * math.sin(math.pi * (k + 0.75) / d) ** 2))
+                          for k in range(d // 2)))
+    for d in range(2, 8)
 }
 
 
@@ -55,7 +57,7 @@ def check_density_matrix(matrix, d: int, herm_tol: float = 1e-10, trace_tol: flo
                          eig_tol: float = 1e-8) -> np.ndarray:
     """The Hermitian part of ``matrix`` once it passes as a two-qudit state.
 
-    Raises ValueError unless ``matrix`` is (d^2, d^2), Hermitian within
+    Raises ValueError unless ``matrix`` is (d^2, d^2), finite, Hermitian within
     ``herm_tol``, of unit trace within ``trace_tol`` and without an
     eigenvalue below -``eig_tol``.
     """
@@ -63,6 +65,8 @@ def check_density_matrix(matrix, d: int, herm_tol: float = 1e-10, trace_tol: flo
     dim = d * d
     if matrix.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for local dimension {d}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix has a NaN or infinite entry")
     if np.max(np.abs(matrix - matrix.conj().T)) > herm_tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     trace = np.trace(matrix).real
@@ -134,8 +138,8 @@ def reconstruct(counts, kets, d: int) -> ReconstructionReport:
         raise ValueError(f"expected one count per setting, shape ({m * m},), got {counts.shape}")
     if np.shape(kets) != (m, d):
         raise ValueError("ket dimension does not match d")
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError("counts must be finite and non-negative")
     dim = d * d
     design = _arm_design(kets)
     rank = np.linalg.matrix_rank(design)

@@ -528,7 +528,8 @@ def isotropic_state(d: int, p: float) -> np.ndarray:
 def bell_inequality_value(d):
     """Quantum value of the d-outcome two-setting Bell expression (Collins et
     al., PRL 88, 040404, 2002) for the maximally entangled state with the
-    optimal Fourier-basis measurements.  Checks the frozen threshold table
+    optimal Fourier-basis measurements, summed from the outcome
+    probabilities.  Checks the closed form behind
     ``tomography.BELL_VIOLATION_THRESHOLDS``."""
     psi = max_entangled_ket(d)
 

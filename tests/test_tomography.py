@@ -114,6 +114,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             check_density_matrix(np.eye(3) / 3.0, 2)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.25, math.nan)],
+                             ids=["nan", "inf", "nan-imaginary"])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_non_finite_entry(self, entry, at):
+        # every comparison with NaN is false, so no tolerance test alone rejects it
+        m = np.eye(4, dtype=complex) / 4.0
+        m[at] = entry
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            check_density_matrix(m, 2)
+
 
 class TestPredictedCounts:
     def test_bell_state_values(self):
@@ -233,9 +243,12 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="not informationally complete"):
             reconstruct(np.full(9, count), QUBIT_KETS[:3], d=2)
 
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            reconstruct(np.full(36, -1.0), QUBIT_KETS, d=2)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_negative_counts(self, bad):
+        counts = np.full(36, 100.0)
+        counts[7] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            reconstruct(counts, QUBIT_KETS, d=2)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_qutrit_round_trip(self, d):
@@ -251,6 +264,15 @@ class TestReconstruct:
                      "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
         assert dict(zip(lines[1].split(","), lines[2].split(",")))["converged"] == "true"
+
+    def test_largest_accepted_dimension_converges(self, tmp_path):
+        # d = 7, the largest tomo.d validate accepts, certifies the full Schmidt number
+        assert main(["tomo", "--set", "tomo.d=7", "--set", "tomo.ell_values=3,2,1,0,-1,-2,-3",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert row["converged"] == "true"
+        assert row["schmidt_number_bound"] == "7"
 
     @pytest.mark.parametrize("d", [5, 7])
     def test_paper_dimension_peak_memory(self, d):
@@ -459,10 +481,6 @@ class TestThresholdState:
         target = np.outer(ket, ket.conj())
         assert fidelity(isotropic_state(d, p), target) == pytest.approx(threshold_fidelity(p, d), abs=1e-10)
 
-    def test_rejects_bad_fraction(self):
-        problems = validate(build_config(overrides={"tomo.threshold_p": "1.5"}))
-        assert any(p.startswith("tomo.threshold_p") for p in problems)
-
 
 class TestEntanglementWitness:
     """|Phi>, its fidelity F_phi and the thresholds stated for it."""
@@ -511,11 +529,22 @@ class TestBellThresholds:
     def test_qubit_threshold_is_inverse_sqrt_two(self):
         assert BELL_VIOLATION_THRESHOLDS[2] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_frozen_values_match_oracle(self, d):
-        assert BELL_VIOLATION_THRESHOLDS[d] == pytest.approx(2.0 / bell_inequality_value(d), abs=1e-9)
+    def test_keys_are_two_to_seven(self):
+        assert list(BELL_VIOLATION_THRESHOLDS) == [2, 3, 4, 5, 6, 7]
 
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", sorted(BELL_VIOLATION_THRESHOLDS))
+    def test_frozen_values_match_oracle(self, d):
+        # the closed form against I_d summed from the measurement probabilities
+        assert BELL_VIOLATION_THRESHOLDS[d] == pytest.approx(2.0 / bell_inequality_value(d), abs=1e-12)
+
+    @pytest.mark.parametrize("d, frozen", [(2, 0.7071067811865476), (3, 0.6961524227066314),
+                                           (4, 0.6905497394878110), (5, 0.6871565744163153)])
+    def test_closed_form_matches_the_former_table(self, d, frozen):
+        # the values this table held as literals before it was derived; the
+        # closed form moves them by at most two units in the last place
+        assert abs(BELL_VIOLATION_THRESHOLDS[d] - frozen) <= 1e-15
+
+    @pytest.mark.parametrize("d", range(1, 10))
     def test_every_dimension_validate_accepts_has_a_threshold(self, d):
         # the tomo.d bound of validate exists for this table; ell values closed
         # under negation, with 0 for odd d, leave it the only rule in play
@@ -524,7 +553,7 @@ class TestBellThresholds:
                                          "tomo.ell_values": ",".join(map(str, ells))})
         assert (not validate(config)) == (d in BELL_VIOLATION_THRESHOLDS)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", sorted(BELL_VIOLATION_THRESHOLDS))
     def test_isotropic_value_scales_linearly(self, d):
         # mixing with white noise scales the Bell value by p, so the
         # threshold state sits exactly at the classical bound
@@ -552,6 +581,16 @@ class TestSerialization:
             loaded = load_density_matrix(path)
             assert loaded.shape == (d * d, d * d)
             assert np.max(np.abs(loaded - rho)) < 1e-15
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_rejects_non_finite_entry(self, tmp_path, cell):
+        # a NaN diagonal entry fails no tolerance comparison, so only the finiteness check catches it
+        path = write_rho(tmp_path, np.eye(4) / 4.0)
+        text = path.read_text().splitlines()
+        text[2] = ",".join([*text[2].split(",")[:2], cell, "0.0"])
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load_density_matrix(path)
 
     def test_rejects_tampered_trace(self, tmp_path):
         path = write_rho(tmp_path, isotropic_state(2, 0.5))
