@@ -7,8 +7,9 @@ the one writer, formats each column from its dtype.  Every table, the
 density matrix ``tomo_rho.csv`` included, carries the config hash and seed
 on its first line; rerunning with the same config and seed reproduces it
 byte for byte, which ``tests/test_cli.py`` checks for every subcommand.
-The manifest additionally records versions and wall-clock timings, so it is
-the one file excluded from the byte-identity guarantee.
+The manifest additionally records versions, wall-clock timings and
+``diag.<name> = value`` lines of how a stage got its numbers (the solver's
+steps, say), so it is the one file excluded from the byte-identity guarantee.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class RunContext:
         self.command = command
         self.files: list[str] = []
         self.timings: list[tuple[str, float]] = []
+        self.diagnostics: list[tuple[str, str]] = []
         self._t0 = time.perf_counter()
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -111,6 +113,11 @@ class RunContext:
         now = time.perf_counter()
         self.timings.append((stage, now - self._t0))
         self._t0 = now
+
+    def record(self, name: str, value):
+        """Record ``diag.<name> = value`` for the manifest; the value is
+        formatted as a table cell of its type."""
+        self.diagnostics.append((name, _format_column(np.atleast_1d(value))[0]))
 
     def write_table(self, name: str, columns: dict):
         """Write one table: ``columns`` maps each header to a 1-D array or a
@@ -141,6 +148,7 @@ class RunContext:
                  f"outputs = {','.join(self.files)}"]
         for stage, elapsed in self.timings:
             lines.append(f"elapsed_s.{stage} = {elapsed:.3f}")
+        lines.extend(f"diag.{name} = {value}" for name, value in self.diagnostics)
         lines.append("# config echo")
         lines.extend(self.config.canonical_lines())
         (self.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
@@ -251,6 +259,9 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("counts")
     report = reconstruct(scan.counts, kets, d)
     ctx.mark("reconstruct")
+    ctx.record("reconstruct.iterations", report.iterations)
+    ctx.record("reconstruct.converged", report.converged)
+    ctx.record("reconstruct.chi2_dof", report.chi_squared / (len(kets) ** 2 - d**4))
     columns = scan.columns()
     ctx.write_table("tomo_counts.csv", {"index": columns.pop("setting"),
                                         "arm_a": np.repeat(labels, len(labels)),

@@ -220,8 +220,9 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append(f"bell.curve_points must lie in [4, 2^20] (got {v['bell.curve_points']})")
     d = v["tomo.d"]
     # run_tomo reads BELL_VIOLATION_THRESHOLDS[d], so its keys, 2..7, are the dimensions
-    # run.  On 2 cores a d = 7 run takes 1.5-1.8 s, and 2.3-3.1 s at gamma = 0.1, within
-    # the time of the largest angular map; d = 8 takes 2.0-2.3 s, and 3.9-6.3 s at gamma = 0.1
+    # run.  On 2 cores with BLAS at 1 thread a d = 7 run takes 1.2-1.5 s, and 1.7-2.2 s at
+    # gamma = 0.1, within the time of the largest angular map; d = 8, with this check
+    # bypassed, takes 1.5-2.0 s, and 2.6 s at gamma = 0.1
     if d not in BELL_VIOLATION_THRESHOLDS:
         problems.append(f"tomo.d must be one of {', '.join(map(str, BELL_VIOLATION_THRESHOLDS))} (got {d})")
     ells = v["tomo.ell_values"]

@@ -274,6 +274,21 @@ class TestReconstruct:
         assert row["converged"] == "true"
         assert row["schmidt_number_bound"] == "7"
 
+    # a G that only doubles took 814 (d = 5, seed 7) and 1,236 (d = 7) accepted
+    # steps on these runs; letting it shrink after each accepted step takes at
+    # most three quarters of them, read from the manifest's solver diagnostics
+    @pytest.mark.parametrize("overrides, most", [
+        pytest.param(["seed=7", "tomo.d=5", "tomo.ell_values=2,1,0,-1,-2"], 610, id="d5-seed7"),
+        pytest.param(["tomo.d=7", "tomo.ell_values=3,2,1,0,-1,-2,-3"], 927, id="d7"),
+    ])
+    def test_step_count(self, tmp_path, overrides, most):
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["tomo", *args, "--out", str(tmp_path)]) == 0
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        steps = int(next(line for line in manifest
+                         if line.startswith("diag.reconstruct.iterations = ")).split(" = ")[1])
+        assert steps <= most
+
     @pytest.mark.parametrize("d", [5, 7])
     def test_paper_dimension_peak_memory(self, d):
         # below the size of one d^4 x d^4 float64 array, the A^H W A a fixed
