@@ -228,7 +228,7 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
     rate = config["experiment.pair_rate"]
     thetas = np.linspace(0.0, math.pi / ell, config["bell.curve_points"], endpoint=False)
     curve = bell_curve(joint, ell, 0.0, thetas, det, _stage_seed(config, 0), pair_rate=rate)
-    settings = BellSettings.canonical(ell)
+    settings = BellSettings(ell)
     counts, rates = bell_counts(joint, settings, det, _stage_seed(config, 1), pair_rate=rate)
     s_value, sigma = bell_parameter(counts, settings)
     ctx.mark("scan")
@@ -250,10 +250,9 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     joint = _state(config, max(abs(e) for e in ell_values))
     ctx.mark("build_state")
     target_ket = restricted_ket(joint, ell_values)
-    rho_true = np.outer(target_ket, target_ket.conj())
     # setting a * m + b pairs arm ket a with arm ket b
     kets, labels = arm_projectors(d, ell_values)
-    scan = run_tomography_experiment(rho_true, kets, config.detector(),
+    scan = run_tomography_experiment(target_ket, kets, config.detector(),
                                      _stage_seed(config, 0),
                                      flux=config["experiment.pair_rate"])
     ctx.mark("counts")

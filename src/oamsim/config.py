@@ -199,6 +199,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("the largest count mean (detector.efficiency^2 * experiment.pair_rate + detector.singles_1"
                         " * detector.singles_2 * detector.gate_ns * 1e-9) * detector.integration_s"
                         f" must not exceed 1e15 (got {largest_mean})")
+    # each window key bounds only the window of the runner that reads it
     for key in ("source.ell_max", "experiment.epr_ell_max"):
         if not 0 <= v[key] <= ELL_WINDOW_CAP:
             problems.append(f"{key} must lie in [0, {ELL_WINDOW_CAP}] (got {v[key]})")
@@ -212,10 +213,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     # offset run of that map takes 2.2-3.9 s and 83 MB peak RSS, growing with the row count
     if not 8 <= v["experiment.angular_points"] <= 1024:
         problems.append(f"experiment.angular_points must lie in [8, 1024] (got {v['experiment.angular_points']})")
-    if v["bell.ell"] < 1:
-        problems.append(f"bell.ell must be a positive integer (got {v['bell.ell']})")
-    if v["bell.ell"] > v["source.ell_max"]:
-        problems.append("bell.ell must not exceed source.ell_max")
+    if not 1 <= v["bell.ell"] <= ELL_WINDOW_CAP:
+        problems.append(f"bell.ell must lie in [1, {ELL_WINDOW_CAP}] (got {v['bell.ell']})")
     if not 4 <= v["bell.curve_points"] <= 2**20:
         problems.append(f"bell.curve_points must lie in [4, 2^20] (got {v['bell.curve_points']})")
     d = v["tomo.d"]
@@ -230,8 +229,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append(f"tomo.ell_values must list exactly tomo.d = {d} values (got {len(ells)})")
     if len(set(ells)) != len(ells):
         problems.append("tomo.ell_values must be distinct")
-    if any(abs(e) > v["source.ell_max"] for e in ells):
-        problems.append("tomo.ell_values must lie within [-source.ell_max, source.ell_max]")
+    if any(abs(e) > ELL_WINDOW_CAP for e in ells):
+        problems.append(f"tomo.ell_values must lie within [-{ELL_WINDOW_CAP}, {ELL_WINDOW_CAP}]")
     if any(-e not in ells for e in ells):
         problems.append("tomo.ell_values must be closed under negation (opposite-helicity pairing)")
     if not 2 <= v["ring.points"] <= 2**20:

@@ -1,16 +1,16 @@
 """The measurements: spiral bandwidth, angular correlations, EPR-Reid, Bell, tomography.
 
-Every scan takes the two-photon state as the joint matrix of
-``spdc.build_state`` and the pair rate that turns its probabilities into
-ideal rates.  It forms the rates of its whole grid of settings as one array
-and samples every count with one ``sample_counts`` call; a count depends only
-on the seed and its setting's position.  Bell analyzers and tomography
-superpositions are rows of ``analyzer_kets``; a tomography setting pairs two
-arm kets of ``arm_projectors``, at rates from ``born_probabilities``.  The
-statistics helpers operate on counts and are reused by the command-line
-runner: the spiral width from a closed-form fit of the geometric spectrum,
-the conditional-variance product from the moments of the two conditional
-scans, and the Bell parameter, the last two with their Poisson errors.
+Every scan projects a pure two-photon state onto one analyzer ket per arm,
+and ``analyzer_rates`` alone turns amplitudes into ideal rates:
+pair_rate |A* J B*^T|^2 for the amplitude matrix J, with the analyzer kets
+the rows of A and B.  A scan only builds its rows: one-hot OAM rows
+(spiral), sector coefficients (angular), ``analyzer_kets`` on the ±ell block
+(Bell) and the arm kets of ``arm_projectors`` on the tomography block.  One
+``sample_counts`` call samples its counts; a count depends only on the seed
+and its setting's position.  The statistics helpers operate on counts: the
+spiral width from a closed-form fit of the geometric spectrum, the
+conditional-variance product from the moments of the two conditional scans,
+and the Bell parameter, the last two with their Poisson errors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .modes import sector_coefficients
 from .spdc import DetectorConfig, accidentals, ell_index, restricted_ket, sample_counts
-from .tomography import born_probabilities
 
 
 @dataclass(frozen=True)
@@ -61,43 +60,48 @@ def _scan(axis_names, axis_values, rates: np.ndarray, det: DetectorConfig, seed:
                       accidentals(det) * det.integration_time)
 
 
+def analyzer_rates(amplitudes, rows_a, rows_b, pair_rate: float) -> np.ndarray:
+    """Ideal rates pair_rate |A* J B*^T|^2: entry (a, b) is pair_rate |<a b|psi>|^2.
+
+    J = ``amplitudes``, J[s, i] the amplitude of |s>|i>; the rows of
+    ``rows_a`` (A) and ``rows_b`` (B) are the analyzer kets of arms A and B.
+    """
+    amps = np.conj(rows_a) @ amplitudes @ np.conj(rows_b).T
+    return pair_rate * np.abs(amps) ** 2
+
+
 def spiral_scan(joint: np.ndarray, ells_a, ells_b, det: DetectorConfig,
                 seed: int, pair_rate: float) -> ScanResult:
     """Coincidence matrix over projector pairs (ell_A, ell_B).
 
-    Ideal rates are pair_rate times the joint OAM probabilities of the state;
-    the anti-diagonal of a square scan is the spiral spectrum.
+    One-hot analyzer rows give pair_rate times the joint OAM probabilities of
+    the state; the anti-diagonal of a square scan is the spiral spectrum.
     """
-    ells_a = np.asarray(ells_a, dtype=int)
-    ells_b = np.asarray(ells_b, dtype=int)
-    probs = np.abs(joint[np.ix_(ell_index(joint, ells_a), ell_index(joint, ells_b))]) ** 2
+    ells_a, ells_b = (np.asarray(ells, dtype=int) for ells in (ells_a, ells_b))
+    basis = np.eye(len(joint))
+    rates = analyzer_rates(joint, basis[ell_index(joint, ells_a)], basis[ell_index(joint, ells_b)], pair_rate)
     return _scan(("ell_a", "ell_b"), (ells_a.astype(float), ells_b.astype(float)),
-                 pair_rate * probs, det, seed)
+                 rates, det, seed)
 
 
 def angular_scan(joint: np.ndarray, width: float, orientations_a, orientations_b,
                  det: DetectorConfig, seed: int, pair_rate: float) -> ScanResult:
     """Coincidence map over sector-hologram orientations (beta_A, beta_B).
 
-    Rates are computed in the OAM basis: the two sector projectors enter
-    through their azimuthal Fourier coefficients, truncated to the state
-    support and normalized to unit vectors there, one row per orientation.
+    Rates are computed in the OAM basis: an arm's analyzer kets are the
+    conjugated azimuthal Fourier coefficients of its sector projectors,
+    truncated to the state support and normalized there, one per orientation.
     """
     orientations_a = np.asarray(orientations_a, dtype=float)
     orientations_b = np.asarray(orientations_b, dtype=float)
     ells = np.arange(len(joint)) - len(joint) // 2
 
-    def arm_coeffs(betas):
+    def arm_rows(betas):
         vecs = sector_coefficients(betas[:, None], width, ells)
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        return vecs / norms
+        return np.conj(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
 
-    ca = arm_coeffs(orientations_a)
-    cb = arm_coeffs(orientations_b)
-    # amplitude(beta_a, beta_b) = sum_{ls, li} joint[ls, li] c_ls(beta_a) c_li(beta_b)
-    amps = ca @ joint @ cb.T
-    return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b),
-                 pair_rate * np.abs(amps) ** 2, det, seed)
+    rates = analyzer_rates(joint, arm_rows(orientations_a), arm_rows(orientations_b), pair_rate)
+    return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b), rates, det, seed)
 
 
 def _conditional(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,6 +247,7 @@ class BellSettings:
         if self.ell < 1:
             raise ValueError("ell must be a positive integer")
 
+    # an alias of the constructor, kept only because bench/checks.py calls it
     @classmethod
     def canonical(cls, ell: int) -> "BellSettings":
         return cls(ell)
@@ -274,27 +279,19 @@ def analyzer_kets(phases) -> np.ndarray:
     return np.stack([np.ones_like(phases), np.exp(1j * phases)], axis=-1) / math.sqrt(2.0)
 
 
-def bell_probability(joint: np.ndarray, ell: int, theta_a, theta_b) -> np.ndarray:
-    """Joint projection probabilities onto analyzers rotated to theta_a and theta_b.
-
-    The state enters as its normalized ket over {|+ell>, |-ell>} in each arm;
-    theta_a and theta_b broadcast against each other, and the result has
-    their broadcast shape.
-    """
+def _bell_rates(joint: np.ndarray, ell: int, thetas_a, thetas_b, pair_rate: float) -> np.ndarray:
+    """Rates of analyzer A at each of thetas_a with B at each of thetas_b, on the normalized ±ell block."""
     if ell == 0:
         raise ValueError("the Bell sector requires ell != 0")
-    psi = restricted_ket(joint, [ell, -ell]).reshape(2, 2)
-    va = analyzer_kets(2 * ell * np.asarray(theta_a, dtype=float))
-    vb = analyzer_kets(2 * ell * np.asarray(theta_b, dtype=float))
-    amps = np.sum((va.conj() @ psi) * vb.conj(), axis=-1)
-    return np.abs(amps) ** 2
+    rows_a, rows_b = (analyzer_kets(2 * ell * np.ravel(thetas)) for thetas in (thetas_a, thetas_b))
+    return analyzer_rates(restricted_ket(joint, [ell, -ell]).reshape(2, 2), rows_a, rows_b, pair_rate)
 
 
 def bell_curve(joint: np.ndarray, ell: int, theta_a: float, thetas_b,
                det: DetectorConfig, seed: int, pair_rate: float) -> ScanResult:
     """Coincidence fringe: analyzer A fixed at theta_a, analyzer B swept."""
     thetas_b = np.asarray(thetas_b, dtype=float)
-    rates = pair_rate * bell_probability(joint, ell, theta_a, thetas_b)
+    rates = _bell_rates(joint, ell, theta_a, thetas_b, pair_rate)[0]
     return _scan(("theta_b",), (thetas_b,), rates, det, seed)
 
 
@@ -305,7 +302,8 @@ def bell_counts(joint: np.ndarray, settings: BellSettings, det: DetectorConfig,
     Entry (k, c) is setting (k, c) of :meth:`BellSettings.orientations`.
     Returns (counts, ideal rates), both shaped (4, 4).
     """
-    rates = pair_rate * bell_probability(joint, settings.ell, *settings.orientations())
+    rates = _bell_rates(joint, settings.ell, *settings.orientations(), pair_rate)
+    rates = np.diagonal(rates).reshape(4, 4).copy()
     return sample_counts(rates, det, seed), rates
 
 
@@ -366,14 +364,15 @@ def arm_projectors(d: int, ell_values) -> tuple[np.ndarray, list[str]]:
     return kets, labels
 
 
-def run_tomography_experiment(rho, kets, det: DetectorConfig, seed: int,
+def run_tomography_experiment(ket, kets, det: DetectorConfig, seed: int,
                               flux: float) -> ScanResult:
     """Sampled coincidence counts of a tomography campaign, one per setting.
 
     Setting a * m + b pairs rows a and b of the m arm kets ``kets``, at ideal
-    rate flux * <ab| rho |ab>, and the scan's one axis, ``setting``, is its
-    index; counts are Poisson samples with detector efficiency and
-    accidentals, and a count depends only on the seed and that index."""
-    # round-off can leave <ab|rho|ab> a hair below zero for a setting orthogonal to rho
-    rates = flux * np.clip(born_probabilities(kets, rho).ravel(), 0.0, None)
+    rate flux |<ab|ket>|^2 for the pure state's d^2 amplitudes ``ket`` in kron
+    order, and the scan's one axis, ``setting``, is its index; counts are
+    Poisson samples with detector efficiency and accidentals, and a count
+    depends only on the seed and that index."""
+    d = np.shape(kets)[-1]
+    rates = analyzer_rates(np.reshape(ket, (d, d)), kets, kets, flux).ravel()
     return _scan(("setting",), (np.arange(len(rates)),), rates, det, seed)

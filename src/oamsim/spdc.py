@@ -3,7 +3,9 @@
 The two-photon state is a plain complex matrix over the orbital angular
 momenta ells = -ell_max, ..., ell_max: ``joint[i, j]`` is the amplitude of
 |ells[i]>|ells[j]>, with unit total probability; ``restricted_ket`` cuts a
-subspace's ket out of it.  Aligned, only the pairs |ell>|-ell> are
+subspace's ket out of it.  Either is the J of the one rate kernel, every
+ideal rate pair_rate |A* J B*^T|^2 (``experiments.analyzer_rates``) with
+the analyzer kets as rows of A and B.  Aligned, only the pairs |ell>|-ell> are
 populated; a lateral signal offset fills the ones OAM conservation forbids.
 It pairs a Gaussian pump with p = 0 Laguerre-Gaussian measurement modes at
 the crystal plane (thin-crystal approximation) and depends on the pump only

@@ -8,7 +8,9 @@ the runner's one table writer and read back by ``load_density_matrix``.  A
 setting pairs two rows |a>, |b> of one (m, d) array of arm kets, at rate
 <ab|rho|ab>.  The joint design of the m^2 settings is P (x) P, P the arm
 design, up to the permutation ``_realign``; it is never formed, and
-``born_probabilities`` gives all the rates as one (m, m) array.
+``born_probabilities`` gives all the rates of a mixed rho as one (m, m)
+array, the model ``reconstruct`` fits; the pure state that a run samples
+takes its rates from the one kernel, ``experiments.analyzer_rates``.
 ``reconstruct`` minimizes the count-weighted chi-square over sigma = N rho
 (flux times density matrix), a convex quadratic on the positive-semidefinite
 cone, by accelerated projected gradient with adaptive restart (FISTA; Beck &

@@ -386,8 +386,9 @@ def bell_probability(joint, ell: int, theta_a: float, theta_b: float) -> float:
 
     Built from the pair amplitudes of |ell, -ell> and |-ell, ell> in the joint
     matrix over ells = -ell_max, ..., ell_max, normalized over the two, one
-    orientation at a time.  Checks the array ``experiments.bell_probability``
-    on aligned states.
+    orientation at a time.  Checks ``experiments.analyzer_rates`` on the Bell
+    rows, ``experiments.analyzer_kets`` on the normalized {|+ell>, |-ell>}
+    block, on aligned states.
     """
     m = len(joint) // 2
     i, j = m + ell, m - ell
@@ -403,8 +404,9 @@ def tomography_probabilities(arm_kets, rho) -> np.ndarray:
     """Re <ab| rho |ab> for every pair of arm kets (a, b), a varying slowest.
 
     One explicit kron product and one matrix-vector product per setting.
-    Checks ``tomography.born_probabilities``, whose (m, m) array on the arm
-    kets of ``experiments.arm_projectors`` is this list in C order.
+    Checks the (m, m) arrays on the arm kets of ``experiments.arm_projectors``
+    that are this list in C order: ``tomography.born_probabilities`` for any
+    rho, and ``experiments.analyzer_rates`` at unit pair rate for a pure rho.
     """
     rho = np.asarray(rho, dtype=complex)
     probs = []

@@ -298,6 +298,36 @@ def test_validate_epr_ell_max_bound(capsys, ell_max, code):
     assert ("experiment.epr_ell_max" in out) == bool(code)
 
 
+# each window key bounds the window of the runner that reads it, and no other key:
+# source.ell_max is the spiral window only
+@pytest.mark.parametrize("overrides, code", [
+    (["source.ell_max=0"], 0),
+    (["bell.ell=0"], 1),
+    (["bell.ell=1", "source.ell_max=0"], 0),
+    (["bell.ell=20", "source.ell_max=5"], 0),
+    (["bell.ell=21"], 1),
+])
+def test_validate_bell_ell_bound(capsys, overrides, code):
+    assert main(["validate", *(arg for item in overrides for arg in ("--set", item))]) == code
+    out = capsys.readouterr().out
+    assert ("bell.ell" in out) == bool(code)
+
+
+@pytest.mark.parametrize("ells, code", [("20,-20", 0), ("21,-21", 1), ("-21,21", 1),
+                                        ("20,0,-20", 0), ("21,0,-21", 1)])
+def test_validate_tomo_ell_values_bound(capsys, ells, code):
+    d = len(ells.split(","))
+    assert main(["validate", "--set", f"tomo.d={d}", "--set", f"tomo.ell_values={ells}",
+                 "--set", "source.ell_max=0"]) == code
+    out = capsys.readouterr().out
+    assert ("tomo.ell_values" in out) == bool(code)
+
+
+@pytest.mark.parametrize("command, window", [("bell", "bell.ell=20"), ("tomo", "tomo.ell_values=20,-20")])
+def test_windows_beyond_source_ell_max_run(tmp_path, command, window):
+    assert main([command, "--set", window, "--set", "source.ell_max=0", "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("key, value, code", [
     ("experiment.angular_points", 7, 1), ("experiment.angular_points", 8, 0),
     ("experiment.angular_points", 1024, 0), ("experiment.angular_points", 1025, 1),
@@ -555,9 +585,15 @@ def summary_row(path):
 @pytest.mark.parametrize("ell_max", [1, 2, 3])
 def test_spiral_runs_at_smallest_windows(tmp_path, ell_max):
     # three bins of the anti-diagonal already give the fitted slope two |ell| values
-    assert main(["spiral", "--set", f"source.ell_max={ell_max}", "--set", "bell.ell=1",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["spiral", "--set", f"source.ell_max={ell_max}", "--out", str(tmp_path)]) == 0
     assert float(summary_row(tmp_path / "spiral_summary.csv")["fwhm"]) > 0.0
+
+
+def test_spiral_runs_at_one_bin_window(tmp_path):
+    # one |ell| value leaves no slope to fit: the width is nan and flagged
+    assert main(["spiral", "--set", "source.ell_max=0", "--out", str(tmp_path)]) == 0
+    row = summary_row(tmp_path / "spiral_summary.csv")
+    assert (row["fwhm"], row["window_limited"]) == ("nan", "true")
 
 
 @pytest.mark.parametrize("gamma, limited", [("1e6", "true"), ("2", "true"), ("1", "false"),

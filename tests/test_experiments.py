@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from oamsim import experiments
+from oamsim.cli import main
 from oamsim.experiments import (
     BellSettings,
     ScanResult,
     analyzer_kets,
+    analyzer_rates,
     angular_scan,
     arm_projectors,
     bell_counts,
     bell_curve,
     bell_parameter,
-    bell_probability,
     conditional_profile,
     conditional_variance,
     epr_reid,
@@ -24,9 +26,9 @@ from oamsim.experiments import (
     spiral_scan,
     spiral_spectrum,
 )
-from oamsim.spdc import DetectorConfig
+from oamsim.spdc import DetectorConfig, build_state, restricted_ket
 from oamsim.tomography import _arm_design
-from oracles import analyzer_ket, joint_design
+from oracles import analyzer_ket, joint_design, tomography_probabilities
 from oracles import bell_probability as bell_probability_oracle
 
 QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
@@ -48,6 +50,72 @@ def bell_pair_state(ell=1):
     amps = np.zeros(2 * ell + 1, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return pair_state(amps)
+
+
+def bell_probabilities(joint, ell, thetas_a, thetas_b):
+    """The rate kernel at unit pair rate on the Bell rows: analyzers rotated to
+    each of thetas_a in arm A and to each of thetas_b in arm B, on the state's
+    normalized {|+ell>, |-ell>} block, shaped (len(thetas_a), len(thetas_b))."""
+    rows_a, rows_b = (analyzer_kets(2 * ell * np.atleast_1d(thetas)) for thetas in (thetas_a, thetas_b))
+    return analyzer_rates(restricted_ket(joint, [ell, -ell]).reshape(2, 2), rows_a, rows_b, 1.0)
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestAnalyzerRates:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 6), n_b=st.integers(1, 6),
+           k_a=st.integers(1, 5), k_b=st.integers(1, 5), pair_rate=st.floats(1e-3, 1e9))
+    def test_matches_per_setting_kron(self, seed, n_a, n_b, k_a, k_b, pair_rate):
+        # a rectangular J, so that a transposed or swapped product cannot pass
+        rng = np.random.default_rng(seed)
+        joint = random_complex(rng, n_a, n_b)
+        rows_a, rows_b = random_complex(rng, k_a, n_a), random_complex(rng, k_b, n_b)
+        got = analyzer_rates(joint, rows_a, rows_b, pair_rate)
+        want = np.array([[pair_rate * abs(np.vdot(np.kron(a, b), joint.ravel())) ** 2
+                          for b in rows_b] for a in rows_a])
+        assert got.shape == (k_a, k_b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("gamma, offset", [(1e-300, 0.0), (0.1, 0.0), (2.0, 0.0), (1e6, 0.0),
+                                               (1e-3, 10.0), (2.0, 0.1), (0.5, 3.0)])
+    @pytest.mark.parametrize("ell_max", [0, 3, 20])
+    def test_one_hot_rows_give_joint_probabilities_exactly(self, gamma, offset, ell_max):
+        joint = build_state(gamma, ell_max, offset)
+        rows = np.eye(len(joint))
+        ia, ib = np.arange(len(joint)), np.arange(len(joint))[::2]
+        want = 3e4 * np.abs(joint[np.ix_(ia, ib)]) ** 2
+        assert np.array_equal(analyzer_rates(joint, rows[ia], rows[ib], 3e4), want)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_arm_kets_match_born_rule_on_pure_state(self, d):
+        rng = np.random.default_rng(40 + d)
+        ket = random_complex(rng, d * d)
+        ket /= np.linalg.norm(ket)
+        kets, _ = arm_projectors(d, range(d))
+        got = analyzer_rates(ket.reshape(d, d), kets, kets, 1.0).ravel()
+        want = tomography_probabilities(kets, np.outer(ket, ket.conj()))
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+    def test_spiral_and_epr_reid_ell_scans_share_rates(self, tmp_path, monkeypatch):
+        # at one window the (ell, 0) cells have one ideal rate in both runners; an
+        # offset signal arm populates the cells ell != 0 as well
+        rates = {}
+        real = experiments.sample_counts
+
+        def spy(ideal, det, seed):
+            rates.setdefault(command, ideal)
+            return real(ideal, det, seed)
+
+        monkeypatch.setattr(experiments, "sample_counts", spy)
+        for command, window in (("spiral", "source.ell_max"), ("epr-reid", "experiment.epr_ell_max")):
+            assert main([command, "--set", f"{window}=5", "--set", "source.signal_offset_waists=0.3",
+                         "--out", str(tmp_path / command)]) == 0
+        assert rates["epr-reid"].shape == (11, 1)
+        assert np.count_nonzero(rates["epr-reid"]) == 11
+        assert np.array_equal(rates["spiral"][:, [5]], rates["epr-reid"])
 
 
 class TestSpiralScan:
@@ -296,7 +364,7 @@ class TestBell:
     def test_probability_law(self):
         state = bell_pair_state(ell=2)
         ta, tb = np.array([0.0, 0.1, 0.3]), np.array([0.0, 0.45, -0.2])
-        got = bell_probability(state, 2, ta, tb)
+        got = np.diagonal(bell_probabilities(state, 2, ta, tb))
         assert got == pytest.approx(0.5 * np.cos(2 * (ta - tb)) ** 2, abs=1e-12)
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -306,14 +374,14 @@ class TestBell:
         amps = 0.8 ** np.abs(ells) * np.exp(0.7j * ells)
         state = pair_state(amps / np.linalg.norm(amps))
         thetas = np.linspace(-math.pi, math.pi, 37)
-        got = bell_probability(state, ell, thetas[:, None], thetas[None, :])
+        got = bell_probabilities(state, ell, thetas, thetas)
         want = [[bell_probability_oracle(state, ell, ta, tb) for tb in thetas] for ta in thetas]
         assert np.max(np.abs(got - np.array(want))) < 1e-14
 
     def test_curve_zeros_and_visibility(self):
         state = bell_pair_state(ell=1)
-        assert bell_probability(state, 1, 0.0, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
-        assert bell_probability(state, 1, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert bell_probabilities(state, 1, 0.0, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert bell_probabilities(state, 1, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_noiseless_curve_fits_cos_squared(self):
         ell = 3
@@ -384,8 +452,8 @@ class TestBell:
         amps = np.zeros(7, dtype=complex)
         amps[6], amps[0] = 1.0 / math.sqrt(2.0), np.exp(1.5j) / math.sqrt(2.0)
         state = pair_state(amps)
-        assert bell_probability(state, 3, 0.25, 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert bell_probability(state, 3, 0.25 + math.pi / 6, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert bell_probabilities(state, 3, 0.25, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert bell_probabilities(state, 3, 0.25 + math.pi / 6, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert analyzer_kets(1.5) == pytest.approx(np.array([1.0, np.exp(1.5j)]) / math.sqrt(2.0))
 
 
@@ -437,11 +505,10 @@ class TestTomographySettings:
 class TestRunTomographyExperiment:
     def setup_method(self):
         self.psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-        self.rho = np.outer(self.psi, self.psi.conj())
         self.kets, _ = arm_projectors(2, [1, -1])
 
     def test_one_axis_of_setting_positions(self):
-        scan = run_tomography_experiment(self.rho, self.kets, NOISY_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=5, flux=1e4)
         assert scan.axis_names == ("setting",)
         assert np.array_equal(scan.axis_values[0], np.arange(36))
         assert len(scan) == 36
@@ -450,17 +517,17 @@ class TestRunTomographyExperiment:
 
     def test_orthogonal_setting_sees_only_accidentals(self):
         # (|l>, |l>) projects onto |00>, orthogonal to the pair state
-        scan = run_tomography_experiment(self.rho, self.kets, QUIET_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.psi, self.kets, QUIET_DET, seed=5, flux=1e4)
         assert scan.ideal[0] == pytest.approx(0.0, abs=1e-12)
         assert scan.counts[0] == 0
 
     def test_matched_setting_rate(self):
-        scan = run_tomography_experiment(self.rho, self.kets, QUIET_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.psi, self.kets, QUIET_DET, seed=5, flux=1e4)
         # setting index 1 is (|l>, |-l>)
         assert scan.ideal[1] == pytest.approx(5e3, rel=1e-12)
 
     def test_seed_reproducibility(self):
-        a = run_tomography_experiment(self.rho, self.kets, NOISY_DET, seed=9, flux=1e4)
-        b = run_tomography_experiment(self.rho, self.kets, NOISY_DET, seed=9, flux=1e4)
+        a = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=9, flux=1e4)
+        b = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=9, flux=1e4)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.ideal, b.ideal)

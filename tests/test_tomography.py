@@ -64,8 +64,15 @@ def werner(p):
 
 
 def ideal_rates(rho, kets, flux):
-    """Noiseless counts: the ideal rate of every setting of a tomography run."""
-    return run_tomography_experiment(rho, kets, QUIET_DET, seed=0, flux=flux).ideal
+    """Noiseless counts of every setting on a density matrix, by the mixed-state
+    Born rule that ``reconstruct`` fits."""
+    return flux * born_probabilities(kets, rho).ravel()
+
+
+def pure_rates(ket, kets, flux):
+    """Noiseless counts of every setting of a tomography run on a pure state, the
+    ideal rates the runner samples."""
+    return run_tomography_experiment(ket, kets, QUIET_DET, seed=0, flux=flux).ideal
 
 
 def random_state(d, seed):
@@ -171,7 +178,7 @@ class TestReconstruct:
     def test_noiseless_round_trip(self):
         rho_true = bell_density()
         # noiseless: replace sampled counts by exact means
-        counts = ideal_rates(rho_true, QUBIT_KETS, 1e4)
+        counts = pure_rates(cross_entangled_ket(2), QUBIT_KETS, 1e4)
         assert counts.shape == (36,)
         report = reconstruct(counts, QUBIT_KETS, d=2)
         assert isinstance(report, ReconstructionReport)
@@ -195,7 +202,8 @@ class TestReconstruct:
 
     def test_noisy_round_trip(self):
         rho_true = bell_density()
-        scan = run_tomography_experiment(rho_true, QUBIT_KETS, NOISY_DET, seed=3, flux=1e4)
+        scan = run_tomography_experiment(cross_entangled_ket(2), QUBIT_KETS, NOISY_DET, seed=3,
+                                         flux=1e4)
         report = reconstruct(scan.counts, QUBIT_KETS, d=2)
         assert fidelity(report.rho, rho_true) > 0.99
         assert linear_entropy(report.rho) < 0.02
@@ -254,7 +262,7 @@ class TestReconstruct:
     def test_qutrit_round_trip(self, d):
         kets, _ = arm_projectors(d, ELLS[d])
         rho_true = bell_density(d)
-        counts = ideal_rates(rho_true, kets, 1e4)
+        counts = pure_rates(cross_entangled_ket(d), kets, 1e4)
         report = reconstruct(counts, kets, d=d)
         assert fidelity(report.rho, rho_true) > 1.0 - 1e-6
 
@@ -295,8 +303,7 @@ class TestReconstruct:
         # step 1/L would need: 3.1 MB at d = 5 and 46 MB at d = 7
         kets, _ = arm_projectors(d, ELLS[d])
         ket = maximally_entangled_ket(ELLS[d])
-        scan = run_tomography_experiment(np.outer(ket, ket.conj()), kets, NOISY_DET, seed=1,
-                                         flux=3e4)
+        scan = run_tomography_experiment(ket, kets, NOISY_DET, seed=1, flux=3e4)
         tracemalloc.start()
         try:
             reconstruct(scan.counts, kets, d=d)
