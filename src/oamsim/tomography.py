@@ -13,26 +13,36 @@ array, the model ``reconstruct`` fits; the pure state that a run samples
 takes its rates from the one kernel, ``experiments.analyzer_rates``.
 ``reconstruct`` minimizes the count-weighted chi-square over sigma = N rho
 (flux times density matrix), a convex quadratic on the positive-semidefinite
-cone, by accelerated projected gradient with adaptive restart (FISTA; Beck &
-Teboulle, SIAM J. Imaging Sci. 2, 183, 2009).  Its step backtracks both ways:
-the curvature estimate doubles when a step fails its test and shrinks after
-each accepted one (Scheinberg, Goldfarb & Bai, Found. Comput. Math. 14, 389,
-2014).  The projection clips eigenvalues (Smolin, Gambetta & Smith, PRL 108,
-070502, 2012).  The metrics are closed forms: the linear entropy is a trace,
-and the two-qubit concurrence one eigendecomposition and one SVD.
+cone.  It writes sigma = T T^H with T a full d^2 x d^2 complex factor, the
+Cholesky-factor parametrisation of James et al. (PRA 64, 052312, 2001), which
+needs no projection, and runs L-BFGS on T (Liu & Nocedal, Math. Program. 45,
+503, 1989).  With T square a local minimum of the factored problem is a global
+one of the convex problem (Burer & Monteiro, Math. Program. 95, 329, 2003).
+The rates along a search line are quadratic in the step length, so chi^2 on
+it is an exact quartic, minimized without another Born product.  The metrics
+are closed forms: the linear entropy is a trace, and the two-qubit
+concurrence one eigendecomposition and one SVD.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-# reconstruct stops once a step lowers chi^2 by at most this relative amount,
-# or after MAX_ITERATIONS steps (then it reports converged = False)
+# reconstruct stops once its last WINDOW steps together lower chi^2 by at most
+# this relative amount, or after MAX_ITERATIONS steps (then it reports
+# converged = False).  Of windows of 2, 3, 5 and 8 steps, 5 is the shortest
+# that ended at or below FISTA's chi^2 on all nine pinned test runs
 TOLERANCE = 1e-12
+WINDOW = 5
 MAX_ITERATIONS = 10000
+# the steps and gradient changes L-BFGS keeps; of 8, 16, 24 and 32, 24 was the
+# fastest, or within a few percent of it, on d = 2 inputs and on d = 5 and 7
+# runs at pair rates 3e4 to 1e12
+MEMORY = 24
 
 # Minimal pure-state fraction p of the isotropic two-qudit state
 # p |Phi><Phi| + (1 - p) I / d^2 above which it violates the d-dimensional Bell
@@ -118,25 +128,42 @@ def born_probabilities(kets, rho) -> np.ndarray:
     return _born(_arm_design(kets), _realign(rho, d))
 
 
+def _factor_gradient(design_conj, perm, weighted, t) -> np.ndarray:
+    """The chi^2 gradient in the factor T of sigma = T T^H at the weighted residuals
+    W (C - p): -4 D T, with D = P^H W (C - p) P^*, realigned, minus half the
+    chi^2 gradient in sigma.  ``perm`` realigns the d^4 entries (``_realign``)."""
+    dim = len(t)
+    return -4.0 * ((design_conj.T @ weighted @ design_conj).ravel()[perm].reshape(dim, dim) @ t)
+
+
 def reconstruct(counts, kets, d: int) -> ReconstructionReport:
     """Reconstruct the two-qudit density matrix from coincidence counts.
 
     Count a * m + b of the (m^2,) ``counts`` was measured at setting
     |a> (x) |b>, a and b rows of the (m, d) ``kets``.  Minimizes
     chi^2 = sum_ab (C_ab - <ab|sigma|ab>)^2 / (C_ab + 1) over sigma = N rho,
-    N the photon flux, by FISTA with adaptive restart.  Realigned, the joint
-    design A is P (x) P, P the arm design, of full rank when P has rank d^2.
-    The step 1/(2 G) backtracks: G starts at the curvature along the first
-    descent direction, below lambda_max(A^H W A) for W = diag(1 / (C + 1)).
-    It doubles, the step redone and not counted, while
-    sum W (A step)^2 > G |step|^2: chi^2 is quadratic, so this test of
-    sufficient decrease is exact.  After each accepted step G shrinks by a
-    fixed factor, so the step follows the curvature along the iterates rather
-    than the largest one met so far.  The start is the linear inversion
-    pinv(P) C pinv(P)^T, realigned, clipped to the cone and scaled by its
-    best flux.  The solve stops when a step lowers chi^2 by at most a relative
-    TOLERANCE (converged) or after MAX_ITERATIONS steps; then N = Tr sigma
-    and rho = sigma / N (maximally mixed when N = 0).
+    N the photon flux.  Realigned, the joint design A is P (x) P, P the arm
+    design, of full rank when P has rank d^2; one SVD of P gives both that rank
+    (with the tolerance of ``np.linalg.matrix_rank``) and pinv(P).
+
+    sigma = T T^H, T a full-rank d^2 x d^2 complex matrix, and L-BFGS runs on
+    T's real and imaginary parts.  The start is the linear inversion
+    pinv(P) C pinv(P)^T, realigned, clipped to the cone and scaled by its best
+    flux; with V diag(w) V^H its eigendecomposition, T_0 = V diag(sqrt(w)),
+    each w floored at 1e-6 of the largest: a zero column of T gets a zero
+    gradient and would stay zero.  The gradient is -4 D T (``_factor_gradient``).  Along
+    a direction S the rates are p + alpha p1 + alpha^2 p2, p1 those of
+    T S^H + S T^H and p2 those of S S^H, so chi^2(alpha) is an exact quartic:
+    two Born products give it, and safeguarded Newton steps on its derivative
+    take alpha to a local minimum (``_quartic_minimum``).  The direction is
+    the compact L-BFGS product with the last MEMORY steps and gradient changes.
+
+    The solve stops (converged) once the last WINDOW steps (all of them, when
+    fewer) together lowered chi^2 by at most a relative TOLERANCE, since one
+    short step of a quasi-Newton run does not mark its end, or at once when chi^2 is down to
+    the round-off of rates within a relative d^2 eps of the counts, which no
+    relative test can resolve; otherwise after MAX_ITERATIONS steps.  Then N = Tr sigma and
+    rho = sigma / N (maximally mixed when N = 0).
     """
     m = len(kets)
     counts = np.asarray(counts, dtype=float)
@@ -148,7 +175,8 @@ def reconstruct(counts, kets, d: int) -> ReconstructionReport:
         raise ValueError("counts must be finite and non-negative")
     dim = d * d
     design = _arm_design(kets)
-    rank = np.linalg.matrix_rank(design)
+    u, sv, vh = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * max(design.shape) * np.finfo(float).eps))
     if rank < dim:
         raise ValueError(f"arm kets span rank {rank} < {dim}; not informationally complete")
     counts = counts.reshape(m, m)
@@ -157,59 +185,106 @@ def reconstruct(counts, kets, d: int) -> ReconstructionReport:
     perm = _realign(np.arange(dim * dim), d)
     design_conj = design.conj()
 
-    def chi_squared(p):
-        return float((w2 * (counts - p) ** 2).sum())
-
-    def descent(p):
-        # minus half the chi^2 gradient at rates p; the step 1/L is 1/(2 G)
-        return (design_conj.T @ (w2 * (counts - p)) @ design_conj).ravel()[perm]
-
-    def project(sigma):
-        w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-        return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-    pinv = np.linalg.pinv(design)
-    x = project(_realign(pinv @ counts @ pinv.T, d))
-    p_x = _born(design, x.ravel()[perm])
-    denom = np.sum(w2 * p_x**2)
-    scale = np.sum(w2 * counts * p_x) / denom if denom > 0 else 0.0
-    x, p_x = x * scale, p_x * scale
-    chi2 = chi_squared(p_x)
-    g = descent(p_x)  # g = 0 only at an optimal start, where any G will do
-    gram = np.sum(w2 * _born(design, g.ravel()[perm]) ** 2) / np.vdot(g, g).real if g.any() else 1.0
-    # the rates are linear in sigma, so those at y and x_next follow from steps' rates
-    y, p_y, t = x, p_x, 1.0
-    iterations, converged = 0, False
+    pinv = (vh.conj().T / sv) @ u.conj().T
+    w, v = np.linalg.eigh(_realign(pinv @ counts @ pinv.T, d))
+    w = np.maximum(w, 0.0)
+    p = _born(design, ((v * w) @ v.conj().T).ravel()[perm])
+    denom = np.vdot(w2 * p, p)
+    w *= np.vdot(w2 * counts, p) / denom if denom > 0 else 0.0
+    t = v * np.sqrt(np.maximum(w, 1e-6 * w[-1]))
+    p = _born(design, (t @ t.conj().T).ravel()[perm])
+    residual = counts - p
+    chi2 = float(np.vdot(w2 * residual, residual))
+    grad = _factor_gradient(design_conj, perm, w2 * residual, t)
+    # chi^2 of rates within a relative d^2 eps of every count: round-off
+    floor = float(np.vdot(w2, (dim * np.finfo(float).eps * counts) ** 2))
+    # The last MEMORY steps s_i and gradient changes y_i, real vectors in the rows
+    # of a ring, give the compact form of the inverse-Hessian estimate (Byrd,
+    # Nocedal & Schnabel, Math. Program. 63, 129, 1994).  Oldest first, it needs
+    # s_i.y_i, y_i.y_j and the inverse of the upper triangle R_ij = s_i.y_j,
+    # i <= j, which grows and loses a column at a time
+    ring = np.zeros((2 * MEMORY, 2 * dim * dim))  # the s rows, then the y rows
+    yy, r_inv, sy = np.zeros((MEMORY, MEMORY)), np.zeros((MEMORY, MEMORY)), np.zeros(MEMORY)
+    order = []  # ring slots, oldest first
+    recent = deque([chi2], maxlen=WINDOW + 1)  # chi^2 before the last WINDOW steps, and after each
+    iterations, converged = 0, not grad.any()
     while iterations < MAX_ITERATIONS and not converged:
-        x_next = project(y + descent(p_y) / gram)
-        step = x_next - y
-        p_step = _born(design, step.ravel()[perm])
-        if np.vdot(p_step, w2 * p_step) > gram * np.vdot(step, step).real:
-            gram *= 2.0  # the step overshot chi^2, a quadratic: redo it from y
-            continue
+        g = grad.view(float).ravel()
+        if order:
+            k = len(order)
+            sg, yg = (ring @ g).reshape(2, MEMORY)[:, order]
+            gamma = sy[k - 1] / yy[k - 1, k - 1]
+            a = r_inv[:k, :k] @ sg
+            b = (sy[:k] * a + gamma * (yy[:k, :k] @ a - yg)) @ r_inv[:k, :k]
+            coef = np.zeros((2, MEMORY))
+            coef[:, order] = b, -gamma * a
+            g = gamma * g + coef.ravel() @ ring
+        step = -g.view(complex).reshape(dim, dim)
+        # T S^H and S T^H have the same rates, so p1 is twice those of T S^H
+        both = (np.concatenate((t, step)) @ step.conj().T).reshape(2, -1)[:, perm]
+        half_p1, p2 = (design @ both @ design.T).real
+        series = np.array([residual, 2.0 * half_p1, p2]).reshape(3, -1)
+        c = (series * w2.ravel()) @ series.T
+        # chi^2(alpha) = chi^2 - 2 c01 alpha + (c11 - 2 c02) alpha^2 + 2 c12 alpha^3 + c22 alpha^4;
+        # a direction that does not descend, c01 <= 0 by round-off, is not taken
+        alpha = (_quartic_minimum(-2.0 * c[0, 1], 2.0 * (c[1, 1] - 2.0 * c[0, 2]), 6.0 * c[1, 2],
+                                  4.0 * c[2, 2]) if c[0, 1] > 0 else 0.0)
+        t = t + alpha * step
+        p = p + (alpha * series[1] + alpha * alpha * series[2]).reshape(m, m)
+        residual = counts - p
+        weighted = w2 * residual
+        chi2_next = float(np.vdot(weighted, residual))
+        grad_next = _factor_gradient(design_conj, perm, weighted, t)
         iterations += 1
-        # G shrinks after each accepted step, so one region of high curvature does
-        # not shorten every later step.  Of 0.9, 0.95 and 0.98, 0.95 took the fewest
-        # projections on d = 2 inputs; 0.9 took up to 9 % fewer at d = 5 and 7
-        gram *= 0.95
-        p_next = p_y + p_step
-        chi2_next = chi_squared(p_next)
-        if chi2_next > chi2 and t > 1.0:
-            # momentum overshot: restart from the last iterate
-            y, p_y, t = x, p_x, 1.0
-            continue
-        converged = chi2 - chi2_next <= TOLERANCE * chi2
-        if chi2_next <= chi2:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            y = x_next + beta * (x_next - x)
-            p_y = p_next + beta * (p_next - p_x)
-            x, p_x, chi2, t = x_next, p_next, chi2_next, t_next
+        s = alpha * step.view(float).ravel()
+        y = (grad_next - grad).view(float).ravel()
+        s_y = s @ y
+        if s_y > 0:  # a pair without positive curvature would break the estimate
+            if len(order) == MEMORY:
+                slot = order.pop(0)
+                sy[:-1], yy[:-1, :-1], r_inv[:-1, :-1] = sy[1:], yy[1:, 1:], r_inv[1:, 1:]
+            else:
+                slot = len(order)
+            k = len(order)
+            ring[slot], ring[MEMORY + slot], sy[k] = s, y, s_y
+            order.append(slot)
+            s_old_y, yy[:k + 1, k] = (ring @ y).reshape(2, MEMORY)[:, order]
+            yy[k, :k] = yy[:k, k]
+            r_inv[:k, k] = r_inv[:k, :k] @ s_old_y[:k] / -s_y
+            r_inv[k, :k], r_inv[k, k] = 0.0, 1.0 / s_y
+        recent.append(chi2_next)
+        converged = recent[0] - chi2_next <= TOLERANCE * recent[0] or chi2_next <= floor
+        chi2, grad = chi2_next, grad_next
 
-    flux = float(np.trace(x).real)
-    rho = x / flux if flux > 0 else np.eye(dim, dtype=complex) / dim
+    sigma = t @ t.conj().T
+    flux = float(np.trace(sigma).real)
+    rho = sigma / flux if flux > 0 else np.eye(dim, dtype=complex) / dim
     return ReconstructionReport(rho=check_density_matrix(rho, d), chi_squared=chi2,
                                 iterations=iterations, flux=flux, converged=converged)
+
+
+def _quartic_minimum(b0: float, b1: float, b2: float, b3: float) -> float:
+    """A local minimum at alpha > 0 of a quartic whose derivative is the cubic
+    b0 + b1 alpha + b2 alpha^2 + b3 alpha^3, with b0 < 0 < b3.
+
+    Newton steps on the cubic from alpha = 1, the quasi-Newton step, kept inside
+    a bracket at whose ends the cubic is negative and positive: a step that
+    leaves it bisects it, or doubles alpha while no upper end is known.
+    """
+    lo, hi, alpha = 0.0, math.inf, 1.0
+    for _ in range(100):
+        slope = b0 + alpha * (b1 + alpha * (b2 + alpha * b3))
+        if slope < 0:
+            lo = alpha
+        else:
+            hi = alpha
+        if abs(slope) <= 1e-12 * -b0 or hi - lo <= 1e-15 * alpha:
+            break
+        curvature = b1 + alpha * (2.0 * b2 + 3.0 * alpha * b3)
+        alpha = alpha - slope / curvature if curvature > 0 else math.inf
+        if not lo < alpha < hi:
+            alpha = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    return alpha
 
 
 def linear_entropy(rho) -> float:

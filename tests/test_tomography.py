@@ -12,7 +12,11 @@ from oamsim.experiments import arm_projectors, run_tomography_experiment
 from oamsim.spdc import DetectorConfig, build_state, maximally_entangled_ket, restricted_ket
 from oamsim.tomography import (
     BELL_VIOLATION_THRESHOLDS,
+    MAX_ITERATIONS,
     ReconstructionReport,
+    _arm_design,
+    _factor_gradient,
+    _quartic_minimum,
     _realign,
     born_probabilities,
     check_density_matrix,
@@ -27,6 +31,7 @@ from oracles import (
     bell_inequality_value,
     cross_entangled_ket,
     fidelity,
+    fista_reconstruct,
     isotropic_state,
     max_entangled_ket,
     su_compose,
@@ -73,6 +78,13 @@ def pure_rates(ket, kets, flux):
     """Noiseless counts of every setting of a tomography run on a pure state, the
     ideal rates the runner samples."""
     return run_tomography_experiment(ket, kets, QUIET_DET, seed=0, flux=flux).ideal
+
+
+def manifest_steps(out) -> int:
+    """The solver's step count that a `tomo` run wrote to its manifest."""
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    return int(next(line for line in manifest
+                    if line.startswith("diag.reconstruct.iterations = ")).split(" = ")[1])
 
 
 def random_state(d, seed):
@@ -191,8 +203,8 @@ class TestReconstruct:
     def test_noiseless_full_rank_state_takes_one_step(self, d):
         # the linear inversion of exact rates is the state itself, so the solve
         # starts at the optimum; a start at its transpose took 125 (d = 2) and
-        # 251 (d = 3) steps for these states.  At d = 2 rounding puts the first
-        # step past its quadratic bound, and the redone step is not counted
+        # 251 (d = 3) steps for these states.  chi^2 is then round-off, which no
+        # relative test resolves: the solve stops once chi^2 is at that floor
         kets, _ = arm_projectors(d, ELLS[d])
         rho_true = random_state(d, 30 + d)
         report = reconstruct(ideal_rates(rho_true, kets, 1e4), kets, d=d)
@@ -282,20 +294,99 @@ class TestReconstruct:
         assert row["converged"] == "true"
         assert row["schmidt_number_bound"] == "7"
 
-    # a G that only doubles took 814 (d = 5, seed 7) and 1,236 (d = 7) accepted
-    # steps on these runs; letting it shrink after each accepted step takes at
-    # most three quarters of them, read from the manifest's solver diagnostics
+    # L-BFGS took 42 (d = 2), 213 (d = 5, seed 7) and 253 (d = 7) steps on these
+    # runs, read from the manifest's solver diagnostics; each bound is about twice
+    # that.  The same solve with no curvature pairs, steepest descent with the
+    # exact quartic line search, took 845, 5,455 and 5,860, and FISTA on the
+    # convex problem 333, 457 and 652
     @pytest.mark.parametrize("overrides, most", [
-        pytest.param(["seed=7", "tomo.d=5", "tomo.ell_values=2,1,0,-1,-2"], 610, id="d5-seed7"),
-        pytest.param(["tomo.d=7", "tomo.ell_values=3,2,1,0,-1,-2,-3"], 927, id="d7"),
+        pytest.param([], 80, id="d2"),
+        pytest.param(["seed=7", "tomo.d=5", "tomo.ell_values=2,1,0,-1,-2"], 400, id="d5-seed7"),
+        pytest.param(["tomo.d=7", "tomo.ell_values=3,2,1,0,-1,-2,-3"], 480, id="d7"),
     ])
     def test_step_count(self, tmp_path, overrides, most):
         args = [arg for item in overrides for arg in ("--set", item)]
         assert main(["tomo", *args, "--out", str(tmp_path)]) == 0
-        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        steps = int(next(line for line in manifest
-                         if line.startswith("diag.reconstruct.iterations = ")).split(" = ")[1])
-        assert steps <= most
+        assert manifest_steps(tmp_path) <= most
+
+    # FISTA's steps grew with the spread of the weights 1/(C + 1): it stopped at
+    # MAX_ITERATIONS at d = 2 from pair_rate 1e8 on, and at d = 3, gamma = 0.5,
+    # 1e12 without accidentals, with chi^2 2.6e11 against 204 here
+    @pytest.mark.parametrize("overrides", [
+        *(pytest.param([f"tomo.d={d}", f"tomo.ell_values={ells}", f"experiment.pair_rate={rate}"],
+                       id=f"d{d}-{rate}")
+          for d, ells in ((2, "1,-1"), (5, "2,1,0,-1,-2")) for rate in ("1e4", "1e8", "1e12")),
+        pytest.param(["tomo.d=3", "tomo.ell_values=-1,0,1", "source.gamma=0.5",
+                      "experiment.pair_rate=1e12", "detector.singles_1=0"], id="d3-narrow-1e12-quiet"),
+    ])
+    def test_converges_at_every_count_scale(self, tmp_path, overrides):
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["tomo", *args, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tomo_summary.csv").read_text().splitlines()
+        assert dict(zip(lines[1].split(","), lines[2].split(",")))["converged"] == "true"
+        assert manifest_steps(tmp_path) < MAX_ITERATIONS
+
+    def test_factor_gradient_matches_finite_differences(self):
+        # chi^2 along t + h s is a quartic in h, so the central difference has an
+        # error c3 h^2 that Richardson's (4 D(h / 2) - D(h)) / 3 removes
+        d = 3
+        kets, _ = arm_projectors(d, ELLS[d])
+        m = len(kets)
+        rng = np.random.default_rng(11)
+        counts = rng.poisson(50.0, size=(m, m)).astype(float)
+        w2 = 1.0 / (counts + 1.0)
+        dim = d * d
+
+        def chi_squared(t):
+            return float(np.sum(w2 * (counts - born_probabilities(kets, t @ t.conj().T)) ** 2))
+
+        for seed in range(3):
+            t, s = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+            residual = counts - born_probabilities(kets, t @ t.conj().T)
+            grad = _factor_gradient(_arm_design(kets).conj(), _realign(np.arange(dim**2), d),
+                                    w2 * residual, t)
+
+            def central(h):
+                return (chi_squared(t + h * s) - chi_squared(t - h * s)) / (2.0 * h)
+
+            want = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+            assert np.vdot(grad, s).real == pytest.approx(want, rel=1e-7)
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4), st.floats(1e-6, 1e3))
+    def test_quartic_line_search_finds_a_local_minimum(self, coefficients, b3):
+        b0, b1, b2 = -abs(coefficients[0]) - 1e-3, coefficients[1], coefficients[2]
+        alpha = _quartic_minimum(b0, b1, b2, b3)
+
+        def slope(x):
+            return b0 + x * (b1 + x * (b2 + x * b3))
+
+        scale = abs(b0) + abs(b1) * alpha + abs(b2) * alpha**2 + b3 * alpha**3
+        assert alpha > 0.0
+        assert abs(slope(alpha)) <= 1e-9 * scale
+        # the quartic rises on both sides: a minimum, not a maximum or a flat point
+        assert slope(alpha * (1 - 1e-6)) <= 0.0 <= slope(alpha * (1 + 1e-6))
+
+    # the factored problem is not convex; with T square its local minima are
+    # global (Burer & Monteiro, Math. Program. 95, 329, 2003).  This checks it
+    # against the convex solve run until chi^2 no longer falls
+    @hypothesis_settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=36, max_size=36))
+    def test_no_worse_than_the_convex_oracle_on_count_tables(self, counts):
+        counts = np.array(counts, dtype=float)
+        report = reconstruct(counts, QUBIT_KETS, d=2)
+        chi2 = fista_reconstruct(counts, QUBIT_KETS, 2, tolerance=0.0)[1]
+        assert report.chi_squared <= chi2 * (1.0 + 1e-9)
+
+    @hypothesis_settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_no_worse_than_the_convex_oracle_on_seeded_qutrit_runs(self, seed):
+        kets, _ = arm_projectors(3, ELLS[3])
+        scan = run_tomography_experiment(maximally_entangled_ket(ELLS[3]), kets, NOISY_DET,
+                                         seed=seed, flux=3e4)
+        report = reconstruct(scan.counts, kets, d=3)
+        chi2 = fista_reconstruct(scan.counts, kets, 3, tolerance=0.0)[1]
+        assert report.chi_squared <= chi2 * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("d", [5, 7])
     def test_paper_dimension_peak_memory(self, d):
@@ -312,11 +403,10 @@ class TestReconstruct:
             tracemalloc.stop()
         assert peak < d**8 * 8
 
-    # chi^2 that the Cholesky-factor least-squares solver (five restarts)
-    # reached on seeded `oamsim tomo` runs, and from d3-accidentals on, that
-    # FISTA with the fixed step 1/L, L = 2 lambda_max(A^H W A), reached; the
-    # backtracking step must not do worse.  The accidental-dominated and the
-    # low-rate runs redo 3 steps and 1 step
+    # chi^2 that a Cholesky-factor least-squares solver (five restarts) reached
+    # on seeded `oamsim tomo` runs, and from d3-accidentals on, that a projected
+    # gradient solve of the convex problem with the fixed step 1/L,
+    # L = 2 lambda_max(A^H W A), reached; the factored L-BFGS must not do worse
     @pytest.mark.parametrize("overrides, chi2", [
         pytest.param(["seed=1"], 26.618607399831838, id="d2-seed1"),
         pytest.param(["seed=2"], 22.667346678696248, id="d2-seed2"),
