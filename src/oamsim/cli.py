@@ -47,7 +47,7 @@ from .experiments import (
 from .spdc import (build_state, maximally_entangled_ket, restricted_ket, sinc_ring_profile,
                    transverse_mode_count)
 from .tomography import (
-    BELL_VIOLATION_THRESHOLDS,
+    bell_violation_threshold,
     concurrence,
     density_matrix_columns,
     linear_entropy,
@@ -271,7 +271,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     fid, fid_phi = (min(max(float(np.real(ket.conj() @ report.rho @ ket)), 0.0), 1.0)
                     for ket in (target_ket, maximally_entangled_ket(ell_values)))
     entropy = linear_entropy(report.rho)
-    threshold_p = BELL_VIOLATION_THRESHOLDS[d]
+    threshold_p = bell_violation_threshold(d)
     threshold_fid = threshold_fidelity(threshold_p, d)
     summary = {"d": d, "chi_squared": report.chi_squared, "flux": report.flux,
                "converged": report.converged, "fidelity_vs_target": fid,

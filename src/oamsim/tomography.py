@@ -44,21 +44,22 @@ MAX_ITERATIONS = 10000
 # runs at pair rates 3e4 to 1e12
 MEMORY = 24
 
-# Minimal pure-state fraction p of the isotropic two-qudit state
-# p |Phi><Phi| + (1 - p) I / d^2 above which it violates the d-dimensional Bell
-# inequality (Collins et al., PRL 88, 040404, 2002): 2 / I_d, with I_d the
-# inequality's value for |Phi> under the optimal Fourier-basis settings,
-#     I_d = 4 d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}),
-#     q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d)),
-# where q_{-(k+1)} is written with sin^2(pi (k + 3/4) / d), its equal.  For
-# d = 2 it is 1/sqrt(2).  The keys are the tomo.d that validate accepts.
-BELL_VIOLATION_THRESHOLDS = {
-    d: 2.0 / (4 * d * sum((1 - 2 * k / (d - 1))
-                          * (1 / (2 * d**3 * math.sin(math.pi * (k + 0.25) / d) ** 2)
-                             - 1 / (2 * d**3 * math.sin(math.pi * (k + 0.75) / d) ** 2))
-                          for k in range(d // 2)))
-    for d in range(2, 8)
-}
+def bell_violation_threshold(d: int) -> float:
+    """Minimal pure-state fraction p of the isotropic two-qudit state
+    p |Phi><Phi| + (1 - p) I / d^2 above which it violates the d-dimensional Bell
+    inequality (Collins et al., PRL 88, 040404, 2002): 2 / I_d, with I_d the
+    inequality's value for |Phi> under the optimal Fourier-basis settings,
+
+        I_d = 4 d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}),
+        q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d)),
+
+    where q_{-(k+1)} is written with sin^2(pi (k + 3/4) / d), its equal.  For
+    d = 2 it is 1/sqrt(2).
+    """
+    return 2.0 / (4 * d * sum((1 - 2 * k / (d - 1))
+                              * (1 / (2 * d**3 * math.sin(math.pi * (k + 0.25) / d) ** 2)
+                                 - 1 / (2 * d**3 * math.sin(math.pi * (k + 0.75) / d) ** 2))
+                              for k in range(d // 2)))
 
 
 def threshold_fidelity(p: float, d: int) -> float:

@@ -607,8 +607,8 @@ def bell_inequality_value(d):
     """Quantum value of the d-outcome two-setting Bell expression (Collins et
     al., PRL 88, 040404, 2002) for the maximally entangled state with the
     optimal Fourier-basis measurements, summed from the outcome
-    probabilities.  Checks the closed form behind
-    ``tomography.BELL_VIOLATION_THRESHOLDS``."""
+    probabilities.  Checks the closed form of
+    ``tomography.bell_violation_threshold``."""
     psi = max_entangled_ket(d)
 
     def alice_vec(a, k):

@@ -354,7 +354,7 @@ def test_validate_integration_time_bound(capsys, seconds, code):
 @pytest.mark.parametrize("width, code", [("0", 1), (repr(2.0 * math.pi), 0),
                                          (repr(math.nextafter(2.0 * math.pi, 7.0)), 1)])
 def test_validate_sector_width_bound(capsys, width, code):
-    # validate takes its bound from modes.sector_coefficients, which accepts the full disc
+    # the SCHEMA interval (0, 2*pi] is the range modes.sector_coefficients accepts, the full disc included
     assert main(["validate", "--set", f"experiment.sector_width_rad={width}"]) == code
     assert ("experiment.sector_width_rad" in capsys.readouterr().out) == bool(code)
 
@@ -448,6 +448,20 @@ def test_validate_gamma_and_count_mean_bounds(capsys, overrides, code):
     # above 1e15 it is rejected, and so is gamma above 1e6
     assert main(["validate", *(arg for item in overrides for arg in ("--set", item))]) == code
     assert bool(capsys.readouterr().out) == bool(code)
+
+
+@pytest.mark.parametrize("command, override", [
+    ("spiral", "seed=-1"),  # exited 2: the count streams take no negative seed
+    ("spiral", "source.signal_offset_waists=nan"),  # exited 2 with an overflow message
+    ("ring", "source.phase_mismatch=nan"),  # wrote a table of nan intensities
+    ("ring", "source.phase_mismatch=inf"),
+    ("ring", "source.focal_length_mm=inf"),
+])
+def test_runs_outside_an_interval_exit_one(tmp_path, capsys, command, override):
+    out = tmp_path / "out"
+    assert main([command, "--set", override, "--out", str(out)]) == 1
+    assert f"config error: {override.partition('=')[0]} must lie in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ["source.gamma=1e6", "experiment.pair_rate=2.7e15"])
@@ -647,6 +661,14 @@ def test_runs_without_coincidences_write_nan(tmp_path, command, table, estimates
 def test_import_loads_no_scipy():
     # the runtime needs numpy alone; scipy is a test dependency only
     code = "import sys, oamsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_config_loads_neither_solver_nor_modes():
+    # SCHEMA's intervals are the config's only bounds; it needs no runtime module for them
+    code = "import sys, oamsim.config; print(sorted(m for m in sys.modules if m in ('oamsim.tomography', 'oamsim.modes')))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import math
 import string
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamsim.cli import main
-from oamsim.config import SCHEMA, ConfigError, build_config, parse_config_text
+from oamsim.config import INTERVALS, SCHEMA, ConfigError, build_config, parse_config_text, validate
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # '#' starts a comment and line breaks end the entry, so the format cannot
@@ -15,7 +16,7 @@ plain_text = st.text(alphabet=string.ascii_letters + string.digits + "_-./= ",
 
 
 def value_for(key):
-    parser, default = SCHEMA[key]
+    parser, default, _ = SCHEMA[key]
     if isinstance(default, tuple):
         return st.lists(st.integers(-50, 50), max_size=6).map(tuple)
     if parser is int:
@@ -83,3 +84,43 @@ def test_typed_values_read_as_their_text():
     assert config.values == again.values
     assert config.hash() == again.hash()
     assert isinstance(config["source.gamma"], float)
+
+
+def problems_at(key, value):
+    """validate's messages with ``key`` at ``value`` and every other key at its default.
+
+    tomo.d comes with ell values closed under negation, 0 for odd d, and a
+    tomo.ell_values entry e with -e, so that no cross-key rule is in play."""
+    overrides = {key: value}
+    if key == "tomo.d":
+        overrides["tomo.ell_values"] = tuple(e for k in range(1, value // 2 + 1) for e in (k, -k)) + (0,) * (value % 2)
+    if key == "tomo.ell_values":
+        overrides[key] = (value, -value)
+    return validate(build_config(overrides=overrides))
+
+
+def rejected(key, value):
+    prefix = f"{key} must lie in {INTERVALS[key].text} (got "
+    return any(problem.startswith(prefix) for problem in problems_at(key, value))
+
+
+@pytest.mark.parametrize("key", SCHEMA)
+def test_default_lies_in_its_interval(key):
+    default = SCHEMA[key][1]
+    assert all(x in INTERVALS[key] for x in (default if isinstance(default, tuple) else [default]))
+
+
+@pytest.mark.parametrize("key", SCHEMA)
+def test_validate_holds_each_key_to_its_interval(key):
+    # a closed end is accepted and the nearest value past it rejected; an open
+    # end is rejected, and so is NaN
+    interval, is_float = INTERVALS[key], SCHEMA[key][0] is float
+    for end, closed, outward in ((interval.lo, interval.closed_lo, -1), (interval.hi, interval.closed_hi, 1)):
+        if closed:
+            end = end if is_float else int(end)
+            assert problems_at(key, end) == []
+            assert rejected(key, math.nextafter(end, outward * math.inf) if is_float else end + outward)
+        elif is_float or math.isfinite(end):  # no integer is infinite
+            assert rejected(key, end if is_float else int(end))
+    if is_float:
+        assert rejected(key, math.nan)

@@ -7,17 +7,17 @@ from hypothesis import given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from oamsim.cli import RunContext, main
-from oamsim.config import build_config, validate
+from oamsim.config import INTERVALS, build_config, validate
 from oamsim.experiments import arm_projectors, run_tomography_experiment
 from oamsim.spdc import DetectorConfig, build_state, maximally_entangled_ket, restricted_ket
 from oamsim.tomography import (
-    BELL_VIOLATION_THRESHOLDS,
     MAX_ITERATIONS,
     ReconstructionReport,
     _arm_design,
     _factor_gradient,
     _quartic_minimum,
     _realign,
+    bell_violation_threshold,
     born_probabilities,
     check_density_matrix,
     concurrence,
@@ -637,39 +637,46 @@ class TestEntanglementWitness:
         assert (bound - 1) / d < reported and (bound == d or reported <= bound / d)
 
 
+# the tomo.d that validate accepts, read from its SCHEMA interval
+TOMO_D = INTERVALS["tomo.d"]
+DIMENSIONS = [d for d in range(int(TOMO_D.lo), int(TOMO_D.hi) + 1) if d in TOMO_D]
+
+
 class TestBellThresholds:
     def test_qubit_threshold_is_inverse_sqrt_two(self):
-        assert BELL_VIOLATION_THRESHOLDS[2] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert bell_violation_threshold(2) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_keys_are_two_to_seven(self):
-        assert list(BELL_VIOLATION_THRESHOLDS) == [2, 3, 4, 5, 6, 7]
+        assert DIMENSIONS == [2, 3, 4, 5, 6, 7]
 
-    @pytest.mark.parametrize("d", sorted(BELL_VIOLATION_THRESHOLDS))
+    @pytest.mark.parametrize("d", DIMENSIONS)
     def test_frozen_values_match_oracle(self, d):
         # the closed form against I_d summed from the measurement probabilities
-        assert BELL_VIOLATION_THRESHOLDS[d] == pytest.approx(2.0 / bell_inequality_value(d), abs=1e-12)
+        assert bell_violation_threshold(d) == pytest.approx(2.0 / bell_inequality_value(d), abs=1e-12)
 
     @pytest.mark.parametrize("d, frozen", [(2, 0.7071067811865476), (3, 0.6961524227066314),
                                            (4, 0.6905497394878110), (5, 0.6871565744163153)])
     def test_closed_form_matches_the_former_table(self, d, frozen):
         # the values this table held as literals before it was derived; the
         # closed form moves them by at most two units in the last place
-        assert abs(BELL_VIOLATION_THRESHOLDS[d] - frozen) <= 1e-15
+        assert abs(bell_violation_threshold(d) - frozen) <= 1e-15
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_every_dimension_validate_accepts_has_a_threshold(self, d):
-        # the tomo.d bound of validate exists for this table; ell values closed
-        # under negation, with 0 for odd d, leave it the only rule in play
+        # ell values closed under negation, with 0 for odd d, leave the tomo.d
+        # interval the only rule in play
         ells = [ell for k in range(1, d // 2 + 1) for ell in (k, -k)] + [0] * (d % 2)
         config = build_config(overrides={"tomo.d": str(d),
                                          "tomo.ell_values": ",".join(map(str, ells))})
-        assert (not validate(config)) == (d in BELL_VIOLATION_THRESHOLDS)
+        assert (not validate(config)) == (d in TOMO_D)
+        if d in TOMO_D:
+            assert 0.0 < bell_violation_threshold(d) < 1.0
 
-    @pytest.mark.parametrize("d", sorted(BELL_VIOLATION_THRESHOLDS))
+    @pytest.mark.parametrize("d", DIMENSIONS)
     def test_isotropic_value_scales_linearly(self, d):
         # mixing with white noise scales the Bell value by p, so the
         # threshold state sits exactly at the classical bound
-        p = BELL_VIOLATION_THRESHOLDS[d]
+        p = bell_violation_threshold(d)
         assert p * bell_inequality_value(d) == pytest.approx(2.0, abs=1e-9)
 
 
