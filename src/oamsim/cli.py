@@ -254,7 +254,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     kets, labels = arm_projectors(d, ell_values)
     scan = run_tomography_experiment(target_ket, kets, config.detector(),
                                      _stage_seed(config, 0),
-                                     flux=config["experiment.pair_rate"])
+                                     pair_rate=config["experiment.pair_rate"])
     ctx.mark("counts")
     report = reconstruct(scan.counts, kets, d)
     ctx.mark("reconstruct")
@@ -288,20 +288,20 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
 
 
 def run_ring(config: ScenarioConfig, ctx: RunContext):
-    crystal = config.crystal()
-    rs = np.linspace(0.0, config["ring.r_max_mm"] * 1e-3, config["ring.points"])
-    profile = sinc_ring_profile(rs, crystal)
-    ctx.write_table("ring_profile.csv", {"r_mm": rs * 1e3, "intensity": profile})
+    rs = np.linspace(0.0, config["ring.r_max_mm"], config["ring.points"])
+    profile = sinc_ring_profile(rs, config["source.focal_length_mm"], config["source.crystal_length_mm"],
+                                config["source.pump_wavelength_nm"], config["source.refractive_index"],
+                                config["source.phase_mismatch"])
+    ctx.write_table("ring_profile.csv", {"r_mm": rs, "intensity": profile})
     ctx.mark("write")
 
 
 def run_modes(config: ScenarioConfig, ctx: RunContext):
-    wavelength = 2.0 * config["source.pump_wavelength_nm"] * 1e-9
-    count = transverse_mode_count(config["modes.area_mm2"] * 1e-6,
-                                  config["modes.solid_angle_sr"], wavelength)
-    ctx.write_table("modes_summary.csv", {"area_mm2": config["modes.area_mm2"],
-                                          "solid_angle_sr": config["modes.solid_angle_sr"],
-                                          "wavelength_nm": wavelength * 1e9, "mode_count": count})
+    area, solid_angle = config["modes.area_mm2"], config["modes.solid_angle_sr"]
+    wavelength = 2.0 * config["source.pump_wavelength_nm"]  # degenerate pairs: twice the pump wavelength
+    ctx.write_table("modes_summary.csv", {
+        "area_mm2": area, "solid_angle_sr": solid_angle, "wavelength_nm": wavelength,
+        "mode_count": transverse_mode_count(area, solid_angle, wavelength)})
     ctx.mark("write")
 
 

@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .spdc import ELL_WINDOW_CAP, CrystalConfig, DetectorConfig
+from .spdc import ELL_WINDOW_CAP, DetectorConfig
 
 
 class ConfigError(ValueError):
@@ -47,15 +47,19 @@ class Interval:
 # numeric values; the defaults are stated here as configuration, not measured.
 SCHEMA: dict[str, tuple] = {
     "seed": (int, 12345, "[0, inf)"),
-    "source.pump_wavelength_nm": (float, 355.0, "(0, inf)"),
+    # X-rays (1 nm) to the far infrared (1 mm), closed below: ring and modes divide by it
+    "source.pump_wavelength_nm": (float, 355.0, "[1, 1e6]"),
     # the state's closed form overflows to NaN amplitudes from about gamma = 8e76
     "source.gamma": (float, 2.0, "(0, 1e6]"),
     # each window key bounds only the window of the runner that reads it
     "source.ell_max": (int, 20, f"[0, {ELL_WINDOW_CAP}]"),
-    "source.crystal_length_mm": (float, 3.0, "(0, inf)"),
-    "source.refractive_index": (float, 1.66, "(0, inf)"),
+    # no crystal is a km long; with the ring bounds below, sinc_ring_profile's a (r/f)^2 stays below 2e36
+    "source.crystal_length_mm": (float, 3.0, "(0, 1e6]"),
+    # no down-conversion crystal has n < 1, and no transparent one n much above 4 (germanium)
+    "source.refractive_index": (float, 1.66, "[1, 10]"),
     "source.phase_mismatch": (float, 0.0, "(-inf, inf)"),
-    "source.focal_length_mm": (float, 500.0, "(0, inf)"),
+    # no lens is shorter than the shortest pump wavelength, 1 nm; ring divides radii by it
+    "source.focal_length_mm": (float, 500.0, "[1e-6, inf)"),
     # up to 10 waists the offset state's closed form is checked against exact
     # rational arithmetic at ell_max = 20 (tests/test_spdc.py); beyond, its
     # accuracy is untested
@@ -80,10 +84,13 @@ SCHEMA: dict[str, tuple] = {
     # 0.81-1.12 s, and 0.92-1.18 s at gamma = 0.1
     "tomo.d": (int, 2, "[2, 7]"),
     "tomo.ell_values": (_parse_int_list, (1, -1), f"[-{ELL_WINDOW_CAP}, {ELL_WINDOW_CAP}]"),
-    "ring.r_max_mm": (float, 30.0, "(0, inf)"),
+    # a km, past any far-field screen
+    "ring.r_max_mm": (float, 30.0, "(0, 1e6]"),
     "ring.points": (int, 400, f"[2, {2**20}]"),
-    "modes.area_mm2": (float, 1.0, "(0, inf)"),
-    "modes.solid_angle_sr": (float, 1e-6, "(0, inf)"),
+    # a square km, past any detector; the mode count stays at most pi 1e24
+    "modes.area_mm2": (float, 1.0, "(0, 1e12]"),
+    # 4 pi is the full sphere
+    "modes.solid_angle_sr": (float, 1e-6, f"(0, {4.0 * math.pi!r}]"),
 }
 INTERVALS = {key: Interval(text) for key, (_, _, text) in SCHEMA.items()}
 
@@ -108,7 +115,6 @@ class ScenarioConfig:
         payload = "\n".join(self.canonical_lines()).encode()
         return hashlib.sha256(payload).hexdigest()
 
-    # --- conversions to simulation objects -------------------------------
     def detector(self) -> DetectorConfig:
         return DetectorConfig(
             singles_1=self.values["detector.singles_1"],
@@ -116,15 +122,6 @@ class ScenarioConfig:
             gate_time=self.values["detector.gate_ns"] * 1e-9,
             efficiency=self.values["detector.efficiency"],
             integration_time=self.values["detector.integration_s"],
-        )
-
-    def crystal(self) -> CrystalConfig:
-        return CrystalConfig(
-            length=self.values["source.crystal_length_mm"] * 1e-3,
-            refractive_index=self.values["source.refractive_index"],
-            phase_mismatch=self.values["source.phase_mismatch"],
-            pump_wavelength=self.values["source.pump_wavelength_nm"] * 1e-9,
-            focal_length=self.values["source.focal_length_mm"] * 1e-3,
         )
 
 

@@ -365,14 +365,14 @@ def arm_projectors(d: int, ell_values) -> tuple[np.ndarray, list[str]]:
 
 
 def run_tomography_experiment(ket, kets, det: DetectorConfig, seed: int,
-                              flux: float) -> ScanResult:
+                              pair_rate: float) -> ScanResult:
     """Sampled coincidence counts of a tomography campaign, one per setting.
 
     Setting a * m + b pairs rows a and b of the m arm kets ``kets``, at ideal
-    rate flux |<ab|ket>|^2 for the pure state's d^2 amplitudes ``ket`` in kron
+    rate pair_rate |<ab|ket>|^2 for the pure state's d^2 amplitudes ``ket`` in kron
     order, and the scan's one axis, ``setting``, is its index; counts are
     Poisson samples with detector efficiency and accidentals, and a count
     depends only on the seed and that index."""
     d = np.shape(kets)[-1]
-    rates = analyzer_rates(np.reshape(ket, (d, d)), kets, kets, flux).ravel()
+    rates = analyzer_rates(np.reshape(ket, (d, d)), kets, kets, pair_rate).ravel()
     return _scan(("setting",), (np.arange(len(rates)),), rates, det, seed)

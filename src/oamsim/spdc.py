@@ -13,7 +13,7 @@ through gamma, the pump waist in measurement waists.  The overlaps of the
 back-projected modes with the pump are Gaussians times polynomials, so
 ``build_state`` evaluates one closed form at every lateral signal offset,
 the aligned state included.  Crystal length and phase mismatch enter only
-through the far-field ring profile.
+through the far-field ring profile, computed like the mode count in mm and nm.
 Coincidence counts are Poisson draws over an array of ideal rates, each count
 from a random stream seeded by the run seed and the setting's position in the
 array: numpy's ``default_rng([seed, k]).poisson``, drawn by
@@ -31,32 +31,6 @@ from .numerics import poisson_streams
 # the largest ell_max of a state: the offset closed form is checked against
 # exact rational arithmetic up to this window (tests/test_spdc.py)
 ELL_WINDOW_CAP = 20
-
-
-@dataclass(frozen=True)
-class CrystalConfig:
-    """Nonlinear crystal and Fourier-lens geometry for the ring profile.
-
-    The pairs are degenerate: each photon has twice the pump wavelength.
-    """
-
-    length: float = 3e-3
-    refractive_index: float = 1.66
-    phase_mismatch: float = 0.0
-    pump_wavelength: float = 355e-9
-    focal_length: float = 0.5
-
-    def __post_init__(self):
-        if self.length <= 0 or self.refractive_index <= 0 or self.focal_length <= 0:
-            raise ValueError("crystal length, index and focal length must be positive")
-        if self.pump_wavelength <= 0:
-            raise ValueError("pump wavelength must be positive")
-
-    @property
-    def ring_coefficient(self) -> float:
-        """(k_s + k_i) L / (4 n^2), the quadratic coefficient of the ring argument."""
-        k = 2.0 * math.pi / (2.0 * self.pump_wavelength)
-        return 2.0 * k * self.length / (4.0 * self.refractive_index**2)
 
 
 @dataclass(frozen=True)
@@ -203,28 +177,25 @@ def maximally_entangled_ket(ell_values) -> np.ndarray:
     return ket
 
 
-def sinc_ring_profile(r, config: CrystalConfig):
-    """Far-field intensity profile sinc^2(a r^2 / f^2 + alpha).
+def sinc_ring_profile(r_mm, focal_length_mm: float, crystal_length_mm: float, pump_wavelength_nm: float,
+                      refractive_index: float, phase_mismatch: float = 0.0):
+    """Far-field intensity sinc^2(a (r/f)^2 + alpha), sinc x = sin(x) / x, at radii r_mm behind a lens.
 
-    Unnormalized sinc convention sin(x)/x so the phase-mismatch offset is
-    additive inside the argument; negative mismatch opens the emission ring.
+    f is its focal length and a = (k_s + k_i) L / (4 n^2) = pi 1e6 L_mm / (2 lambda_nm n^2), each photon at
+    twice the pump wavelength lambda.  A negative phase mismatch alpha opens the emission ring.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be non-negative")
-    x = config.ring_coefficient * r**2 / config.focal_length**2 + config.phase_mismatch
-    out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = np.sin(x[nz]) / x[nz]
-    result = out**2
-    return result if result.ndim else float(result)
+    r_mm = np.asarray(r_mm, dtype=float)
+    if np.any(r_mm < 0) or min(focal_length_mm, crystal_length_mm, pump_wavelength_nm, refractive_index) <= 0:
+        raise ValueError("radius must be non-negative; lengths, wavelength and index positive")
+    a = math.pi * 1e6 * crystal_length_mm / (2.0 * pump_wavelength_nm * refractive_index**2)
+    return np.sinc((a * (r_mm / focal_length_mm) ** 2 + phase_mismatch) / math.pi) ** 2
 
 
-def transverse_mode_count(area: float, solid_angle: float, wavelength: float) -> float:
-    """Etendue-limited number of detectable transverse modes: A * Omega / lambda^2."""
-    if area <= 0 or solid_angle <= 0 or wavelength <= 0:
+def transverse_mode_count(area_mm2: float, solid_angle_sr: float, wavelength_nm: float) -> float:
+    """Etendue-limited number of detectable transverse modes A Omega / lambda^2, A in mm^2 and lambda in nm."""
+    if area_mm2 <= 0 or solid_angle_sr <= 0 or wavelength_nm <= 0:
         raise ValueError("area, solid angle and wavelength must be positive")
-    return area * solid_angle / wavelength**2
+    return 1e12 * area_mm2 * solid_angle_sr / wavelength_nm**2
 
 
 def accidentals(det: DetectorConfig) -> float:

@@ -9,6 +9,7 @@ expectation checked in below.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from oamsim import cli, experiments, tomography
 from oamsim.cli import RUNNERS, RunContext, main
-from oamsim.config import build_config
+from oamsim.config import INTERVALS, build_config
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -456,12 +457,65 @@ def test_validate_gamma_and_count_mean_bounds(capsys, overrides, code):
     ("ring", "source.phase_mismatch=nan"),  # wrote a table of nan intensities
     ("ring", "source.phase_mismatch=inf"),
     ("ring", "source.focal_length_mm=inf"),
+    # exited 2: each underflowed to 0 in a conversion to metres, or divided by 0
+    ("ring", "source.focal_length_mm=5e-324"),
+    ("modes", "source.pump_wavelength_nm=5e-324"),
+    ("ring", "source.refractive_index=5e-324"),
+    # wrote nan or inf cells
+    ("ring", "ring.r_max_mm=1e308"),
+    ("modes", "modes.area_mm2=1e308"),
+    ("ring", "source.crystal_length_mm=1e308"),
 ])
 def test_runs_outside_an_interval_exit_one(tmp_path, capsys, command, override):
     out = tmp_path / "out"
     assert main([command, "--set", override, "--out", str(out)]) == 1
     assert f"config error: {override.partition('=')[0]} must lie in" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the keys ring and modes read, other than ring.points
+READS = {"ring": ("source.crystal_length_mm", "source.refractive_index", "source.pump_wavelength_nm",
+                  "source.focal_length_mm", "source.phase_mismatch", "ring.r_max_mm"),
+         "modes": ("source.pump_wavelength_nm", "modes.area_mm2", "modes.solid_angle_sr")}
+
+
+def accepted_ends(key):
+    """The smallest and largest values validate accepts for a float key: each
+    end of its interval, or the float next to an end the interval leaves open."""
+    interval = INTERVALS[key]
+    return (interval.lo if interval.closed_lo else math.nextafter(interval.lo, math.inf),
+            interval.hi if interval.closed_hi else math.nextafter(interval.hi, -math.inf))
+
+
+def non_finite_cells(out_dir):
+    return [cell for path in sorted(out_dir.glob("*.csv")) for row in data_rows(path)
+            for cell in row.split(",") if not math.isfinite(float(cell))]
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key in sorted({k for keys in READS.values() for k in keys})
+                                        for value in accepted_ends(key)])
+def test_ring_and_modes_run_at_interval_ends(tmp_path, key, value):
+    # an overflow warns, and the warning fails the test
+    for command in READS:
+        assert main([command, "--set", f"{key}={value!r}", "--out", str(tmp_path / command)]) == 0
+        assert non_finite_cells(tmp_path / command) == []
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_ring_and_modes_run_at_every_corner(tmp_path, command):
+    # every combination of the ends of every key the command reads
+    for corner in itertools.product(*map(accepted_ends, READS[command])):
+        sets = [arg for key, value in zip(READS[command], corner) for arg in ("--set", f"{key}={value!r}")]
+        assert main([command, *sets, "--out", str(tmp_path)]) == 0, corner
+        assert non_finite_cells(tmp_path) == [], corner
+
+
+def test_ring_and_modes_write_config_units_as_they_are(runs):
+    # 2 x 355 nm, not 710.0000000000001 from a round trip through metres
+    lines = (runs["modes"][0] / "modes_summary.csv").read_text().splitlines()
+    assert dict(zip(lines[1].split(","), lines[2].split(",")))["wavelength_nm"] == "710.0"
+    radii = [row.split(",")[0] for row in data_rows(runs["ring"][0] / "ring_profile.csv")]
+    assert radii == [repr(r) for r in np.linspace(0.0, 30.0, 400).tolist()]
 
 
 @pytest.mark.parametrize("override", ["source.gamma=1e6", "experiment.pair_rate=2.7e15"])

@@ -508,7 +508,7 @@ class TestRunTomographyExperiment:
         self.kets, _ = arm_projectors(2, [1, -1])
 
     def test_one_axis_of_setting_positions(self):
-        scan = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=5, pair_rate=1e4)
         assert scan.axis_names == ("setting",)
         assert np.array_equal(scan.axis_values[0], np.arange(36))
         assert len(scan) == 36
@@ -517,17 +517,17 @@ class TestRunTomographyExperiment:
 
     def test_orthogonal_setting_sees_only_accidentals(self):
         # (|l>, |l>) projects onto |00>, orthogonal to the pair state
-        scan = run_tomography_experiment(self.psi, self.kets, QUIET_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.psi, self.kets, QUIET_DET, seed=5, pair_rate=1e4)
         assert scan.ideal[0] == pytest.approx(0.0, abs=1e-12)
         assert scan.counts[0] == 0
 
     def test_matched_setting_rate(self):
-        scan = run_tomography_experiment(self.psi, self.kets, QUIET_DET, seed=5, flux=1e4)
+        scan = run_tomography_experiment(self.psi, self.kets, QUIET_DET, seed=5, pair_rate=1e4)
         # setting index 1 is (|l>, |-l>)
         assert scan.ideal[1] == pytest.approx(5e3, rel=1e-12)
 
     def test_seed_reproducibility(self):
-        a = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=9, flux=1e4)
-        b = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=9, flux=1e4)
+        a = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=9, pair_rate=1e4)
+        b = run_tomography_experiment(self.psi, self.kets, NOISY_DET, seed=9, pair_rate=1e4)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.ideal, b.ideal)

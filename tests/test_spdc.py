@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oamsim.numerics import poisson_streams
 from oamsim.spdc import (
-    CrystalConfig,
     DetectorConfig,
     accidentals,
     _normalised_laguerre,
@@ -266,41 +265,72 @@ class TestTwoPhotonState:
         assert ket[0] == ket[3] == 0.0
 
 
-class TestRingProfile:
-    CFG = CrystalConfig(length=3e-3, refractive_index=1.66, focal_length=0.5)
+# the default ring geometry in the config's units: a 500 mm lens, a 3 mm
+# crystal of index 1.66 and a 355 nm pump
+RING = {"focal_length_mm": 500.0, "crystal_length_mm": 3.0, "pump_wavelength_nm": 355.0,
+        "refractive_index": 1.66}
+# its ring coefficient a = pi 1e6 L / (2 lambda_p n^2), the ring argument a (r/f)^2 + alpha
+RING_COEFFICIENT = math.pi * 1e6 * 3.0 / (2.0 * 355.0 * 1.66**2)
 
+
+def si_ring_profile(r_m, focal_length_m, crystal_length_m, pump_wavelength_m, refractive_index,
+                    phase_mismatch=0.0):
+    """sinc^2((k_s + k_i) L r^2 / (4 n^2 f^2) + alpha) with every length in metres,
+    each photon of wavenumber 2 pi / (2 lambda_p)."""
+    k = 2.0 * math.pi / (2.0 * pump_wavelength_m)
+    x = 2.0 * k * crystal_length_m / (4.0 * refractive_index**2) * np.asarray(r_m) ** 2 / focal_length_m**2
+    x = x + phase_mismatch
+    return np.where(x == 0, 1.0, np.sin(x) / np.where(x == 0, 1.0, x)) ** 2
+
+
+class TestRingProfile:
     def test_collinear_peak_on_axis(self):
-        assert sinc_ring_profile(0.0, self.CFG) == pytest.approx(1.0)
+        assert sinc_ring_profile(0.0, **RING) == pytest.approx(1.0)
 
     def test_first_null(self):
-        a = self.CFG.ring_coefficient
-        r_null = math.sqrt(math.pi * self.CFG.focal_length**2 / a)
-        assert sinc_ring_profile(r_null, self.CFG) < 1e-20
+        r_null = RING["focal_length_mm"] * math.sqrt(math.pi / RING_COEFFICIENT)
+        assert sinc_ring_profile(r_null, **RING) < 1e-20
 
     def test_negative_mismatch_opens_ring(self):
-        cfg = CrystalConfig(length=3e-3, refractive_index=1.66, focal_length=0.5,
-                            phase_mismatch=-2.0)
-        a = cfg.ring_coefficient
-        r_peak = cfg.focal_length * math.sqrt(2.0 / a)
+        r_peak = RING["focal_length_mm"] * math.sqrt(2.0 / RING_COEFFICIENT)
         r = np.linspace(0.0, 3.0 * r_peak, 20001)
-        profile = sinc_ring_profile(r, cfg)
+        profile = sinc_ring_profile(r, **RING, phase_mismatch=-2.0)
         assert r[np.argmax(profile)] == pytest.approx(r_peak, rel=1e-3)
         assert profile.max() == pytest.approx(1.0, abs=1e-6)
         assert profile[0] < 0.25
 
+    @pytest.mark.parametrize("mismatch", [0.0, -2.0])
+    def test_matches_si_closed_form(self, mismatch):
+        # the default grid of ring_profile.csv, and the first null
+        r_null = RING["focal_length_mm"] * math.sqrt(math.pi / RING_COEFFICIENT)
+        r_mm = np.append(np.linspace(0.0, 30.0, 400), r_null)
+        reference = si_ring_profile(r_mm * 1e-3, 0.5, 3e-3, 355e-9, 1.66, mismatch)
+        assert np.max(np.abs(sinc_ring_profile(r_mm, **RING, phase_mismatch=mismatch) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("key", [None, *RING])
+    def test_rejects_non_positive_geometry(self, key):
+        args = {**RING, **({key: 0.0} if key else {})}
+        with pytest.raises(ValueError):
+            sinc_ring_profile(-1.0 if key is None else 1.0, **args)
+
 
 class TestModeCount:
     def test_identity_case(self):
-        lam = 710e-9
-        assert transverse_mode_count(lam**2, 1.0, lam) == pytest.approx(1.0)
+        # an area of one squared wavelength, 710 nm = 7.1e-4 mm, holds one mode per steradian
+        assert transverse_mode_count(7.1e-4**2, 1.0, 710.0) == pytest.approx(1.0)
 
     def test_linear_in_solid_angle(self):
-        n1 = transverse_mode_count(1e-6, 1e-6, 710e-9)
-        n2 = transverse_mode_count(1e-6, 2e-6, 710e-9)
+        n1 = transverse_mode_count(1.0, 1e-6, 710.0)
+        n2 = transverse_mode_count(1.0, 2e-6, 710.0)
         assert n2 == pytest.approx(2.0 * n1)
 
     def test_experiment_scale_value(self):
-        assert transverse_mode_count(1e-6, 1e-6, 710e-9) == pytest.approx(1.98, abs=0.01)
+        assert transverse_mode_count(1.0, 1e-6, 710.0) == pytest.approx(1.98, abs=0.01)
+
+    @pytest.mark.parametrize("args", [(0.0, 1e-6, 710.0), (1.0, 0.0, 710.0), (1.0, 1e-6, 0.0)])
+    def test_rejects_non_positive_inputs(self, args):
+        with pytest.raises(ValueError):
+            transverse_mode_count(*args)
 
 
 class TestAccidentals:

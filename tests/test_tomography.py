@@ -74,10 +74,10 @@ def ideal_rates(rho, kets, flux):
     return flux * born_probabilities(kets, rho).ravel()
 
 
-def pure_rates(ket, kets, flux):
+def pure_rates(ket, kets, pair_rate):
     """Noiseless counts of every setting of a tomography run on a pure state, the
     ideal rates the runner samples."""
-    return run_tomography_experiment(ket, kets, QUIET_DET, seed=0, flux=flux).ideal
+    return run_tomography_experiment(ket, kets, QUIET_DET, seed=0, pair_rate=pair_rate).ideal
 
 
 def manifest_steps(out) -> int:
@@ -215,7 +215,7 @@ class TestReconstruct:
     def test_noisy_round_trip(self):
         rho_true = bell_density()
         scan = run_tomography_experiment(cross_entangled_ket(2), QUBIT_KETS, NOISY_DET, seed=3,
-                                         flux=1e4)
+                                         pair_rate=1e4)
         report = reconstruct(scan.counts, QUBIT_KETS, d=2)
         assert fidelity(report.rho, rho_true) > 0.99
         assert linear_entropy(report.rho) < 0.02
@@ -383,7 +383,7 @@ class TestReconstruct:
     def test_no_worse_than_the_convex_oracle_on_seeded_qutrit_runs(self, seed):
         kets, _ = arm_projectors(3, ELLS[3])
         scan = run_tomography_experiment(maximally_entangled_ket(ELLS[3]), kets, NOISY_DET,
-                                         seed=seed, flux=3e4)
+                                         seed=seed, pair_rate=3e4)
         report = reconstruct(scan.counts, kets, d=3)
         chi2 = fista_reconstruct(scan.counts, kets, 3, tolerance=0.0)[1]
         assert report.chi_squared <= chi2 * (1.0 + 1e-9)
@@ -394,7 +394,7 @@ class TestReconstruct:
         # step 1/L would need: 3.1 MB at d = 5 and 46 MB at d = 7
         kets, _ = arm_projectors(d, ELLS[d])
         ket = maximally_entangled_ket(ELLS[d])
-        scan = run_tomography_experiment(ket, kets, NOISY_DET, seed=1, flux=3e4)
+        scan = run_tomography_experiment(ket, kets, NOISY_DET, seed=1, pair_rate=3e4)
         tracemalloc.start()
         try:
             reconstruct(scan.counts, kets, d=d)
