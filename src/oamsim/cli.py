@@ -168,7 +168,7 @@ def run_spiral(config: ScenarioConfig, ctx: RunContext):
     joint = _state(config, ell_max)
     ctx.mark("build_state")
     ells = np.arange(-ell_max, ell_max + 1)
-    scan = spiral_scan(joint, ells, ells, config.detector(), _stage_seed(config, 0),
+    scan = spiral_scan(joint, ells, ells, config.count_model(), _stage_seed(config, 0),
                        pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
     ctx.write_table("spiral_matrix.csv", scan.columns())
@@ -189,7 +189,7 @@ def run_angular(config: ScenarioConfig, ctx: RunContext):
     n = config["experiment.angular_points"]
     betas = np.linspace(-math.pi, math.pi, n, endpoint=False)
     scan = angular_scan(joint, config["experiment.sector_width_rad"], betas, betas,
-                        config.detector(), _stage_seed(config, 1),
+                        config.count_model(), _stage_seed(config, 1),
                         pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
     ctx.write_table("angular_map.csv", scan.columns())
@@ -202,14 +202,14 @@ def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
     ell_max = config["experiment.epr_ell_max"]
     joint = _state(config, ell_max)
     ctx.mark("build_state")
-    det = config.detector()
+    count_model = config.count_model()
     rate = config["experiment.pair_rate"]
     ells = np.arange(-ell_max, ell_max + 1)
-    spiral = spiral_scan(joint, ells, np.array([0]), det, _stage_seed(config, 0),
+    spiral = spiral_scan(joint, ells, np.array([0]), count_model, _stage_seed(config, 0),
                          pair_rate=rate)
     betas = np.linspace(-math.pi, math.pi, config["experiment.angular_points"], endpoint=False)
     angular = angular_scan(joint, config["experiment.sector_width_rad"], betas,
-                           np.array([0.0]), det, _stage_seed(config, 1), pair_rate=rate)
+                           np.array([0.0]), count_model, _stage_seed(config, 1), pair_rate=rate)
     ctx.mark("scan")
     profiles = [conditional_profile(scan) for scan in (spiral, angular)]
     xs, probabilities, model = (np.concatenate(column) for column in zip(*profiles))
@@ -224,12 +224,12 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
     ell = config["bell.ell"]
     joint = _state(config, ell)
     ctx.mark("build_state")
-    det = config.detector()
+    count_model = config.count_model()
     rate = config["experiment.pair_rate"]
     thetas = np.linspace(0.0, math.pi / ell, config["bell.curve_points"], endpoint=False)
-    curve = bell_curve(joint, ell, 0.0, thetas, det, _stage_seed(config, 0), pair_rate=rate)
+    curve = bell_curve(joint, ell, 0.0, thetas, count_model, _stage_seed(config, 0), pair_rate=rate)
     settings = BellSettings(ell)
-    counts, rates = bell_counts(joint, settings, det, _stage_seed(config, 1), pair_rate=rate)
+    counts, rates = bell_counts(joint, settings, count_model, _stage_seed(config, 1), pair_rate=rate)
     s_value, sigma = bell_parameter(counts, settings)
     ctx.mark("scan")
     ctx.write_table("bell_curve.csv", curve.columns())
@@ -252,7 +252,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     target_ket = restricted_ket(joint, ell_values)
     # setting a * m + b pairs arm ket a with arm ket b
     kets, labels = arm_projectors(d, ell_values)
-    scan = run_tomography_experiment(target_ket, kets, config.detector(),
+    scan = run_tomography_experiment(target_ket, kets, config.count_model(),
                                      _stage_seed(config, 0),
                                      pair_rate=config["experiment.pair_rate"])
     ctx.mark("counts")

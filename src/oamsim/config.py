@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .spdc import ELL_WINDOW_CAP, DetectorConfig
+from .spdc import ELL_WINDOW_CAP, CountModel, count_means
 
 
 class ConfigError(ValueError):
@@ -115,14 +115,12 @@ class ScenarioConfig:
         payload = "\n".join(self.canonical_lines()).encode()
         return hashlib.sha256(payload).hexdigest()
 
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(
-            singles_1=self.values["detector.singles_1"],
-            singles_2=self.values["detector.singles_2"],
-            gate_time=self.values["detector.gate_ns"] * 1e-9,
-            efficiency=self.values["detector.efficiency"],
-            integration_time=self.values["detector.integration_s"],
-        )
+    def count_model(self) -> CountModel:
+        """The count model of the detector keys, the gate converted to seconds."""
+        v = self.values
+        return CountModel(v["detector.efficiency"] ** 2,
+                          v["detector.singles_1"] * v["detector.singles_2"] * (v["detector.gate_ns"] * 1e-9),
+                          v["detector.integration_s"])
 
 
 def parse_config_text(text: str) -> dict:
@@ -185,12 +183,10 @@ def validate(config: ScenarioConfig) -> list[str]:
                 if not all(x in interval for x in (v[key] if isinstance(v[key], tuple) else [v[key]]))]
     if v["source.signal_offset_waists"] > 0 and v["source.gamma"] < 1e-3:
         problems.append(f"source.gamma must be at least 1e-3 when source.signal_offset_waists > 0 (got {v['source.gamma']})")
-    # no ideal rate exceeds pair_rate, so this bounds every count mean; numpy's
-    # Poisson sampler refuses means above about 9.2e18, and every count below
-    # 2^53 is exact in float64
-    largest_mean = (v["detector.efficiency"] ** 2 * v["experiment.pair_rate"]
-                    + v["detector.singles_1"] * v["detector.singles_2"] * v["detector.gate_ns"] * 1e-9
-                    ) * v["detector.integration_s"]
+    # no ideal rate exceeds pair_rate, so the count mean at pair_rate bounds
+    # every count mean; numpy's Poisson sampler refuses means above about
+    # 9.2e18, and every count below 2^53 is exact in float64
+    largest_mean = count_means(config.count_model(), v["experiment.pair_rate"])
     if not largest_mean <= 1e15:
         problems.append("the largest count mean (detector.efficiency^2 * experiment.pair_rate + detector.singles_1"
                         " * detector.singles_2 * detector.gate_ns * 1e-9) * detector.integration_s"

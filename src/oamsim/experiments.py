@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import sector_coefficients
-from .spdc import DetectorConfig, accidentals, ell_index, restricted_ket, sample_counts
+from .modes import sector_shape
+from .spdc import CountModel, count_means, ell_index, restricted_ket, sample_counts
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class ScanResult:
     """Coincidence data over a grid of settings plus the axes that generated it.
 
     ``ideal`` (float rates) and ``counts`` (sampled integers) have one entry
-    per setting, shaped like the axes; ``accidental`` is one estimate for all.
+    per setting, shaped like the axes; ``accidental`` is the accidental mean
+    count of every setting, ``count_means`` at rate 0.
     """
 
     axis_names: tuple[str, ...]
@@ -55,9 +56,9 @@ class ScanResult:
                     count=self.counts.ravel(), accidental=self.accidental)
 
 
-def _scan(axis_names, axis_values, rates: np.ndarray, det: DetectorConfig, seed: int) -> ScanResult:
-    return ScanResult(axis_names, axis_values, rates, sample_counts(rates, det, seed),
-                      accidentals(det) * det.integration_time)
+def _scan(axis_names, axis_values, rates: np.ndarray, model: CountModel, seed: int) -> ScanResult:
+    return ScanResult(axis_names, axis_values, rates, sample_counts(rates, model, seed),
+                      count_means(model, 0.0))
 
 
 def analyzer_rates(amplitudes, rows_a, rows_b, pair_rate: float) -> np.ndarray:
@@ -70,7 +71,7 @@ def analyzer_rates(amplitudes, rows_a, rows_b, pair_rate: float) -> np.ndarray:
     return pair_rate * np.abs(amps) ** 2
 
 
-def spiral_scan(joint: np.ndarray, ells_a, ells_b, det: DetectorConfig,
+def spiral_scan(joint: np.ndarray, ells_a, ells_b, model: CountModel,
                 seed: int, pair_rate: float) -> ScanResult:
     """Coincidence matrix over projector pairs (ell_A, ell_B).
 
@@ -81,27 +82,29 @@ def spiral_scan(joint: np.ndarray, ells_a, ells_b, det: DetectorConfig,
     basis = np.eye(len(joint))
     rates = analyzer_rates(joint, basis[ell_index(joint, ells_a)], basis[ell_index(joint, ells_b)], pair_rate)
     return _scan(("ell_a", "ell_b"), (ells_a.astype(float), ells_b.astype(float)),
-                 rates, det, seed)
+                 rates, model, seed)
 
 
 def angular_scan(joint: np.ndarray, width: float, orientations_a, orientations_b,
-                 det: DetectorConfig, seed: int, pair_rate: float) -> ScanResult:
+                 model: CountModel, seed: int, pair_rate: float) -> ScanResult:
     """Coincidence map over sector-hologram orientations (beta_A, beta_B).
 
     Rates are computed in the OAM basis: an arm's analyzer kets are the
     conjugated azimuthal Fourier coefficients of its sector projectors,
     truncated to the state support and normalized there, one per orientation.
+    Their common factor width / 2pi cancels in the normalization, so the rows
+    are formed without it (``modes.sector_shape``).
     """
     orientations_a = np.asarray(orientations_a, dtype=float)
     orientations_b = np.asarray(orientations_b, dtype=float)
     ells = np.arange(len(joint)) - len(joint) // 2
 
     def arm_rows(betas):
-        vecs = sector_coefficients(betas[:, None], width, ells)
+        vecs = sector_shape(betas[:, None], width, ells)
         return np.conj(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
 
     rates = analyzer_rates(joint, arm_rows(orientations_a), arm_rows(orientations_b), pair_rate)
-    return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b), rates, det, seed)
+    return _scan(("beta_a", "beta_b"), (orientations_a, orientations_b), rates, model, seed)
 
 
 def _conditional(scan: ScanResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,14 +291,14 @@ def _bell_rates(joint: np.ndarray, ell: int, thetas_a, thetas_b, pair_rate: floa
 
 
 def bell_curve(joint: np.ndarray, ell: int, theta_a: float, thetas_b,
-               det: DetectorConfig, seed: int, pair_rate: float) -> ScanResult:
+               model: CountModel, seed: int, pair_rate: float) -> ScanResult:
     """Coincidence fringe: analyzer A fixed at theta_a, analyzer B swept."""
     thetas_b = np.asarray(thetas_b, dtype=float)
     rates = _bell_rates(joint, ell, theta_a, thetas_b, pair_rate)[0]
-    return _scan(("theta_b",), (thetas_b,), rates, det, seed)
+    return _scan(("theta_b",), (thetas_b,), rates, model, seed)
 
 
-def bell_counts(joint: np.ndarray, settings: BellSettings, det: DetectorConfig,
+def bell_counts(joint: np.ndarray, settings: BellSettings, model: CountModel,
                 seed: int, pair_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the 16 coincidence counts of the four-orientation pattern.
 
@@ -304,7 +307,7 @@ def bell_counts(joint: np.ndarray, settings: BellSettings, det: DetectorConfig,
     """
     rates = _bell_rates(joint, settings.ell, *settings.orientations(), pair_rate)
     rates = np.diagonal(rates).reshape(4, 4).copy()
-    return sample_counts(rates, det, seed), rates
+    return sample_counts(rates, model, seed), rates
 
 
 def bell_parameter(counts, settings: BellSettings) -> tuple[float, float]:
@@ -364,7 +367,7 @@ def arm_projectors(d: int, ell_values) -> tuple[np.ndarray, list[str]]:
     return kets, labels
 
 
-def run_tomography_experiment(ket, kets, det: DetectorConfig, seed: int,
+def run_tomography_experiment(ket, kets, model: CountModel, seed: int,
                               pair_rate: float) -> ScanResult:
     """Sampled coincidence counts of a tomography campaign, one per setting.
 
@@ -375,4 +378,4 @@ def run_tomography_experiment(ket, kets, det: DetectorConfig, seed: int,
     depends only on the seed and that index."""
     d = np.shape(kets)[-1]
     rates = analyzer_rates(np.reshape(ket, (d, d)), kets, kets, pair_rate).ravel()
-    return _scan(("setting",), (np.arange(len(rates)),), rates, det, seed)
+    return _scan(("setting",), (np.arange(len(rates)),), rates, model, seed)

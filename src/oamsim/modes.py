@@ -4,8 +4,9 @@ The p = 0 Laguerre-Gaussian modes at the waist plane, sampled for a whole
 window of azimuthal indices at once at any set of points in the plane and
 optionally shifted laterally to model a misaligned measurement hologram, and
 the azimuthal Fourier coefficients of the angular-sector ("slice")
-holograms.  The state build needs no samples (``spdc.build_state`` is a
-closed form); the samples serve field-level checks and tracing.
+holograms, with and without their common width factor.  The state build
+needs no samples (``spdc.build_state`` is a closed form); the samples serve
+field-level checks and tracing.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ def sector_coefficients(beta, width: float, ells) -> np.ndarray:
     radial envelope is factored out.  beta broadcasts against ells, so a
     column of orientations gives one row of coefficients per orientation.
     """
+    return (width / (2.0 * math.pi)) * sector_shape(beta, width, ells)
+
+
+def sector_shape(beta, width: float, ells) -> np.ndarray:
+    """The sector coefficients over their common factor width / 2pi:
+    sinc(ell * width / 2) * exp(-i ell beta), every entry of magnitude at most 1.
+
+    A row normalised over ell needs no more, and unlike the coefficients it
+    does not underflow to 0 at the narrowest widths, from about 1e-300.
+    """
     if not 0.0 < width <= 2.0 * math.pi:
         raise ValueError("sector width must lie in (0, 2*pi]")
     ells = np.asarray(ells, dtype=int)
@@ -63,4 +74,4 @@ def sector_coefficients(beta, width: float, ells) -> np.ndarray:
     sinc = np.ones_like(x, dtype=float)
     nz = x != 0
     sinc[nz] = np.sin(x[nz]) / x[nz]
-    return (width / (2.0 * math.pi)) * sinc * np.exp(-1j * ells * beta)
+    return sinc * np.exp(-1j * ells * beta)

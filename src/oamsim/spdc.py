@@ -14,16 +14,19 @@ back-projected modes with the pump are Gaussians times polynomials, so
 ``build_state`` evaluates one closed form at every lateral signal offset,
 the aligned state included.  Crystal length and phase mismatch enter only
 through the far-field ring profile, computed like the mode count in mm and nm.
-Coincidence counts are Poisson draws over an array of ideal rates, each count
-from a random stream seeded by the run seed and the setting's position in the
-array: numpy's ``default_rng([seed, k]).poisson``, drawn by
+``count_means`` is the one count model: each mean count is
+(efficiency^2 rate + accidental rate) integration time, its three numbers a
+``CountModel`` that ``config.ScenarioConfig.count_model`` forms from the
+detector keys.  Coincidence counts are Poisson draws of those means, each
+count from a random stream seeded by the run seed and the setting's position
+in the array: numpy's ``default_rng([seed, k]).poisson``, drawn by
 ``numerics.poisson_streams``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from .numerics import poisson_streams
@@ -33,25 +36,15 @@ from .numerics import poisson_streams
 ELL_WINDOW_CAP = 20
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Single-photon detectors and coincidence gating."""
+class CountModel(NamedTuple):
+    """The numbers of the count model: the pair efficiency (one detector's
+    efficiency squared), the accidental coincidence rate S1 S2 tau in counts
+    per second and the integration time in seconds.  It checks nothing:
+    ``config.validate`` bounds the keys they are formed from."""
 
-    singles_1: float = 2e4
-    singles_2: float = 2e4
-    gate_time: float = 12.5e-9
-    efficiency: float = 0.6
-    integration_time: float = 1.0
-
-    def __post_init__(self):
-        if min(self.singles_1, self.singles_2) < 0:
-            raise ValueError("count rates must be non-negative")
-        if self.gate_time <= 0:
-            raise ValueError("gate time must be positive")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
-        if not self.integration_time > 0:
-            raise ValueError("integration time must be positive")
+    efficiency_sq: float
+    accidental_rate: float
+    integration_s: float
 
 
 def _normalised_laguerre(points, size: int) -> np.ndarray:
@@ -198,22 +191,21 @@ def transverse_mode_count(area_mm2: float, solid_angle_sr: float, wavelength_nm:
     return 1e12 * area_mm2 * solid_angle_sr / wavelength_nm**2
 
 
-def accidentals(det: DetectorConfig) -> float:
-    """Uncorrelated coincidence rate S1 * S2 * gate_time (counts/second)."""
-    return det.singles_1 * det.singles_2 * det.gate_time
+def count_means(model: CountModel, rates):
+    """Mean counts (efficiency^2 rate + accidental rate) integration time at the
+    ideal ``rates``; at rate 0, the accidental mean."""
+    return (model.efficiency_sq * rates + model.accidental_rate) * model.integration_s
 
 
-def sample_counts(ideal_rates, det: DetectorConfig, seed: int) -> np.ndarray:
+def sample_counts(ideal_rates, model: CountModel, seed: int) -> np.ndarray:
     """Poisson-sampled coincidence counts, an integer array shaped like ``ideal_rates``.
 
-    Each mean is (efficiency^2 * ideal_rate + accidental rate) * integration
-    time; one efficiency factor per detector.  The count at flat C-order
-    position k is ``default_rng([seed, k]).poisson(mean)``, so it depends only
-    on the seed, k and its own rate, not on the other settings or on
-    evaluation order; ``numerics.poisson_streams`` draws them.
+    Each mean is ``count_means(model, ideal_rate)``, the one count model.  The
+    count at flat C-order position k is ``default_rng([seed, k]).poisson(mean)``,
+    so it depends only on the seed, k and its own rate, not on the other
+    settings or on evaluation order; ``numerics.poisson_streams`` draws them.
     """
     rates = np.asarray(ideal_rates, dtype=float)
-    if np.any(rates < 0):
-        raise ValueError("ideal rates must be non-negative")
-    means = (det.efficiency**2 * rates + accidentals(det)) * det.integration_time
-    return poisson_streams(means.ravel(), seed).reshape(rates.shape)
+    if not np.all((rates >= 0) & (rates < math.inf)):
+        raise ValueError("ideal rates must be finite and non-negative")
+    return poisson_streams(count_means(model, rates).ravel(), seed).reshape(rates.shape)

@@ -8,9 +8,9 @@ the runner's one table writer and read back by ``load_density_matrix``.  A
 setting pairs two rows |a>, |b> of one (m, d) array of arm kets, at rate
 <ab|rho|ab>.  The joint design of the m^2 settings is P (x) P, P the arm
 design, up to the permutation ``_realign``; it is never formed, and
-``born_probabilities`` gives all the rates of a mixed rho as one (m, m)
-array, the model ``reconstruct`` fits; the pure state that a run samples
-takes its rates from the one kernel, ``experiments.analyzer_rates``.
+``_born`` gives all the rates of a mixed rho as one (m, m) array, the model
+``reconstruct`` fits; the pure state that a run samples takes its rates
+from the one kernel, ``experiments.analyzer_rates``.
 ``reconstruct`` minimizes the count-weighted chi-square over sigma = N rho
 (flux times density matrix), a convex quadratic on the positive-semidefinite
 cone.  It writes sigma = T T^H with T a full d^2 x d^2 complex factor, the
@@ -118,15 +118,6 @@ def _arm_design(kets) -> np.ndarray:
 def _born(design, realigned) -> np.ndarray:
     """The (m, m) rates <ab|rho|ab>, Re(P R P^T) for the arm design P and R = _realign(rho)."""
     return (design @ realigned @ design.T).real
-
-
-def born_probabilities(kets, rho) -> np.ndarray:
-    """Re <ab| rho |ab> for every pair of rows a, b of ``kets``, with no joint ket formed."""
-    rho = np.asarray(rho, dtype=complex)
-    d = np.shape(kets)[-1]
-    if rho.shape != (d * d, d * d):
-        raise ValueError("ket dimension does not match the density matrix")
-    return _born(_arm_design(kets), _realign(rho, d))
 
 
 def _factor_gradient(design_conj, perm, weighted, t) -> np.ndarray:

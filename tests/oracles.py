@@ -407,8 +407,8 @@ def tomography_probabilities(arm_kets, rho) -> np.ndarray:
 
     One explicit kron product and one matrix-vector product per setting.
     Checks the (m, m) arrays on the arm kets of ``experiments.arm_projectors``
-    that are this list in C order: ``tomography.born_probabilities`` for any
-    rho, and ``experiments.analyzer_rates`` at unit pair rate for a pure rho.
+    that are this list in C order: ``tomography._born`` for any rho, and
+    ``experiments.analyzer_rates`` at unit pair rate for a pure rho.
     """
     rho = np.asarray(rho, dtype=complex)
     probs = []
@@ -504,16 +504,16 @@ def fista_reconstruct(counts, kets, d: int, tolerance: float = 1e-12,
     return x, chi2, iterations, converged
 
 
-def per_setting_counts(ideal_rates, det, seed: int) -> np.ndarray:
+def per_setting_counts(ideal_rates, model, seed: int) -> np.ndarray:
     """Poisson counts shaped like ideal_rates, one numpy Generator per setting.
 
     The count at flat position k is ``default_rng([seed, k]).poisson(mean)``
-    with mean (efficiency^2 * rate + accidentals) * integration time.
-    Checks ``spdc.sample_counts``, which evaluates every stream at once.
+    with mean (efficiency_sq * rate + accidental_rate) * integration_s of the
+    ``spdc.CountModel`` ``model``.  Checks ``spdc.sample_counts``, which
+    evaluates every stream at once.
     """
     rates = np.asarray(ideal_rates, dtype=float)
-    acc = det.singles_1 * det.singles_2 * det.gate_time
-    means = (det.efficiency**2 * rates + acc) * det.integration_time
+    means = (model.efficiency_sq * rates + model.accidental_rate) * model.integration_s
     counts = [np.random.default_rng([seed, k]).poisson(mean)
               for k, mean in enumerate(means.ravel().tolist())]
     return np.array(counts, dtype=np.int64).reshape(rates.shape)

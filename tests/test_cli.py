@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from oamsim import cli, experiments, tomography
 from oamsim.cli import RUNNERS, RunContext, main
-from oamsim.config import INTERVALS, build_config
+from oamsim.config import INTERVALS, build_config, validate
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -347,7 +347,7 @@ def test_validate_grid_bounds(capsys, key, value, code):
 
 @pytest.mark.parametrize("seconds, code", [("0", 1), ("1e-3", 0)])
 def test_validate_integration_time_bound(capsys, seconds, code):
-    # DetectorConfig rejects a zero integration time, so validate must too
+    # a run that counts for no time measures nothing, so the interval is open at 0
     assert main(["validate", "--set", f"detector.integration_s={seconds}"]) == code
     assert ("detector.integration_s" in capsys.readouterr().out) == bool(code)
 
@@ -424,9 +424,9 @@ def test_ideal_rates_do_not_exceed_pair_rate(tmp_path, monkeypatch, command, ove
     largest = []
     real = experiments.sample_counts
 
-    def spy(rates, det, seed):
+    def spy(rates, model, seed):
         largest.append(np.max(rates))
-        return real(rates, det, seed)
+        return real(rates, model, seed)
 
     monkeypatch.setattr(experiments, "sample_counts", spy)
     sets = [arg for item in [*overrides, "experiment.pair_rate=1e4"] for arg in ("--set", item)]
@@ -508,6 +508,32 @@ def test_ring_and_modes_run_at_every_corner(tmp_path, command):
         sets = [arg for key, value in zip(READS[command], corner) for arg in ("--set", f"{key}={value!r}")]
         assert main([command, *sets, "--out", str(tmp_path)]) == 0, corner
         assert non_finite_cells(tmp_path) == [], corner
+
+
+DETECTOR_KEYS = sorted(key for key in INTERVALS if key.startswith("detector."))
+# each detector key at the accepted extreme of each end of its interval, and the narrowest
+# sector; an upper end that makes the largest count mean overflow is rejected, and skipped
+EXTREMES = [*((key, value) for key in DETECTOR_KEYS for value in accepted_ends(key)
+              if not validate(build_config(overrides={key: repr(value)}))),
+            ("experiment.sector_width_rad", 5e-324)]
+# the extremes with no accidental coincidences
+NO_ACCIDENTALS = {("detector.gate_ns", 5e-324), ("detector.singles_1", 0.0), ("detector.singles_2", 0.0)}
+
+
+@pytest.mark.parametrize("key, value", EXTREMES)
+def test_sampling_runs_at_detector_and_sector_extremes(tmp_path, key, value):
+    # a 5e-324 ns gate is 0 s, an accidental rate of 0; the sector coefficients of a width
+    # of 1e-300 or less underflow to 0, but not the analyzer rows normalised without their
+    # width factor.  Every warning fails the test
+    for command in SAMPLING:
+        out = tmp_path / command
+        assert main([command, "--set", f"{key}={value!r}", "--out", str(out)]) == 0, command
+        if (key, value) in NO_ACCIDENTALS:
+            for path in sorted(out.glob("*.csv")):
+                header = path.read_text().splitlines()[1].split(",")
+                if "accidental" in header:
+                    column = header.index("accidental")
+                    assert {row.split(",")[column] for row in data_rows(path)} == {"0.0"}, path.name
 
 
 def test_ring_and_modes_write_config_units_as_they_are(runs):

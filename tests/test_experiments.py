@@ -26,14 +26,14 @@ from oamsim.experiments import (
     spiral_scan,
     spiral_spectrum,
 )
-from oamsim.spdc import DetectorConfig, build_state, restricted_ket
+from oamsim.spdc import CountModel, build_state, restricted_ket
 from oamsim.tomography import _arm_design
 from oracles import analyzer_ket, joint_design, tomography_probabilities
 from oracles import bell_probability as bell_probability_oracle
 
-QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
-NOISY_DET = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9,
-                           efficiency=1.0, integration_time=1.0)
+# means equal the ideal rates; NOISY_DET adds the default 2e4 * 2e4 * 12.5e-9 = 5 accidentals per second
+QUIET_DET = CountModel(efficiency_sq=1.0, accidental_rate=0.0, integration_s=1.0)
+NOISY_DET = CountModel(efficiency_sq=1.0, accidental_rate=2e4 * 2e4 * 12.5e-9, integration_s=1.0)
 
 
 def pair_state(amps):
@@ -105,9 +105,9 @@ class TestAnalyzerRates:
         rates = {}
         real = experiments.sample_counts
 
-        def spy(ideal, det, seed):
+        def spy(ideal, model, seed):
             rates.setdefault(command, ideal)
-            return real(ideal, det, seed)
+            return real(ideal, model, seed)
 
         monkeypatch.setattr(experiments, "sample_counts", spy)
         for command, window in (("spiral", "source.ell_max"), ("epr-reid", "experiment.epr_ell_max")):

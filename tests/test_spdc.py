@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oamsim.config import build_config, validate
 from oamsim.numerics import poisson_streams
 from oamsim.spdc import (
-    DetectorConfig,
-    accidentals,
+    CountModel,
     _normalised_laguerre,
     build_state,
+    count_means,
     ell_index,
     restricted_ket,
     sample_counts,
@@ -334,23 +335,47 @@ class TestModeCount:
 
 
 class TestAccidentals:
+    """The accidental mean of the count model: ``count_means`` at rate 0, from the detector keys."""
+
     def test_dark_rate_scale(self):
-        det = DetectorConfig(singles_1=200.0, singles_2=200.0, gate_time=12.5e-9)
-        assert accidentals(det) == pytest.approx(5e-4, rel=1e-12)
+        model = build_config(overrides={"detector.singles_1": "200", "detector.singles_2": "200"}).count_model()
+        assert model.accidental_rate == pytest.approx(5e-4, rel=1e-12)
+        assert count_means(model, 0.0) == model.accidental_rate  # over the default 1 s
 
     def test_zero_gate_means_zero(self):
-        # gate_time must stay positive; use a tiny gate and check proportionality
-        det = DetectorConfig(singles_1=200.0, singles_2=200.0, gate_time=1e-15)
-        assert accidentals(det) == pytest.approx(200.0 * 200.0 * 1e-15)
+        # a gate of 5e-324 ns is 0 s, so the accidental rate is 0 and every mean is efficiency^2 rate T
+        config = build_config(overrides={"detector.gate_ns": "5e-324", "detector.integration_s": "2"})
+        assert validate(config) == []
+        model = config.count_model()
+        assert model.accidental_rate == 0.0
+        assert count_means(model, 0.0) == 0.0
+        assert count_means(model, 10.0) == 0.36 * 10.0 * 2.0
 
     def test_bilinear_in_singles(self):
-        det1 = DetectorConfig(singles_1=1e3, singles_2=1e3, gate_time=1e-8)
-        det2 = DetectorConfig(singles_1=2e3, singles_2=2e3, gate_time=1e-8)
-        assert accidentals(det2) == pytest.approx(4.0 * accidentals(det1))
+        def accidental(singles):
+            sets = {"detector.singles_1": singles, "detector.singles_2": singles, "detector.gate_ns": "10"}
+            return count_means(build_config(overrides=sets).count_model(), 0.0)
+
+        assert accidental("2e3") == pytest.approx(4.0 * accidental("1e3"))
+
+
+class TestCountMeans:
+    def test_is_the_count_model(self):
+        model = CountModel(efficiency_sq=0.25, accidental_rate=1.0, integration_s=2.0)
+        rates = np.array([[0.0, 2e4], [3.0, 0.5]])
+        assert np.array_equal(count_means(model, rates), (0.25 * rates + 1.0) * 2.0)
+        assert count_means(model, 2e4) == (0.25 * 2e4 + 1.0) * 2.0
+
+    def test_default_keys(self):
+        # (0.6^2 pair_rate + 2e4 * 2e4 * 12.5e-9) * 1 s, each product in the order the keys give it
+        model = build_config().count_model()
+        assert model == (0.6**2, 2e4 * 2e4 * (12.5 * 1e-9), 1.0)
+        assert count_means(model, 0.0) == model.accidental_rate
+        assert count_means(model, 3e4) == pytest.approx(0.36 * 3e4 + 5.0, rel=1e-15)
 
 
 class TestSampleCounts:
-    DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
+    DET = CountModel(efficiency_sq=1.0, accidental_rate=0.0, integration_s=1.0)
 
     def test_zero_mean_gives_zero(self):
         assert sample_counts(np.zeros(5), self.DET, seed=1).tolist() == [0] * 5
@@ -372,10 +397,9 @@ class TestSampleCounts:
         assert not np.array_equal(a, sample_counts(rates, self.DET, seed=43))
 
     def test_mean_includes_efficiency_and_accidentals(self):
-        det = DetectorConfig(singles_1=1e4, singles_2=1e4, gate_time=1e-8,
-                             efficiency=0.5, integration_time=2.0)
+        model = CountModel(efficiency_sq=0.25, accidental_rate=1.0, integration_s=2.0)
         # mean = (0.25 * rate + 1) * 2
-        counts = sample_counts(np.full(3000, 2e4), det, seed=0)
+        counts = sample_counts(np.full(3000, 2e4), model, seed=0)
         want = (0.25 * 2e4 + 1.0) * 2.0
         assert np.mean(counts) == pytest.approx(want, abs=3.0 * math.sqrt(want / len(counts)))
 
@@ -392,15 +416,19 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="non-negative"):
             sample_counts(np.array([1.0, -1e-9]), self.DET, seed=0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="ideal rates must be finite and non-negative"):
+            sample_counts(np.array([[1.0, rate]]), self.DET, seed=0)
+
 
 class TestCountStream:
-    DET = DetectorConfig(singles_1=1e4, singles_2=2e4, gate_time=1e-8,
-                         efficiency=0.6, integration_time=1.5)
+    DET = CountModel(efficiency_sq=0.6**2, accidental_rate=1e4 * 2e4 * 1e-8, integration_s=1.5)
 
     def test_count_k_is_drawn_from_stream_seed_k(self):
         rates = np.array([[10.0, 50.0, 0.0], [3e3, 1.0, 7.5]])
         counts = sample_counts(rates, self.DET, seed=5).ravel()
-        means = (self.DET.efficiency**2 * rates.ravel() + accidentals(self.DET)) * self.DET.integration_time
+        means = count_means(self.DET, rates.ravel())
         for k, mean in enumerate(means):
             assert counts[k] == np.random.default_rng([5, k]).poisson(mean)
 
@@ -414,8 +442,8 @@ class TestCountStream:
         assert other[2] != base[2]
 
 
-# means equal the ideal rates under this detector: (1 * rate + 0) * 1
-UNIT_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
+# means equal the ideal rates under this count model: (1 * rate + 0) * 1
+UNIT_DET = CountModel(efficiency_sq=1.0, accidental_rate=0.0, integration_s=1.0)
 # the largest count mean config.validate accepts
 MEAN_BOUND = 1e15
 TEN_AND_NEIGHBOURS = [np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0)]
@@ -448,19 +476,19 @@ class TestCountStreamOracle:
         assert np.array_equal(sample_counts(means, UNIT_DET, seed), per_setting_counts(means, UNIT_DET, seed))
 
     def test_matches_with_accidentals_and_shape(self):
-        det = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9, efficiency=0.6,
-                             integration_time=1.0)
+        model = build_config().count_model()
         rates = np.random.default_rng(3).uniform(0.0, 50.0, (16, 24))
-        assert np.array_equal(sample_counts(rates, det, 671067976), per_setting_counts(rates, det, 671067976))
+        assert np.array_equal(sample_counts(rates, model, 671067976), per_setting_counts(rates, model, 671067976))
 
     @pytest.mark.parametrize("rates", [[1.0, math.nan], [math.inf], [1e19], [5.0, math.nan, math.inf],
                                        [5.0, math.inf, math.nan]],
                              ids=["nan", "inf", "too-large", "nan-first", "inf-first"])
     def test_invalid_means_raise_like_numpy(self, rates):
+        # a non-finite rate stops sample_counts first, so call the kernel
         with pytest.raises(ValueError) as want:
             per_setting_counts(np.array(rates), UNIT_DET, 0)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            sample_counts(np.array(rates), UNIT_DET, 0)
+            poisson_streams(np.array(rates), 0)
 
     def test_negative_mean_or_seed_raises_like_numpy(self):
         # a negative rate stops sample_counts first, so call the kernel
@@ -475,9 +503,13 @@ class TestCountStreamOracle:
 
 
 class TestDetectorConfig:
-    @pytest.mark.parametrize("kwargs", [{"singles_1": -1.0}, {"gate_time": 0.0}, {"efficiency": 0.0},
-                                        {"efficiency": 1.5}, {"integration_time": 0.0},
-                                        {"integration_time": -1.0}, {"integration_time": math.nan}])
+    """The detector section of the config: ``config.validate`` holds every bound
+    of its keys, and ``CountModel`` checks none."""
+
+    @pytest.mark.parametrize("kwargs", [{"singles_1": -1.0}, {"gate_ns": 0.0}, {"efficiency": 0.0},
+                                        {"efficiency": 1.5}, {"integration_s": 0.0},
+                                        {"integration_s": -1.0}, {"integration_s": math.nan}])
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            DetectorConfig(**kwargs)
+        (key, value), = kwargs.items()
+        problems = validate(build_config(overrides={f"detector.{key}": repr(value)}))
+        assert any(problem.startswith(f"detector.{key} must lie in") for problem in problems)

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from oamsim.cli import RunContext, main
 from oamsim.config import INTERVALS, build_config, validate
 from oamsim.experiments import arm_projectors, run_tomography_experiment
-from oamsim.spdc import DetectorConfig, build_state, maximally_entangled_ket, restricted_ket
+from oamsim.spdc import CountModel, build_state, maximally_entangled_ket, restricted_ket
 from oamsim.tomography import (
     MAX_ITERATIONS,
     ReconstructionReport,
     _arm_design,
+    _born,
     _factor_gradient,
     _quartic_minimum,
     _realign,
     bell_violation_threshold,
-    born_probabilities,
     check_density_matrix,
     concurrence,
     density_matrix_columns,
@@ -40,9 +40,9 @@ from oracles import (
     tomography_probabilities,
 )
 
-QUIET_DET = DetectorConfig(singles_1=0.0, singles_2=0.0, efficiency=1.0, integration_time=1.0)
-NOISY_DET = DetectorConfig(singles_1=2e4, singles_2=2e4, gate_time=12.5e-9,
-                           efficiency=1.0, integration_time=1.0)
+# means equal the ideal rates; NOISY_DET adds the default 2e4 * 2e4 * 12.5e-9 = 5 accidentals per second
+QUIET_DET = CountModel(efficiency_sq=1.0, accidental_rate=0.0, integration_s=1.0)
+NOISY_DET = CountModel(efficiency_sq=1.0, accidental_rate=2e4 * 2e4 * 12.5e-9, integration_s=1.0)
 
 # Two-decimal reconstruction of a near-Bell two-qubit state, kept as a
 # regression input for the metric functions.
@@ -70,8 +70,8 @@ def werner(p):
 
 def ideal_rates(rho, kets, flux):
     """Noiseless counts of every setting on a density matrix, by the mixed-state
-    Born rule that ``reconstruct`` fits."""
-    return flux * born_probabilities(kets, rho).ravel()
+    Born rule that ``reconstruct`` fits, one kron product per setting."""
+    return flux * tomography_probabilities(kets, rho)
 
 
 def pure_rates(ket, kets, pair_rate):
@@ -168,15 +168,15 @@ class TestPredictedCounts:
         arm_kets, _ = arm_projectors(d, ells)
         m = len(arm_kets)
         for rho in (isotropic_state(d, p), p * isotropic_state(d, 1.0) + (1.0 - p) * noise):
-            got = born_probabilities(arm_kets, rho)
+            got = _born(_arm_design(arm_kets), _realign(rho, d))
             assert got.shape == (m, m)
             want = tomography_probabilities(arm_kets, rho).reshape(m, m)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_dimension_mismatch(self):
         kets, _ = arm_projectors(3, [-1, 0, 1])
-        with pytest.raises(ValueError):
-            ideal_rates(bell_density(), kets, 1.0)
+        with pytest.raises(ValueError, match="ket dimension does not match d"):
+            reconstruct(np.zeros(len(kets) ** 2), kets, d=2)
 
     def test_realign_is_its_own_inverse_and_takes_kron_to_outer(self):
         rng = np.random.default_rng(4)
@@ -337,12 +337,15 @@ class TestReconstruct:
         w2 = 1.0 / (counts + 1.0)
         dim = d * d
 
+        def rates(t):
+            return tomography_probabilities(kets, t @ t.conj().T).reshape(m, m)
+
         def chi_squared(t):
-            return float(np.sum(w2 * (counts - born_probabilities(kets, t @ t.conj().T)) ** 2))
+            return float(np.sum(w2 * (counts - rates(t)) ** 2))
 
         for seed in range(3):
             t, s = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
-            residual = counts - born_probabilities(kets, t @ t.conj().T)
+            residual = counts - rates(t)
             grad = _factor_gradient(_arm_design(kets).conj(), _realign(np.arange(dim**2), d),
                                     w2 * residual, t)
 
