@@ -29,7 +29,7 @@ import numpy.ma
 import numpy.random
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, load_config, validate
+from .config import ConfigError, canonical_lines, config_hash, count_model, load_config, validate
 from .experiments import (
     BellSettings,
     arm_projectors,
@@ -99,7 +99,7 @@ def _format_column(values: np.ndarray) -> list[str]:
 class RunContext:
     """Collects output files and timings for one subcommand invocation."""
 
-    def __init__(self, config: ScenarioConfig, out_dir: Path, command: str):
+    def __init__(self, config: dict, out_dir: Path, command: str):
         self.config = config
         self.out_dir = out_dir
         self.command = command
@@ -132,7 +132,7 @@ class RunContext:
         for v in values:
             _format_column(v[:0])  # a dtype it cannot format raises before the file opens
         with (self.out_dir / name).open("w") as out:
-            out.write(f"# config_hash={self.config.hash()} seed={self.config.seed}\n{','.join(columns)}\n")
+            out.write(f"# config_hash={config_hash(self.config)} seed={self.config['seed']}\n{','.join(columns)}\n")
             for first in range(0, len(values[0]), _BLOCK_ROWS):
                 cells = [_format_column(v[first:first + _BLOCK_ROWS]) for v in values]
                 out.write("\n".join(map(",".join, zip(*cells))) + "\n")
@@ -140,8 +140,8 @@ class RunContext:
 
     def write_manifest(self):
         lines = [f"command = {self.command}",
-                 f"config_hash = {self.config.hash()}",
-                 f"seed = {self.config.seed}",
+                 f"config_hash = {config_hash(self.config)}",
+                 f"seed = {self.config['seed']}",
                  f"oamsim_version = {__version__}",
                  f"numpy_version = {np.__version__}",
                  f"python_version = {sys.version.split()[0]}",
@@ -150,25 +150,25 @@ class RunContext:
             lines.append(f"elapsed_s.{stage} = {elapsed:.3f}")
         lines.extend(f"diag.{name} = {value}" for name, value in self.diagnostics)
         lines.append("# config echo")
-        lines.extend(self.config.canonical_lines())
+        lines.extend(canonical_lines(self.config))
         (self.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _stage_seed(config: ScenarioConfig, stage: int) -> int:
+def _stage_seed(config: dict, stage: int) -> int:
     """Deterministic per-stage seed: first word of SeedSequence([seed, stage])."""
-    return int(np.random.SeedSequence([config.seed, stage]).generate_state(1)[0])
+    return int(np.random.SeedSequence([config["seed"], stage]).generate_state(1)[0])
 
 
-def _state(config: ScenarioConfig, ell_max: int):
+def _state(config: dict, ell_max: int):
     return build_state(config["source.gamma"], ell_max, config["source.signal_offset_waists"])
 
 
-def run_spiral(config: ScenarioConfig, ctx: RunContext):
+def run_spiral(config: dict, ctx: RunContext):
     ell_max = config["source.ell_max"]
     joint = _state(config, ell_max)
     ctx.mark("build_state")
     ells = np.arange(-ell_max, ell_max + 1)
-    scan = spiral_scan(joint, ells, ells, config.count_model(), _stage_seed(config, 0),
+    scan = spiral_scan(joint, ells, ells, count_model(config), _stage_seed(config, 0),
                        pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
     ctx.write_table("spiral_matrix.csv", scan.columns())
@@ -183,13 +183,13 @@ def run_spiral(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("write")
 
 
-def run_angular(config: ScenarioConfig, ctx: RunContext):
+def run_angular(config: dict, ctx: RunContext):
     joint = _state(config, config["experiment.epr_ell_max"])
     ctx.mark("build_state")
     n = config["experiment.angular_points"]
     betas = np.linspace(-math.pi, math.pi, n, endpoint=False)
     scan = angular_scan(joint, config["experiment.sector_width_rad"], betas, betas,
-                        config.count_model(), _stage_seed(config, 1),
+                        count_model(config), _stage_seed(config, 1),
                         pair_rate=config["experiment.pair_rate"])
     ctx.mark("scan")
     ctx.write_table("angular_map.csv", scan.columns())
@@ -198,38 +198,38 @@ def run_angular(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("write")
 
 
-def run_epr_reid(config: ScenarioConfig, ctx: RunContext):
+def run_epr_reid(config: dict, ctx: RunContext):
     ell_max = config["experiment.epr_ell_max"]
     joint = _state(config, ell_max)
     ctx.mark("build_state")
-    count_model = config.count_model()
+    model = count_model(config)
     rate = config["experiment.pair_rate"]
     ells = np.arange(-ell_max, ell_max + 1)
-    spiral = spiral_scan(joint, ells, np.array([0]), count_model, _stage_seed(config, 0),
+    spiral = spiral_scan(joint, ells, np.array([0]), model, _stage_seed(config, 0),
                          pair_rate=rate)
     betas = np.linspace(-math.pi, math.pi, config["experiment.angular_points"], endpoint=False)
     angular = angular_scan(joint, config["experiment.sector_width_rad"], betas,
-                           np.array([0.0]), count_model, _stage_seed(config, 1), pair_rate=rate)
+                           np.array([0.0]), model, _stage_seed(config, 1), pair_rate=rate)
     ctx.mark("scan")
     profiles = [conditional_profile(scan) for scan in (spiral, angular)]
-    xs, probabilities, model = (np.concatenate(column) for column in zip(*profiles))
+    xs, probabilities, expected = (np.concatenate(column) for column in zip(*profiles))
     ctx.write_table("epr_profiles.csv", {
         "profile": np.repeat(["ell", "phi"], [len(spiral), len(angular)]),
-        "x": xs, "probability": probabilities, "model": model})
+        "x": xs, "probability": probabilities, "model": expected})
     ctx.write_table("epr_summary.csv", asdict(epr_reid(spiral, angular)))
     ctx.mark("write")
 
 
-def run_bell(config: ScenarioConfig, ctx: RunContext):
+def run_bell(config: dict, ctx: RunContext):
     ell = config["bell.ell"]
     joint = _state(config, ell)
     ctx.mark("build_state")
-    count_model = config.count_model()
+    model = count_model(config)
     rate = config["experiment.pair_rate"]
     thetas = np.linspace(0.0, math.pi / ell, config["bell.curve_points"], endpoint=False)
-    curve = bell_curve(joint, ell, 0.0, thetas, count_model, _stage_seed(config, 0), pair_rate=rate)
+    curve = bell_curve(joint, ell, 0.0, thetas, model, _stage_seed(config, 0), pair_rate=rate)
     settings = BellSettings(ell)
-    counts, rates = bell_counts(joint, settings, count_model, _stage_seed(config, 1), pair_rate=rate)
+    counts, rates = bell_counts(joint, settings, model, _stage_seed(config, 1), pair_rate=rate)
     s_value, sigma = bell_parameter(counts, settings)
     ctx.mark("scan")
     ctx.write_table("bell_curve.csv", curve.columns())
@@ -244,7 +244,7 @@ def run_bell(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("write")
 
 
-def run_tomo(config: ScenarioConfig, ctx: RunContext):
+def run_tomo(config: dict, ctx: RunContext):
     d = config["tomo.d"]
     ell_values = list(config["tomo.ell_values"])
     joint = _state(config, max(abs(e) for e in ell_values))
@@ -252,7 +252,7 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
     target_ket = restricted_ket(joint, ell_values)
     # setting a * m + b pairs arm ket a with arm ket b
     kets, labels = arm_projectors(d, ell_values)
-    scan = run_tomography_experiment(target_ket, kets, config.count_model(),
+    scan = run_tomography_experiment(target_ket, kets, count_model(config),
                                      _stage_seed(config, 0),
                                      pair_rate=config["experiment.pair_rate"])
     ctx.mark("counts")
@@ -267,10 +267,13 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
                                         "arm_b": np.tile(labels, len(labels)), **columns})
     ctx.write_table("tomo_rho.csv", density_matrix_columns(report.rho))
     # each fidelity with a pure ket is <ket|rho|ket>; the isotropic threshold and the
-    # Schmidt-number witness are stated for F_phi, the fidelity with |Phi>
-    fid, fid_phi = (min(max(float(np.real(ket.conj() @ report.rho @ ket)), 0.0), 1.0)
+    # Schmidt-number witness are stated for F_phi, the fidelity with |Phi>.  With no
+    # coincidence at all rho is reconstruct's maximally mixed matrix, which estimates
+    # nothing: every estimate is nan, as the other scans write with no signal
+    measured = bool(scan.counts.any())
+    fid, fid_phi = (min(max(float(np.real(ket.conj() @ report.rho @ ket)), 0.0), 1.0) if measured else math.nan
                     for ket in (target_ket, maximally_entangled_ket(ell_values)))
-    entropy = linear_entropy(report.rho)
+    entropy = linear_entropy(report.rho) if measured else math.nan
     threshold_p = bell_violation_threshold(d)
     threshold_fid = threshold_fidelity(threshold_p, d)
     summary = {"d": d, "chi_squared": report.chi_squared, "flux": report.flux,
@@ -282,12 +285,12 @@ def run_tomo(config: ScenarioConfig, ctx: RunContext):
                # PRA 61, 040301(R), 2000)
                "schmidt_number_bound": int(np.count_nonzero(fid_phi > np.arange(d) / d))}
     if d == 2:
-        summary["concurrence"] = concurrence(report.rho)
+        summary["concurrence"] = concurrence(report.rho) if measured else math.nan
     ctx.write_table("tomo_summary.csv", summary)
     ctx.mark("write")
 
 
-def run_ring(config: ScenarioConfig, ctx: RunContext):
+def run_ring(config: dict, ctx: RunContext):
     rs = np.linspace(0.0, config["ring.r_max_mm"], config["ring.points"])
     profile = sinc_ring_profile(rs, config["source.focal_length_mm"], config["source.crystal_length_mm"],
                                 config["source.pump_wavelength_nm"], config["source.refractive_index"],
@@ -296,7 +299,7 @@ def run_ring(config: ScenarioConfig, ctx: RunContext):
     ctx.mark("write")
 
 
-def run_modes(config: ScenarioConfig, ctx: RunContext):
+def run_modes(config: dict, ctx: RunContext):
     area, solid_angle = config["modes.area_mm2"], config["modes.solid_angle_sr"]
     wavelength = 2.0 * config["source.pump_wavelength_nm"]  # degenerate pairs: twice the pump wavelength
     ctx.write_table("modes_summary.csv", {
@@ -314,16 +317,6 @@ RUNNERS = {
     "ring": run_ring,
     "modes": run_modes,
 }
-
-
-def _parse_overrides(pairs) -> dict:
-    overrides = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        overrides[key.strip()] = value.strip()
-    return overrides
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -355,7 +348,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, _parse_overrides(args.overrides))
+        config = load_config(args.config, args.overrides or ())
         problems = validate(config)
         if args.command == "validate":
             for problem in problems:

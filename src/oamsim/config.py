@@ -2,15 +2,16 @@
 
 The format is line oriented and diff friendly: one ``section.key = value``
 per line, ``#`` comments, and every physical quantity carried in the unit
-named by the key.  All randomness in a scenario flows from the single
-``seed`` entry; there is no wall-clock seeding anywhere.
+named by the key.  A ``--set key=value`` pair is one such entry, read by the
+same parser, and a config is a plain dict from each ``SCHEMA`` key to its
+parsed value.  All randomness in a scenario flows from the single ``seed``
+entry; there is no wall-clock seeding anywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 from .spdc import ELL_WINDOW_CAP, CountModel, count_means
 
@@ -43,8 +44,8 @@ class Interval:
 
 # key -> (parser, default, accepted interval, which bounds each entry of a list).
 # Defaults mirror the reference setup: 355 nm pump, degenerate 710 nm pairs, 3 mm
-# crystal, 12.5 ns gate.  The phase mismatch and ring coefficient have no published
-# numeric values; the defaults are stated here as configuration, not measured.
+# crystal, 12.5 ns gate.  The phase mismatch has no published numeric value; its
+# default is stated here as configuration, not measured.
 SCHEMA: dict[str, tuple] = {
     "seed": (int, 12345, "[0, inf)"),
     # X-rays (1 nm) to the far infrared (1 mm), closed below: ring and modes divide by it
@@ -70,7 +71,7 @@ SCHEMA: dict[str, tuple] = {
     "detector.efficiency": (float, 0.6, "(0, 1]"),
     "detector.integration_s": (float, 1.0, "(0, inf)"),
     "experiment.pair_rate": (float, 3e4, "(0, inf)"),
-    # the widths modes.sector_coefficients accepts, the full disc included
+    # the widths modes.sector_shape accepts, the full disc included
     "experiment.sector_width_rad": (float, math.pi / 8.0, f"(0, {2.0 * math.pi!r}]"),
     # no table may exceed 2^20 rows, a 1024 x 1024 angular map.  Timed in fresh
     # processes on 2 cores with BLAS at 1 thread, an offset run of that map at
@@ -79,9 +80,9 @@ SCHEMA: dict[str, tuple] = {
     "experiment.epr_ell_max": (int, 10, f"[0, {ELL_WINDOW_CAP}]"),
     "bell.ell": (int, 2, f"[1, {ELL_WINDOW_CAP}]"),
     "bell.curve_points": (int, 64, f"[4, {2**20}]"),
-    # the dimensions tomo runs.  Timed as above, a d = 7 run takes 0.73-0.75 s,
-    # and 0.61-0.68 s at gamma = 0.1; d = 8, with this interval lifted, takes
-    # 0.81-1.12 s, and 0.92-1.18 s at gamma = 0.1
+    # the dimensions tomo runs.  Timed as above (nproc 2), a d = 7 run takes
+    # 0.65-0.67 s, and 0.79-0.83 s at gamma = 0.1; d = 8, with this interval
+    # lifted, takes 0.94-1.14 s, and 1.12-1.18 s at gamma = 0.1
     "tomo.d": (int, 2, "[2, 7]"),
     "tomo.ell_values": (_parse_int_list, (1, -1), f"[-{ELL_WINDOW_CAP}, {ELL_WINDOW_CAP}]"),
     # a km, past any far-field screen
@@ -95,105 +96,82 @@ SCHEMA: dict[str, tuple] = {
 INTERVALS = {key: Interval(text) for key, (_, _, text) in SCHEMA.items()}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Typed view over a validated key = value mapping."""
-
-    values: dict
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    @property
-    def seed(self) -> int:
-        return self.values["seed"]
-
-    def canonical_lines(self) -> list[str]:
-        return [f"{key} = {_as_text(self.values[key])}" for key in SCHEMA]
-
-    def hash(self) -> str:
-        payload = "\n".join(self.canonical_lines()).encode()
-        return hashlib.sha256(payload).hexdigest()
-
-    def count_model(self) -> CountModel:
-        """The count model of the detector keys, the gate converted to seconds."""
-        v = self.values
-        return CountModel(v["detector.efficiency"] ** 2,
-                          v["detector.singles_1"] * v["detector.singles_2"] * (v["detector.gate_ns"] * 1e-9),
-                          v["detector.integration_s"])
+def canonical_lines(config: dict) -> list[str]:
+    return [f"{key} = {_as_text(config[key])}" for key in SCHEMA]
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse key = value lines into raw string values; rejects unknown keys."""
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
-    return raw
+def config_hash(config: dict) -> str:
+    payload = "\n".join(canonical_lines(config)).encode()
+    return hashlib.sha256(payload).hexdigest()
 
 
-def build_config(raw: dict | None = None, overrides: dict | None = None) -> ScenarioConfig:
-    """Combine defaults, file values and --set overrides into a typed config."""
-    values = {}
-    merged = dict(raw or {})
-    for key, value in (overrides or {}).items():
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r} in override")
-        merged[key] = value
-    for key, (parser, default, _) in SCHEMA.items():
-        if key in merged:
-            incoming = merged[key]
-            # a typed value is parsed from the text canonical_lines would write for it
-            try:
-                values[key] = parser(_as_text(incoming))
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: cannot parse {incoming!r}") from exc
-        else:
-            values[key] = default
-    return ScenarioConfig(values=values)
+def count_model(config: dict) -> CountModel:
+    """The count model of the detector keys, the gate converted to seconds."""
+    return CountModel(config["detector.efficiency"] ** 2,
+                      config["detector.singles_1"] * config["detector.singles_2"] * (config["detector.gate_ns"] * 1e-9),
+                      config["detector.integration_s"])
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
-    raw = None
+def _entry(text: str, source: str) -> tuple[str, str]:
+    """A ``key = value`` entry split on its first '=', both sides stripped; the key must be in SCHEMA."""
+    key, eq, value = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{source}: expected 'key = value', got {text!r}")
+    if key not in SCHEMA:
+        raise ConfigError(f"{source}: unknown key {key!r}")
+    return key, value.strip()
+
+
+def load_config(path: str | None = None, overrides=()) -> dict:
+    """The config of SCHEMA's defaults, the file at ``path`` and the ``--set``
+    pairs ``overrides``, in that order, each value parsed once by its SCHEMA
+    parser.  A file line loses its ``#`` comment and names a key at most once;
+    a later pair replaces the file's value and any earlier pair's."""
+    text = {}
     if path is not None:
         try:
             with open(path) as fh:
-                raw = parse_config_text(fh.read())
+                lines = fh.read().splitlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    return build_config(raw, overrides)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if line:
+                key, value = _entry(line, f"line {lineno}")
+                if key in text:
+                    raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+                text[key] = value
+    for pair in overrides:
+        key, value = _entry(pair, "--set")
+        text[key] = value
+    config = {}
+    for key, (parser, default, _) in SCHEMA.items():
+        try:
+            config[key] = parser(text[key]) if key in text else default
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {text[key]!r}") from exc
+    return config
 
 
-def validate(config: ScenarioConfig) -> list[str]:
+def validate(config: dict) -> list[str]:
     """Every violated invariant, one message per violation; empty when valid."""
-    v = config.values
-    problems = [f"{key} must lie in {interval.text} (got {_as_text(v[key])})"
+    problems = [f"{key} must lie in {interval.text} (got {_as_text(config[key])})"
                 for key, interval in INTERVALS.items()
-                if not all(x in interval for x in (v[key] if isinstance(v[key], tuple) else [v[key]]))]
-    if v["source.signal_offset_waists"] > 0 and v["source.gamma"] < 1e-3:
-        problems.append(f"source.gamma must be at least 1e-3 when source.signal_offset_waists > 0 (got {v['source.gamma']})")
+                if not all(x in interval for x in (config[key] if isinstance(config[key], tuple) else [config[key]]))]
+    if config["source.signal_offset_waists"] > 0 and config["source.gamma"] < 1e-3:
+        problems.append(f"source.gamma must be at least 1e-3 when source.signal_offset_waists > 0 (got {config['source.gamma']})")
     # no ideal rate exceeds pair_rate, so the count mean at pair_rate bounds
     # every count mean; numpy's Poisson sampler refuses means above about
     # 9.2e18, and every count below 2^53 is exact in float64
-    largest_mean = count_means(config.count_model(), v["experiment.pair_rate"])
+    largest_mean = count_means(count_model(config), config["experiment.pair_rate"])
     if not largest_mean <= 1e15:
         problems.append("the largest count mean (detector.efficiency^2 * experiment.pair_rate + detector.singles_1"
                         " * detector.singles_2 * detector.gate_ns * 1e-9) * detector.integration_s"
                         f" must not exceed 1e15 (got {largest_mean})")
-    ells = v["tomo.ell_values"]
-    if len(ells) != v["tomo.d"]:
-        problems.append(f"tomo.ell_values must list exactly tomo.d = {v['tomo.d']} values (got {len(ells)})")
+    ells = config["tomo.ell_values"]
+    if len(ells) != config["tomo.d"]:
+        problems.append(f"tomo.ell_values must list exactly tomo.d = {config['tomo.d']} values (got {len(ells)})")
     if len(set(ells)) != len(ells):
         problems.append("tomo.ell_values must be distinct")
     if any(-e not in ells for e in ells):

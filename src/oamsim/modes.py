@@ -4,8 +4,8 @@ The p = 0 Laguerre-Gaussian modes at the waist plane, sampled for a whole
 window of azimuthal indices at once at any set of points in the plane and
 optionally shifted laterally to model a misaligned measurement hologram, and
 the azimuthal Fourier coefficients of the angular-sector ("slice")
-holograms, with and without their common width factor.  The state build
-needs no samples (``spdc.build_state`` is a closed form); the samples serve
+holograms over their common width factor.  The state build needs no
+samples (``spdc.build_state`` is a closed form); the samples serve
 field-level checks and tracing.
 """
 
@@ -49,23 +49,17 @@ class TransverseMode:
         return rows
 
 
-def sector_coefficients(beta, width: float, ells) -> np.ndarray:
-    """Azimuthal Fourier coefficients of a sector hologram.
-
-    c_ell = (width / 2pi) * sinc(ell * width / 2) * exp(-i ell beta), the
-    projection of the wedge indicator onto e^{i ell phi}.  The ell-independent
-    radial envelope is factored out.  beta broadcasts against ells, so a
-    column of orientations gives one row of coefficients per orientation.
-    """
-    return (width / (2.0 * math.pi)) * sector_shape(beta, width, ells)
-
-
 def sector_shape(beta, width: float, ells) -> np.ndarray:
-    """The sector coefficients over their common factor width / 2pi:
-    sinc(ell * width / 2) * exp(-i ell beta), every entry of magnitude at most 1.
+    """Azimuthal Fourier coefficients of a sector hologram over their common
+    factor width / 2pi: sinc(ell * width / 2) * exp(-i ell beta), every entry
+    of magnitude at most 1.
 
-    A row normalised over ell needs no more, and unlike the coefficients it
-    does not underflow to 0 at the narrowest widths, from about 1e-300.
+    The coefficients, width / 2pi times these, project the wedge indicator
+    onto e^{i ell phi}, the ell-independent radial envelope factored out.
+    beta broadcasts against ells, so a column of orientations gives one row
+    per orientation.  A row normalised over ell needs no more, and unlike the
+    coefficients it does not underflow to 0 at the narrowest widths, from
+    about 1e-300.
     """
     if not 0.0 < width <= 2.0 * math.pi:
         raise ValueError("sector width must lie in (0, 2*pi]")

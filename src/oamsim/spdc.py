@@ -16,10 +16,10 @@ the aligned state included.  Crystal length and phase mismatch enter only
 through the far-field ring profile, computed like the mode count in mm and nm.
 ``count_means`` is the one count model: each mean count is
 (efficiency^2 rate + accidental rate) integration time, its three numbers a
-``CountModel`` that ``config.ScenarioConfig.count_model`` forms from the
-detector keys.  Coincidence counts are Poisson draws of those means, each
-count from a random stream seeded by the run seed and the setting's position
-in the array: numpy's ``default_rng([seed, k]).poisson``, drawn by
+``CountModel`` that ``config.count_model`` forms from the detector keys.
+Coincidence counts are Poisson draws of those means, each count from a
+random stream seeded by the run seed and the setting's position in the
+array: numpy's ``default_rng([seed, k]).poisson``, drawn by
 ``numerics.poisson_streams``.
 """
 

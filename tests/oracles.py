@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from oamsim.modes import TransverseMode
+from oamsim.modes import TransverseMode, sector_shape
 from oamsim.tomography import _arm_design, _born, _realign
 
 MAX_LAGUERRE_ORDER = 64
@@ -242,6 +242,12 @@ class SuperpositionMode(FieldMode):
         return c_plus * plus._centered_field(r, phi) + c_minus * minus._centered_field(r, phi)
 
 
+def sector_coefficients(beta, width: float, ells) -> np.ndarray:
+    """Azimuthal Fourier coefficients of a sector hologram: c_ell = (width / 2pi)
+    sinc(ell * width / 2) exp(-i ell beta), width / 2pi times ``modes.sector_shape``."""
+    return (width / (2.0 * math.pi)) * sector_shape(beta, width, ells)
+
+
 @dataclass(frozen=True)
 class SectorMode(FieldMode):
     """Angular-sector ("slice") hologram used for angular-position projections.
@@ -249,7 +255,7 @@ class SectorMode(FieldMode):
     Wedge of angular width ``width`` centered on orientation ``beta``, with a
     Gaussian radial envelope matching the fiber-coupled fundamental mode.
     Analytic normalization: the wedge carries width * w^2 / 4 of envelope
-    power.  Checks ``modes.sector_coefficients``.
+    power.  Checks ``sector_coefficients``.
     """
 
     beta: float

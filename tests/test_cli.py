@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from oamsim import cli, experiments, tomography
 from oamsim.cli import RUNNERS, RunContext, main
-from oamsim.config import INTERVALS, build_config, validate
+from oamsim.config import INTERVALS, load_config, validate
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -355,7 +355,7 @@ def test_validate_integration_time_bound(capsys, seconds, code):
 @pytest.mark.parametrize("width, code", [("0", 1), (repr(2.0 * math.pi), 0),
                                          (repr(math.nextafter(2.0 * math.pi, 7.0)), 1)])
 def test_validate_sector_width_bound(capsys, width, code):
-    # the SCHEMA interval (0, 2*pi] is the range modes.sector_coefficients accepts, the full disc included
+    # the SCHEMA interval (0, 2*pi] is the range modes.sector_shape accepts, the full disc included
     assert main(["validate", "--set", f"experiment.sector_width_rad={width}"]) == code
     assert ("experiment.sector_width_rad" in capsys.readouterr().out) == bool(code)
 
@@ -514,7 +514,7 @@ DETECTOR_KEYS = sorted(key for key in INTERVALS if key.startswith("detector."))
 # each detector key at the accepted extreme of each end of its interval, and the narrowest
 # sector; an upper end that makes the largest count mean overflow is rejected, and skipped
 EXTREMES = [*((key, value) for key in DETECTOR_KEYS for value in accepted_ends(key)
-              if not validate(build_config(overrides={key: repr(value)}))),
+              if not validate(load_config(overrides=[f"{key}={value!r}"]))),
             ("experiment.sector_width_rad", 5e-324)]
 # the extremes with no accidental coincidences
 NO_ACCIDENTALS = {("detector.gate_ns", 5e-324), ("detector.singles_1", 0.0), ("detector.singles_2", 0.0)}
@@ -575,7 +575,7 @@ def test_write_table_matches_per_cell_format(tmp_path):
         "text": np.array(["x", "y,", ""]),
         "scalar": 2.5,
     }
-    ctx = RunContext(build_config(), tmp_path, "test")
+    ctx = RunContext(load_config(), tmp_path, "test")
     ctx.write_table("t.csv", columns)
     lines = (tmp_path / "t.csv").read_text().splitlines()
     cells = [values if np.ndim(values) else [values] * 3 for values in columns.values()]
@@ -596,7 +596,7 @@ def test_write_table_rows_run_on_across_blocks(tmp_path):
     special = np.resize(SPECIAL_FLOATS, n)
     columns = {"i": np.arange(n), "x": np.arange(n) / 7.0, "flag": np.arange(n) % 3 == 0, "c": 1.5,
                "special": special}
-    ctx = RunContext(build_config(), tmp_path, "test")
+    ctx = RunContext(load_config(), tmp_path, "test")
     ctx.write_table("t.csv", columns)
     lines = (tmp_path / "t.csv").read_text().split("\n")
     assert lines[1:] == ["i,x,flag,c,special"] + [
@@ -644,7 +644,7 @@ def test_write_table_formats_repeating_cells_as_per_cell(tmp_path_factory, colum
     out = tmp_path_factory.getbasetemp() / "repeating"  # one directory, rewritten by each example
     out.mkdir(exist_ok=True)
     with mock.patch.object(cli, "_BLOCK_ROWS", SHORT_BLOCK_ROWS):
-        RunContext(build_config(), out, "test").write_table("t.csv", columns)
+        RunContext(load_config(), out, "test").write_table("t.csv", columns)
     n = len(columns["f64"])
     cells = [values if np.ndim(values) else [values] * n for values in columns.values()]
     rows = "".join(",".join(map(per_cell, row)) + "\n" for row in zip(*cells))
@@ -657,7 +657,7 @@ def test_write_table_formats_repeating_cells_as_per_cell(tmp_path_factory, colum
     np.zeros((2, 2)),
 ], ids=["mixed", "complex", "2-D"])
 def test_write_table_rejects_columns_it_cannot_format(tmp_path, values):
-    ctx = RunContext(build_config(), tmp_path, "test")
+    ctx = RunContext(load_config(), tmp_path, "test")
     with pytest.raises(TypeError):
         ctx.write_table("t.csv", {"ok": np.arange(len(values)), "bad": values})
     assert not (tmp_path / "t.csv").exists()
@@ -723,10 +723,12 @@ def test_epr_reid_moments_match_model_within_two_sigma(tmp_path):
     ("epr-reid", "epr_summary.csv", ["delta_ell_sq", "sigma_ell_sq", "delta_phi_sq", "sigma_phi_sq",
                                      "product", "sigma_product", "n_sigma_below_quarter"]),
     ("bell", "bell_summary.csv", ["s_value", "sigma_s", "n_sigma_above_2"]),
+    ("tomo", "tomo_summary.csv", ["fidelity_vs_target", "fidelity_vs_phi", "linear_entropy", "concurrence"]),
 ])
 def test_runs_without_coincidences_write_nan(tmp_path, command, table, estimates):
     # validate accepts this config, but with no accidentals and a pair rate
-    # of 1e-12 per second no count is drawn: every estimate is nan
+    # of 1e-12 per second no count is drawn: every estimate is nan, and no
+    # violation, threshold or Schmidt number is claimed
     assert main(["validate", "--set", "detector.singles_1=0", "--set", "experiment.pair_rate=1e-12"]) == 0
     assert main([command, "--set", "detector.singles_1=0", "--set", "experiment.pair_rate=1e-12",
                  "--out", str(tmp_path)]) == 0
@@ -735,7 +737,10 @@ def test_runs_without_coincidences_write_nan(tmp_path, command, table, estimates
     for line in lines[2:]:
         row = dict(zip(columns, line.split(",")))
         assert {row[key] for key in estimates} == {"nan"}
-        assert row.get("violated", "false") == "false"
+        assert row.get("violated", "false") == row.get("above_threshold", "false") == "false"
+        assert row.get("schmidt_number_bound", "0") == "0"
+    if command == "tomo":  # rho stays the maximally mixed matrix reconstruct gives for no counts
+        assert np.array_equal(tomography.load_density_matrix(tmp_path / "tomo_rho.csv"), np.eye(4) / 4)
 
 
 def test_import_loads_no_scipy():

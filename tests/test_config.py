@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamsim.cli import main
-from oamsim.config import INTERVALS, SCHEMA, ConfigError, build_config, parse_config_text, validate
+from oamsim.config import INTERVALS, SCHEMA, ConfigError, _as_text, canonical_lines, config_hash, load_config, validate
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # '#' starts a comment and line breaks end the entry, so the format cannot
@@ -29,35 +29,108 @@ def value_for(key):
 any_values = st.fixed_dictionaries({key: value_for(key) for key in SCHEMA})
 
 
+def sets(values: dict) -> list[str]:
+    """``--set`` pairs of typed values, each written as canonical_lines writes it."""
+    return [f"{key}={_as_text(value)}" for key, value in values.items()]
+
+
+def write(tmp_path_factory, text: str) -> str:
+    path = tmp_path_factory.mktemp("config") / "scenario.cfg"
+    path.write_text(text)
+    return str(path)
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_values)
-def test_canonical_lines_round_trip(values):
-    config = build_config(overrides=values)
-    text = "\n".join(config.canonical_lines())
-    again = build_config(parse_config_text(text))
-    assert again.values == config.values
-    assert again.hash() == config.hash()
+def test_canonical_lines_round_trip(tmp_path_factory, values):
+    # --set pairs in, canonical lines out, and the file of those lines reads back the same config
+    config = load_config(overrides=sets(values))
+    assert config == values
+    again = load_config(write(tmp_path_factory, "\n".join(canonical_lines(config))))
+    assert again == config
+    assert config_hash(again) == config_hash(config)
 
 
 @settings(max_examples=60, deadline=None)
 @given(plain_text.filter(lambda k: k not in SCHEMA and "=" not in k), plain_text)
-def test_rejects_keys_outside_schema(key, value):
-    with pytest.raises(ConfigError):
-        parse_config_text(f"{key} = {value}")
-    with pytest.raises(ConfigError):
-        build_config(overrides={key: value})
+def test_rejects_keys_outside_schema(tmp_path_factory, key, value):
+    with pytest.raises(ConfigError, match=r"^line 1: unknown key"):
+        load_config(write(tmp_path_factory, f"{key} = {value}"))
+    with pytest.raises(ConfigError, match=r"^--set: unknown key"):
+        load_config(overrides=[f"{key}={value}"])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(SCHEMA)), st.data())
-def test_rejects_duplicate_keys(key, data):
+def test_rejects_duplicate_keys(tmp_path_factory, key, data):
     first, second = (str(data.draw(value_for(key))) for _ in range(2))
     others = data.draw(st.lists(st.sampled_from(sorted(set(SCHEMA) - {key})), unique=True))
     lines = [f"{other} = {SCHEMA[other][1]}" for other in others]
     lines.insert(data.draw(st.integers(0, len(lines))), f"{key} = {first}")
     lines.append(f"{key} = {second}")
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("\n".join(lines))
+    with pytest.raises(ConfigError, match=f"^line {len(lines)}: duplicate"):
+        load_config(write(tmp_path_factory, "\n".join(lines)))
+
+
+def test_default_config_hash():
+    assert config_hash(load_config()) == "655e9c5b304da688c8585a6aa6efbe78e04f36f7c927cbce5004545eefda14df"
+
+
+# a file with comments, blank lines and unspaced or indented entries, and
+# --set pairs that replace a file value, and each other
+MIXED_FILE = """# a scenario with comments, blank lines and spaced values
+
+seed = 7   # a trailing comment
+source.gamma=1.5
+  source.ell_max = 12
+tomo.d = 3
+tomo.ell_values = 1, 0, -1
+experiment.angular_points = 32
+bell.ell = 3
+"""
+MIXED_SETS = ["source.gamma=0.8", "seed=9", "seed=11", "experiment.pair_rate=5e4", "tomo.ell_values=1,-1,0"]
+
+
+def test_file_and_set_pairs_config_hash(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(MIXED_FILE)
+    config = load_config(str(path), MIXED_SETS)
+    assert (config["seed"], config["source.gamma"], config["source.ell_max"]) == (11, 0.8, 12)
+    assert config["tomo.ell_values"] == (1, -1, 0)
+    want = "9901721918bda2b574d7a55034a3c3aeb7d3b51349e6f71a2a325ff7ee38818a"
+    assert config_hash(config) == want
+    # the command line reads the same config, and writes its hash on each table
+    args = ["--config", str(path), *(arg for pair in MIXED_SETS for arg in ("--set", pair))]
+    assert main(["modes", *args, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "modes_summary.csv").read_text().startswith(f"# config_hash={want} seed=11\n")
+
+
+def test_later_set_wins(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("seed = 1\n")
+    assert load_config(str(path))["seed"] == 1
+    assert load_config(str(path), ["seed=2"])["seed"] == 2
+    assert load_config(str(path), ["seed=2", "seed=3"])["seed"] == 3
+    assert load_config(overrides=["seed=3", "seed=2"])["seed"] == 2
+    # a --set value is taken whole: '#' starts no comment there
+    with pytest.raises(ConfigError, match="cannot parse '1 # x'"):
+        load_config(str(path), ["seed=1 # x"])
+
+
+@pytest.mark.parametrize("text, pairs, message", [
+    (None, ["seed"], "--set: expected 'key = value', got 'seed'"),
+    ("# header\nseed = 1\nseed = 2\n", [], "line 3: duplicate key 'seed'"),
+    ("seed = 1\nseed\n", [], "line 2: expected 'key = value', got 'seed'"),
+])
+def test_malformed_entries_exit_one(tmp_path, capsys, text, pairs, message):
+    # an unknown key from either source exits 1 in test_rejects_removed_keys
+    args = [arg for pair in pairs for arg in ("--set", pair)]
+    if text is not None:
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text)
+        args += ["--config", str(path)]
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("key, value", [("tomo.threshold_p", "0.5"), ("output_dir", "x")])
@@ -70,22 +143,6 @@ def test_rejects_removed_keys(tmp_path, capsys, key, value):
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("source.ell_max", 2.5), ("seed", 1.5), ("tomo.d", True),
-                                        ("tomo.ell_values", (1.5, -1.5))])
-def test_rejects_typed_values_no_file_could_hold(key, value):
-    # a typed override is parsed from its text, as a file would give it
-    with pytest.raises(ConfigError, match="cannot parse"):
-        build_config(overrides={key: value})
-
-
-def test_typed_values_read_as_their_text():
-    config = build_config(overrides={"seed": 7, "source.gamma": 2, "tomo.ell_values": (2, -2)})
-    again = build_config(overrides={"seed": "7", "source.gamma": "2", "tomo.ell_values": "2,-2"})
-    assert config.values == again.values
-    assert config.hash() == again.hash()
-    assert isinstance(config["source.gamma"], float)
-
-
 def problems_at(key, value):
     """validate's messages with ``key`` at ``value`` and every other key at its default.
 
@@ -96,7 +153,7 @@ def problems_at(key, value):
         overrides["tomo.ell_values"] = tuple(e for k in range(1, value // 2 + 1) for e in (k, -k)) + (0,) * (value % 2)
     if key == "tomo.ell_values":
         overrides[key] = (value, -value)
-    return validate(build_config(overrides=overrides))
+    return validate(load_config(overrides=sets(overrides)))
 
 
 def rejected(key, value):

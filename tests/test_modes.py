@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.modes import TransverseMode, sector_coefficients
+from oamsim.modes import TransverseMode
 from oracles import (
     BeamGeometry,
     LGMode,
@@ -14,6 +14,7 @@ from oracles import (
     integrate_polar,
     mode_overlap,
     polar_mesh,
+    sector_coefficients,
 )
 
 GEO = BeamGeometry(waist=1.0)

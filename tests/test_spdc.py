@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oamsim.config import build_config, validate
+from oamsim.config import count_model, load_config, validate
 from oamsim.numerics import poisson_streams
 from oamsim.spdc import (
     CountModel,
@@ -338,23 +338,23 @@ class TestAccidentals:
     """The accidental mean of the count model: ``count_means`` at rate 0, from the detector keys."""
 
     def test_dark_rate_scale(self):
-        model = build_config(overrides={"detector.singles_1": "200", "detector.singles_2": "200"}).count_model()
+        model = count_model(load_config(overrides=["detector.singles_1=200", "detector.singles_2=200"]))
         assert model.accidental_rate == pytest.approx(5e-4, rel=1e-12)
         assert count_means(model, 0.0) == model.accidental_rate  # over the default 1 s
 
     def test_zero_gate_means_zero(self):
         # a gate of 5e-324 ns is 0 s, so the accidental rate is 0 and every mean is efficiency^2 rate T
-        config = build_config(overrides={"detector.gate_ns": "5e-324", "detector.integration_s": "2"})
+        config = load_config(overrides=["detector.gate_ns=5e-324", "detector.integration_s=2"])
         assert validate(config) == []
-        model = config.count_model()
+        model = count_model(config)
         assert model.accidental_rate == 0.0
         assert count_means(model, 0.0) == 0.0
         assert count_means(model, 10.0) == 0.36 * 10.0 * 2.0
 
     def test_bilinear_in_singles(self):
         def accidental(singles):
-            sets = {"detector.singles_1": singles, "detector.singles_2": singles, "detector.gate_ns": "10"}
-            return count_means(build_config(overrides=sets).count_model(), 0.0)
+            sets = [f"detector.singles_1={singles}", f"detector.singles_2={singles}", "detector.gate_ns=10"]
+            return count_means(count_model(load_config(overrides=sets)), 0.0)
 
         assert accidental("2e3") == pytest.approx(4.0 * accidental("1e3"))
 
@@ -368,7 +368,7 @@ class TestCountMeans:
 
     def test_default_keys(self):
         # (0.6^2 pair_rate + 2e4 * 2e4 * 12.5e-9) * 1 s, each product in the order the keys give it
-        model = build_config().count_model()
+        model = count_model(load_config())
         assert model == (0.6**2, 2e4 * 2e4 * (12.5 * 1e-9), 1.0)
         assert count_means(model, 0.0) == model.accidental_rate
         assert count_means(model, 3e4) == pytest.approx(0.36 * 3e4 + 5.0, rel=1e-15)
@@ -476,7 +476,7 @@ class TestCountStreamOracle:
         assert np.array_equal(sample_counts(means, UNIT_DET, seed), per_setting_counts(means, UNIT_DET, seed))
 
     def test_matches_with_accidentals_and_shape(self):
-        model = build_config().count_model()
+        model = count_model(load_config())
         rates = np.random.default_rng(3).uniform(0.0, 50.0, (16, 24))
         assert np.array_equal(sample_counts(rates, model, 671067976), per_setting_counts(rates, model, 671067976))
 
@@ -511,5 +511,5 @@ class TestDetectorConfig:
                                         {"integration_s": -1.0}, {"integration_s": math.nan}])
     def test_rejects_bad_parameters(self, kwargs):
         (key, value), = kwargs.items()
-        problems = validate(build_config(overrides={f"detector.{key}": repr(value)}))
+        problems = validate(load_config(overrides=[f"detector.{key}={value!r}"]))
         assert any(problem.startswith(f"detector.{key} must lie in") for problem in problems)

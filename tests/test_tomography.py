@@ -7,7 +7,7 @@ from hypothesis import given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from oamsim.cli import RunContext, main
-from oamsim.config import INTERVALS, build_config, validate
+from oamsim.config import INTERVALS, load_config, validate
 from oamsim.experiments import arm_projectors, run_tomography_experiment
 from oamsim.spdc import CountModel, build_state, maximally_entangled_ket, restricted_ket
 from oamsim.tomography import (
@@ -472,7 +472,7 @@ class TestFidelity:
         # the reported fidelity_vs_target is <target|rho|target>, exact for the pure target
         assert main(["tomo", "--set", f"tomo.d={d}", "--set", f"tomo.ell_values={ells}",
                      "--out", str(tmp_path)]) == 0
-        config = build_config(overrides={"tomo.d": str(d), "tomo.ell_values": ells})
+        config = load_config(overrides=[f"tomo.d={d}", f"tomo.ell_values={ells}"])
         joint = build_state(config["source.gamma"], ell_max=2)
         ket = restricted_ket(joint, [int(e) for e in ells.split(",")])
         want = fidelity(np.outer(ket, ket.conj()), load_density_matrix(tmp_path / "tomo_rho.csv"))
@@ -669,8 +669,7 @@ class TestBellThresholds:
         # ell values closed under negation, with 0 for odd d, leave the tomo.d
         # interval the only rule in play
         ells = [ell for k in range(1, d // 2 + 1) for ell in (k, -k)] + [0] * (d % 2)
-        config = build_config(overrides={"tomo.d": str(d),
-                                         "tomo.ell_values": ",".join(map(str, ells))})
+        config = load_config(overrides=[f"tomo.d={d}", f"tomo.ell_values={','.join(map(str, ells))}"])
         assert (not validate(config)) == (d in TOMO_D)
         if d in TOMO_D:
             assert 0.0 < bell_violation_threshold(d) < 1.0
@@ -685,7 +684,7 @@ class TestBellThresholds:
 
 def write_rho(tmp_path, rho):
     """The path of ``rho`` written as the tomo runner writes tomo_rho.csv."""
-    RunContext(build_config(), tmp_path, "tomo").write_table("state.csv", density_matrix_columns(rho))
+    RunContext(load_config(), tmp_path, "tomo").write_table("state.csv", density_matrix_columns(rho))
     return tmp_path / "state.csv"
 
 
